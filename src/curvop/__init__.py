@@ -62,8 +62,6 @@ from .weighted import (
     KVerdict,
     k_sum,
     k_verdict,
-    is_k_nonnegative,
-    is_k_positive,
     greedy_min,
     greedy_weights,
     bound_for_m,
@@ -72,7 +70,6 @@ from .weighted import (
     ImplicationReport,
     nonneg_implies_bound,
     sample_weights,
-    grid_min,
 )
 from .models import (
     constant_curvature,
@@ -88,12 +85,6 @@ from .verify import (
     CHECK_NAMES,
     ConsistencyError,
     InequalityReport,
-    scalar_bound_check,
-    ricci_bound_check,
-    ricci_combined_check,
-    quadform_bound_check,
-    bochner_rhs,
-    bochner_bound_check,
     all_checks,
     ThresholdProfile,
     threshold_profile,

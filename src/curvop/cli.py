@@ -71,16 +71,7 @@ def _load_tensor(args) -> CurvatureTensor:
     else:
         obj = _parse_json(args.model, where="--model")
     T = model_from_json(obj).build() if "model" in obj else tensor_from_json(obj)
-    report = T.symmetry_report
-    if not report.valid:
-        raise CliError(
-            "input tensor violates curvature symmetries: "
-            f"antisymmetry {report.antisymmetry:.3e}, "
-            f"pair symmetry {report.pair_symmetry:.3e}, "
-            f"first Bianchi {report.first_bianchi:.3e} "
-            f"(tolerance {report.tol:.1e})"
-        )
-    return T
+    return T.require_valid()
 
 
 def _fmt(x: float) -> str:
@@ -154,10 +145,7 @@ def _cmd_spectrum(args) -> tuple[int, str, str]:
 def _cmd_check(args) -> tuple[int, str, str]:
     T = _load_tensor(args)
     spec = spectrum(second_kind_matrix(T))
-    try:
-        verdict = k_verdict(spec, args.k)
-    except ValueError as bad:
-        raise CliError(str(bad)) from None
+    verdict = k_verdict(spec, args.k)
     code = 0 if verdict.nonnegative else 1
 
     if args.format == "csv":
@@ -198,11 +186,8 @@ def _cmd_check(args) -> tuple[int, str, str]:
 
 def _cmd_bounds(args) -> tuple[int, str, str]:
     T = _load_tensor(args)
-    try:
-        reports = all_checks(T, tol=args.tol)
-        cert = einstein_certificate(T)
-    except ValueError as bad:
-        raise CliError(str(bad)) from None
+    reports = all_checks(T, tol=args.tol)
+    cert = einstein_certificate(T)
     code = 0 if all(r.ok for r in reports) else 1
 
     if args.format == "csv":
@@ -236,23 +221,15 @@ def _cmd_bounds(args) -> tuple[int, str, str]:
 
 
 def _cmd_fuzz(args) -> tuple[int, str, str]:
-    ns = tuple(args.n) if args.n else (3, 4, 5, 6)
-    if args.seed < 0:
-        raise CliError("--seed must be nonnegative")
-    if args.trials < 1:
-        raise CliError("--trials must be >= 1")
-    try:
-        summary = fuzz_campaign(
-            seed=args.seed,
-            trials_per_n=args.trials,
-            ns=ns,
-            e_per_tensor=args.e_per_tensor,
-            tol=TOL_INEQ if args.tol is None else args.tol,
-            jobs=args.jobs,
-            regression_dir=args.regression_dir,
-        )
-    except ValueError as bad:
-        raise CliError(str(bad)) from None
+    summary = fuzz_campaign(
+        seed=args.seed,
+        trials_per_n=args.trials,
+        ns=tuple(args.n) if args.n else (3, 4, 5, 6),
+        e_per_tensor=args.e_per_tensor,
+        tol=TOL_INEQ if args.tol is None else args.tol,
+        jobs=args.jobs,
+        regression_dir=args.regression_dir,
+    )
     code = 0 if summary.ok else 1
 
     if args.format == "csv":
@@ -297,10 +274,7 @@ def _cmd_fuzz(args) -> tuple[int, str, str]:
 
 
 def _cmd_threshold(args) -> tuple[int, str, str]:
-    try:
-        profile = threshold_profile(args.n)
-    except ValueError as bad:
-        raise CliError(str(bad)) from None
+    profile = threshold_profile(args.n)
 
     if args.format == "csv":
         rows = [
@@ -463,10 +437,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, output, ext = args.func(args)
-    except CliError as bad:
-        print(f"error: {bad}", file=sys.stderr)
-        return 2
-    except (CurvopError, ValueError, OSError) as bad:
+    except (CliError, CurvopError, ValueError, OSError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
     print(output)

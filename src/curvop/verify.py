@@ -16,6 +16,11 @@ The round sphere saturates all five with margin zero, and the scalar
 bound is in fact an identity for every tensor (its class pins all
 weights to the cap), which the test suite uses as a calibration.
 
+``all_checks`` is the one entry point for the five bounds.  It and the
+fuzz campaign share a single kernel that evaluates all five over a
+stack of probes E, so each weight class and each bound formula is
+written down once.
+
 The Einstein certificate evaluates the spectrum against two thresholds:
 
 * einstein_threshold      k = n(n+2)/(2(n+1)): k-nonnegativity forces a
@@ -43,7 +48,6 @@ import numpy as np
 from .core import (
     CurvatureTensor,
     CurvopError,
-    TracelessSym2,
     random_curvature,
     ricci,
     tensor_to_json,
@@ -51,11 +55,10 @@ from .core import (
 )
 from .operators import (
     Spectrum,
+    _traceless_components,
     basis_s2_traceless,
-    coordinates,
     s2_traceless_dim,
     second_kind_matrix,
-    quad_form,
 )
 from .weighted import WeightClass, KVerdict, greedy_min, k_verdict
 
@@ -64,12 +67,6 @@ __all__ = [
     "CHECK_NAMES",
     "ConsistencyError",
     "InequalityReport",
-    "scalar_bound_check",
-    "ricci_bound_check",
-    "ricci_combined_check",
-    "quadform_bound_check",
-    "bochner_rhs",
-    "bochner_bound_check",
     "all_checks",
     "ThresholdProfile",
     "threshold_profile",
@@ -182,155 +179,84 @@ class _Prep:
         self.scale = max(1.0, T.norm_inf())
 
 
-def _tol_for(prep: _Prep, tol: float | None) -> float:
-    base = TOL_INEQ if tol is None else float(tol)
-    return base * prep.scale
+def _weight_classes(n: int) -> dict[str, WeightClass]:
+    """The weight class [cap, total] of each check, keyed by check name."""
+    return {
+        "scalar_lower_bound": WeightClass(1.0, float(s2_traceless_dim(n))),
+        "ricci_lower_bound": WeightClass(1.0, float(n)),
+        "ricci_combined_bound": WeightClass(n / (n + 2.0), n - 1.0),
+        "quadform_lower_bound": WeightClass(1.0, 1.0),
+        "bochner_lower_bound": WeightClass(2.0 * (n + 1.0) / (n + 2.0), float(n)),
+    }
 
 
-def _scalar_check(prep: _Prep, tol, seed) -> InequalityReport:
-    n = prep.n
-    N = s2_traceless_dim(n)
-    rhs = (2.0 * n / (n + 2.0)) * greedy_min(prep.lam, WeightClass(1.0, float(N)))
-    return _report(
-        "scalar_lower_bound", n, prep.s, rhs, _tol_for(prep, tol),
-        prep.T.fingerprint, seed,
-    )
+def _evaluate(prep: _Prep, Eb: np.ndarray, tol_base: float):
+    """All five checks over a stack Eb of shape (P, n, n) of trace-free probes.
 
-
-def _ricci_check(prep: _Prep, tol, seed) -> InequalityReport:
-    n = prep.n
-    rhs = ((n - 1.0) / (n + 1.0)) * greedy_min(
-        prep.lam, WeightClass(1.0, float(n))
-    ) + prep.s / (n * (n + 1.0))
-    return _report(
-        "ricci_lower_bound", n, float(prep.ric_eigs[0]), rhs,
-        _tol_for(prep, tol), prep.T.fingerprint, seed,
-    )
-
-
-def _ricci_combined_check(prep: _Prep, tol, seed) -> InequalityReport:
-    n = prep.n
-    rhs = greedy_min(prep.lam, WeightClass(n / (n + 2.0), n - 1.0))
-    return _report(
-        "ricci_combined_bound", n, float(prep.ric_eigs[0]), rhs,
-        _tol_for(prep, tol), prep.T.fingerprint, seed,
-    )
-
-
-def _quad_paths(prep: _Prep, E) -> tuple[float, float, float, float]:
-    """Quadratic form by index contraction, matrix, and eigen decomposition.
-
-    Returns (index path, matrix path, eigen path, |E|_F^2).  The three
-    must agree; callers assert the relative spread.
+    Returns ``(checks, quad_rel, eig_rel)``.  ``checks`` maps each name
+    in CHECK_NAMES to (lhs, rhs, tol): scalars for the three E-free
+    checks, length-P arrays for the two E-dependent ones.  The quadratic
+    form is computed three ways, by index contraction, through the
+    matrix, and through the eigen decomposition; ``quad_rel`` and
+    ``eig_rel`` are the worst relative disagreements of the last two
+    with the first.
     """
-    q_idx = quad_form(prep.T, E)
-    v = coordinates(E, prep.basis)
-    q_mat = float(v @ prep.matrix.entries @ v)
-    w = prep.eigvecs.T @ v
-    q_eig = float(prep.lam.values @ (w * w))
-    arr = E.components if isinstance(E, TracelessSym2) else np.asarray(E, dtype=float)
-    nsq = float(np.sum(arr * arr))
-    return q_idx, q_mat, q_eig, nsq
+    n, lam, s = prep.n, prep.lam, prep.s
+    g = {name: greedy_min(lam, cls) for name, cls in _weight_classes(n).items()}
+    ric_min = float(prep.ric_eigs[0])
+    tol = tol_base * prep.scale
 
+    q_idx = np.einsum("kijl,akl,aij->a", prep.T.components, Eb, Eb, optimize=True)
+    C = np.einsum("aij,bij->ab", Eb, prep.basis.stack, optimize=True)
+    q_mat = np.einsum("ab,bc,ac->a", C, prep.matrix.entries, C, optimize=True)
+    W = C @ prep.eigvecs
+    q_eig = (W * W) @ lam.values
+    nsq = np.sum(Eb * Eb, axis=(1, 2))
+    nsq_floor = np.maximum(1.0, nsq)
+    ric_term = np.einsum("ij,ait,ajt->a", prep.ric.components, Eb, Eb, optimize=True)
+    denom = np.maximum(np.maximum(1.0, np.abs(q_idx)), prep.scale * nsq_floor)
+    quad_rel = float(np.max(np.abs(q_idx - q_mat) / denom))
+    eig_rel = float(np.max(np.abs(q_idx - q_eig) / denom))
 
-def _assert_paths(prep: _Prep, q_idx: float, q_other: float, nsq: float, label: str):
-    denom = max(1.0, abs(q_idx), prep.scale * max(1.0, nsq))
-    rel = abs(q_idx - q_other) / denom
-    if rel > 1e-9:
-        raise ConsistencyError(
-            f"{label} paths disagree: {q_idx!r} vs {q_other!r} "
-            f"(relative {rel:.3e})"
-        )
-
-
-def _quadform_check(prep: _Prep, E, tol, seed) -> InequalityReport:
-    q_idx, q_mat, q_eig, nsq = _quad_paths(prep, E)
-    _assert_paths(prep, q_idx, q_mat, nsq, "quadratic form (index vs matrix)")
-    _assert_paths(prep, q_idx, q_eig, nsq, "quadratic form (index vs eigen)")
-    rhs = greedy_min(prep.lam, WeightClass(1.0, 1.0)) * nsq
-    base = TOL_INEQ if tol is None else float(tol)
-    eff = base * prep.scale * max(1.0, nsq)
-    return _report(
-        "quadform_lower_bound", prep.n, q_idx, rhs, eff, prep.T.fingerprint, seed
-    )
-
-
-def _ric_term(prep: _Prep, arr: np.ndarray) -> float:
-    return float(np.einsum("ij,it,jt->", prep.ric.components, arr, arr, optimize=True))
-
-
-def _bochner_check(prep: _Prep, E, tol, seed) -> InequalityReport:
-    q_idx, q_mat, q_eig, nsq = _quad_paths(prep, E)
-    _assert_paths(prep, q_idx, q_eig, nsq, "rough Laplacian curvature term")
-    arr = E.components if isinstance(E, TracelessSym2) else np.asarray(E, dtype=float)
-    lhs = q_idx + _ric_term(prep, arr)
-    n = prep.n
-    rhs = greedy_min(
-        prep.lam, WeightClass(2.0 * (n + 1.0) / (n + 2.0), float(n))
-    ) * nsq
-    base = TOL_INEQ if tol is None else float(tol)
-    eff = base * prep.scale * max(1.0, nsq)
-    return _report(
-        "bochner_lower_bound", n, lhs, rhs, eff, prep.T.fingerprint, seed
-    )
-
-
-def scalar_bound_check(T, tol=None, seed=None) -> InequalityReport:
-    """Scalar curvature against its weighted spectral lower bound."""
-    return _scalar_check(_Prep(T), tol, seed)
-
-
-def ricci_bound_check(T, tol=None, seed=None) -> InequalityReport:
-    """Smallest Ricci eigenvalue against the two-term spectral bound."""
-    return _ricci_check(_Prep(T), tol, seed)
-
-
-def ricci_combined_check(T, tol=None, seed=None) -> InequalityReport:
-    """Smallest Ricci eigenvalue against the single combined-class bound."""
-    return _ricci_combined_check(_Prep(T), tol, seed)
-
-
-def quadform_bound_check(T, E, tol=None, seed=None) -> InequalityReport:
-    """Second-kind quadratic form at E against lam_min * |E|^2 (Rayleigh)."""
-    return _quadform_check(_Prep(T), E, tol, seed)
-
-
-def bochner_rhs(T, E) -> float:
-    """Curvature term of the Bochner formula: <op(E), E> + Ric_ij E_it E_jt.
-
-    Computes the quadratic form both by direct index contraction and
-    through the eigenvalue decomposition (sum of lam_a times squared
-    eigen-coordinates) and requires agreement to 1e-9 relative before
-    returning; disagreement raises :class:`ConsistencyError`.
-    """
-    prep = _Prep(T)
-    q_idx, q_mat, q_eig, nsq = _quad_paths(prep, E)
-    _assert_paths(prep, q_idx, q_eig, nsq, "rough Laplacian curvature term")
-    arr = E.components if isinstance(E, TracelessSym2) else np.asarray(E, dtype=float)
-    return q_idx + _ric_term(prep, arr)
-
-
-def bochner_bound_check(T, E, tol=None, seed=None) -> InequalityReport:
-    """Bochner curvature term at E against its weighted spectral bound."""
-    return _bochner_check(_Prep(T), E, tol, seed)
+    tol_e = tol * nsq_floor
+    checks = {
+        "scalar_lower_bound": (s, (2.0 * n / (n + 2.0)) * g["scalar_lower_bound"], tol),
+        "ricci_lower_bound": (
+            ric_min,
+            ((n - 1.0) / (n + 1.0)) * g["ricci_lower_bound"] + s / (n * (n + 1.0)),
+            tol,
+        ),
+        "ricci_combined_bound": (ric_min, g["ricci_combined_bound"], tol),
+        "quadform_lower_bound": (q_idx, g["quadform_lower_bound"] * nsq, tol_e),
+        "bochner_lower_bound": (q_idx + ric_term, g["bochner_lower_bound"] * nsq, tol_e),
+    }
+    return checks, quad_rel, eig_rel
 
 
 def all_checks(T, E=None, tol=None, seed=None) -> tuple[InequalityReport, ...]:
-    """All five checks with shared assembly.  E defaults to the trace-free Ricci.
+    """The five checks, in CHECK_NAMES order.  E defaults to the trace-free Ricci.
 
-    With an Einstein tensor the default E vanishes and the two
-    E-dependent checks sit exactly on the boundary.
+    This is the one entry point for the bounds.  With an Einstein tensor
+    the default E vanishes and the two E-dependent checks sit exactly on
+    the boundary.  Raises :class:`ConsistencyError` when the three
+    quadratic-form paths disagree beyond 1e-9 relative.
     """
     prep = _Prep(T)
     if E is None:
         E = traceless_ricci(T)
-    return (
-        _scalar_check(prep, tol, seed),
-        _ricci_check(prep, tol, seed),
-        _ricci_combined_check(prep, tol, seed),
-        _quadform_check(prep, E, tol, seed),
-        _bochner_check(prep, E, tol, seed),
-    )
+    Eb = _traceless_components(E, prep.n)[None]
+    tol_base = TOL_INEQ if tol is None else float(tol)
+    checks, quad_rel, eig_rel = _evaluate(prep, Eb, tol_base)
+    for label, rel in (("matrix", quad_rel), ("eigen", eig_rel)):
+        if rel > 1e-9:
+            raise ConsistencyError(
+                f"quadratic form paths disagree (index vs {label}): relative {rel:.3e}"
+            )
+    reports = []
+    for name in CHECK_NAMES:
+        lhs, rhs, eff = (np.ravel(x)[0] for x in checks[name])
+        reports.append(_report(name, prep.n, lhs, rhs, eff, T.fingerprint, seed))
+    return tuple(reports)
 
 
 # --- thresholds and certificates --------------------------------------------
@@ -554,28 +480,15 @@ class FuzzSummary:
 
 
 def _fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float) -> dict:
-    """Run one seeded tensor through all five checks; returns plain floats."""
+    """Run one seeded tensor and its unit probes through all five checks.
+
+    Returns plain floats: per check the worst margin over the probes and
+    the tolerance at that probe.
+    """
     trial_seed = seed ^ idx
     terms = 1 + idx % 3
     T = random_curvature(trial_seed, n, terms=terms)
     prep = _Prep(T)
-    lam = prep.lam
-    N = s2_traceless_dim(n)
-    scale = prep.scale
-    tol_eff = tol_base * scale
-
-    margins = {}
-    margins["scalar_lower_bound"] = prep.s - (2.0 * n / (n + 2.0)) * greedy_min(
-        lam, WeightClass(1.0, float(N))
-    )
-    ric_min = float(prep.ric_eigs[0])
-    margins["ricci_lower_bound"] = ric_min - (
-        ((n - 1.0) / (n + 1.0)) * greedy_min(lam, WeightClass(1.0, float(n)))
-        + prep.s / (n * (n + 1.0))
-    )
-    margins["ricci_combined_bound"] = ric_min - greedy_min(
-        lam, WeightClass(n / (n + 2.0), n - 1.0)
-    )
 
     rng = np.random.default_rng([trial_seed, 1])
     raw = rng.normal(size=(e_per_tensor, n, n))
@@ -585,23 +498,15 @@ def _fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float)
     norms = np.sqrt(np.einsum("aij,aij->a", Eb, Eb))
     Eb /= norms[:, None, None]
 
-    q_idx = np.einsum("kijl,akl,aij->a", T.components, Eb, Eb, optimize=True)
-    C = np.einsum("aij,bij->ab", Eb, prep.basis.stack, optimize=True)
-    q_mat = np.einsum("ab,bc,ac->a", C, prep.matrix.entries, C, optimize=True)
-    W = C @ prep.eigvecs
-    q_eig = (W * W) @ lam.values
-    denom = np.maximum(1.0, np.maximum(np.abs(q_idx), scale))
-    quad_rel = float(np.max(np.abs(q_idx - q_mat) / denom))
-    eig_rel = float(np.max(np.abs(q_idx - q_eig) / denom))
-
-    margins["quadform_lower_bound"] = float(
-        np.min(q_idx - greedy_min(lam, WeightClass(1.0, 1.0)))
-    )
-    ric_term = np.einsum(
-        "ij,ait,ajt->a", prep.ric.components, Eb, Eb, optimize=True
-    )
-    rhs23 = greedy_min(lam, WeightClass(2.0 * (n + 1.0) / (n + 2.0), float(n)))
-    margins["bochner_lower_bound"] = float(np.min(q_idx + ric_term - rhs23))
+    checks, quad_rel, eig_rel = _evaluate(prep, Eb, tol_base)
+    margins, tols = {}, {}
+    for name, (lhs, rhs, tol) in checks.items():
+        margin = lhs - rhs
+        if np.ndim(margin):
+            worst = margin.argmin()
+            margin, tol = margin[worst], tol[worst]
+        margins[name] = float(margin)
+        tols[name] = float(tol)
 
     return {
         "idx": idx,
@@ -609,8 +514,8 @@ def _fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float)
         "trial_seed": trial_seed,
         "terms": terms,
         "fingerprint": T.fingerprint,
-        "scale": scale,
-        "tol_eff": tol_eff,
+        "scale": prep.scale,
+        "tols": tols,
         "margins": margins,
         "quad_rel": quad_rel,
         "eig_rel": eig_rel,
@@ -660,6 +565,8 @@ def fuzz_campaign(
         raise ValueError("seed must be a nonnegative integer")
     if trials_per_n < 1:
         raise ValueError("trials_per_n must be >= 1")
+    if e_per_tensor < 1:
+        raise ValueError("e_per_tensor must be >= 1")
     ns = tuple(int(n) for n in ns)
     if any(n < 3 for n in ns):
         raise ValueError("fuzz dimensions must satisfy n >= 3")
@@ -692,7 +599,7 @@ def fuzz_campaign(
         for name in CHECK_NAMES:
             scaled = r["margins"][name] / r["scale"]
             min_scaled[name] = min(min_scaled[name], scaled)
-            if r["margins"][name] < -r["tol_eff"]:
+            if r["margins"][name] < -r["tols"][name]:
                 violations.append(
                     Violation(
                         check=name,
@@ -701,7 +608,7 @@ def fuzz_campaign(
                         trial_seed=r["trial_seed"],
                         terms=r["terms"],
                         margin=r["margins"][name],
-                        tol=r["tol_eff"],
+                        tol=r["tols"][name],
                         fingerprint=r["fingerprint"],
                     )
                 )

@@ -30,7 +30,6 @@ arithmetic).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import floor
 
 import numpy as np
@@ -43,8 +42,6 @@ __all__ = [
     "KVerdict",
     "k_sum",
     "k_verdict",
-    "is_k_nonnegative",
-    "is_k_positive",
     "greedy_min",
     "greedy_weights",
     "bound_for_m",
@@ -53,7 +50,6 @@ __all__ = [
     "ImplicationReport",
     "nonneg_implies_bound",
     "sample_weights",
-    "grid_min",
 ]
 
 #: Absolute half-width of the boundary band around zero for k-verdicts.
@@ -162,16 +158,6 @@ def k_verdict(lam, k: float) -> KVerdict:
         positive=value > BOUNDARY_TOL,
         boundary=boundary,
     )
-
-
-def is_k_nonnegative(lam, k: float) -> KVerdict:
-    """Verdict whose ``nonnegative`` field answers the question."""
-    return k_verdict(lam, k)
-
-
-def is_k_positive(lam, k: float) -> KVerdict:
-    """Verdict whose ``positive`` field answers the question."""
-    return k_verdict(lam, k)
 
 
 def greedy_min(lam, cls: WeightClass) -> float:
@@ -338,38 +324,3 @@ def sample_weights(
     if np.max(np.abs(sums - total)) > 1e-9 * max(1.0, total):
         raise RuntimeError("weight sampler failed to hit the total within tolerance")
     return out
-
-
-@lru_cache(maxsize=8)
-def _grid_axes(N: int, steps: int):
-    axes = np.meshgrid(*([np.arange(steps + 1)] * (N - 1)), indexing="ij")
-    head = np.stack([a.ravel() for a in axes])  # (N-1, (steps+1)^(N-1))
-    head_sum = head.sum(axis=0)
-    return head, head_sum
-
-
-def grid_min(lam, cls: WeightClass, steps: int = 100) -> float:
-    """Exhaustive minimum over the grid w_i in {0, omega/steps, ..., omega}.
-
-    Brute-force oracle for small N (N <= 4).  The total must sit on the
-    grid: total/(omega/steps) must be an integer within 1e-9.
-    """
-    arr = _ascending(lam)
-    N = arr.size
-    if N > 4:
-        raise ValueError("grid_min is an oracle for N <= 4 only")
-    cls.require_admissible(N)
-    step = cls.omega / steps
-    j_float = cls.total / step
-    j = int(round(j_float))
-    if abs(j_float - j) > 1e-9 * max(1.0, j_float):
-        raise ValueError("total is not on the weight grid")
-    if N == 1:
-        if j != steps:
-            raise ValueError("total must equal omega for N = 1")
-        return float(cls.omega * arr[0])
-    head, head_sum = _grid_axes(N, steps)
-    last = j - head_sum
-    feasible = (last >= 0) & (last <= steps)
-    dots = arr[:-1] @ head[:, feasible] + arr[-1] * last[feasible]
-    return float(step * dots.min())

@@ -5,6 +5,8 @@ solver), deliberately avoiding the einsum-based code paths under test.
 Slow but unambiguous.
 """
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -113,3 +115,39 @@ def lp_weight_min(lam, omega, total):
     )
     assert res.success, res.message
     return float(res.fun)
+
+
+@lru_cache(maxsize=8)
+def _grid_axes(N: int, steps: int):
+    axes = np.meshgrid(*([np.arange(steps + 1)] * (N - 1)), indexing="ij")
+    head = np.stack([a.ravel() for a in axes])  # (N-1, (steps+1)^(N-1))
+    head_sum = head.sum(axis=0)
+    return head, head_sum
+
+
+def grid_min(lam, cls, steps: int = 100) -> float:
+    """Exhaustive minimum over the grid w_i in {0, omega/steps, ..., omega}.
+
+    Brute-force oracle for small N (N <= 4).  ``lam`` is ascending and
+    ``cls`` a WeightClass.  The total must sit on the grid:
+    total/(omega/steps) must be an integer within 1e-9.
+    """
+    arr = np.asarray(lam, dtype=float).ravel()
+    N = arr.size
+    if N > 4:
+        raise ValueError("grid_min is an oracle for N <= 4 only")
+    cls.require_admissible(N)
+    step = cls.omega / steps
+    j_float = cls.total / step
+    j = int(round(j_float))
+    if abs(j_float - j) > 1e-9 * max(1.0, j_float):
+        raise ValueError("total is not on the weight grid")
+    if N == 1:
+        if j != steps:
+            raise ValueError("total must equal omega for N = 1")
+        return float(cls.omega * arr[0])
+    head, head_sum = _grid_axes(N, steps)
+    last = j - head_sum
+    feasible = (last >= 0) & (last <= steps)
+    dots = arr[:-1] @ head[:, feasible] + arr[-1] * last[feasible]
+    return float(step * dots.min())

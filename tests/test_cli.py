@@ -214,6 +214,15 @@ def test_fuzz_small_campaign_json():
     assert doc["ok"] is True
 
 
+def test_fuzz_rejects_bad_arguments_with_exit_two():
+    for args, word in ((("--e-per-tensor", "0"), "e_per_tensor"),
+                       (("--seed", "-1"), "seed"),
+                       (("--trials", "0"), "trials_per_n")):
+        proc = run_cli("fuzz", "--n", "3", *args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert word in proc.stderr, (args, proc.stderr)
+
+
 def test_repeated_runs_are_byte_identical():
     args = ("bounds", "--model", PRODUCT, "--format", "json", "--no-timestamp")
     a = run_cli(*args, check=True).stdout

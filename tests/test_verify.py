@@ -6,15 +6,17 @@ import math
 import numpy as np
 import pytest
 
+import curvop.verify
 from curvop import (
     CHECK_NAMES,
+    ConsistencyError,
+    OperatorMatrix,
     Spectrum,
+    TraceError,
     TracelessSym2,
     WeightClass,
     all_checks,
     basis_s2_traceless,
-    bochner_bound_check,
-    bochner_rhs,
     class_add,
     class_scale,
     constant_curvature,
@@ -26,19 +28,20 @@ from curvop import (
     kulkarni_nomizu,
     persist_violator,
     product_spheres,
-    quadform_bound_check,
     random_curvature,
     random_traceless,
     reconstruct,
-    ricci_bound_check,
-    ricci_combined_check,
-    scalar_bound_check,
     second_kind_matrix,
     spectrum,
     tensor_from_json,
     threshold_profile,
     traceless_ricci,
 )
+
+
+def _check(T, name, E=None, **kwargs):
+    """One report of all_checks, selected by check name."""
+    return {r.name: r for r in all_checks(T, E=E, **kwargs)}[name]
 
 
 # --- dimension thresholds -----------------------------------------------------
@@ -113,7 +116,7 @@ def test_scalar_bound_is_an_identity():
     for seed in range(40):
         n = 3 + seed % 5
         T = random_curvature(seed, n, terms=1 + seed % 3)
-        r = scalar_bound_check(T)
+        r = _check(T, "scalar_lower_bound")
         assert r.verdict == "boundary"
         assert abs(r.margin) <= r.tol
 
@@ -133,8 +136,8 @@ def test_ricci_combined_bound_is_weaker_than_two_term_bound():
     for seed in range(40):
         n = 3 + seed % 6
         T = random_curvature(seed, n)
-        plain = ricci_bound_check(T)
-        combined = ricci_combined_check(T)
+        plain = _check(T, "ricci_lower_bound")
+        combined = _check(T, "ricci_combined_bound")
         assert plain.lhs == combined.lhs
         scale = max(1.0, abs(plain.rhs))
         assert combined.rhs <= plain.rhs + 1e-9 * scale
@@ -150,7 +153,7 @@ def test_ricci_combined_class_matches_direct_class_arithmetic():
             class_scale((n - 1) / (n + 1), WeightClass(1.0, float(n))),
             class_scale(2.0 / ((n + 1) * (n + 2)), WeightClass(1.0, float(N))),
         )
-        assert ricci_combined_check(T).rhs == pytest.approx(
+        assert _check(T, "ricci_combined_bound").rhs == pytest.approx(
             greedy_min(lam, cls), rel=1e-12, abs=1e-12
         )
 
@@ -162,7 +165,7 @@ def test_quadform_bound_sharp_at_bottom_eigenvector():
         M = second_kind_matrix(T, basis)
         vals, vecs = np.linalg.eigh(M.entries)
         E = TracelessSym2(n, reconstruct(vecs[:, 0], basis))
-        r = quadform_bound_check(T, E)
+        r = _check(T, "quadform_lower_bound", E)
         assert r.verdict == "boundary"
         assert r.lhs == pytest.approx(vals[0], rel=1e-9, abs=1e-12)
 
@@ -171,8 +174,8 @@ def test_bochner_term_on_sphere_is_dimension_times_kappa():
     for n, kappa in [(3, 1.0), (5, 2.0), (6, 0.5)]:
         T = constant_curvature(n, kappa)
         E = random_traceless(n, 5, unit=True)
-        assert bochner_rhs(T, E) == pytest.approx(n * kappa, rel=1e-12)
-        r = bochner_bound_check(T, E)
+        r = _check(T, "bochner_lower_bound", E)
+        assert r.lhs == pytest.approx(n * kappa, rel=1e-12)
         assert r.verdict == "boundary"
 
 
@@ -180,14 +183,14 @@ def test_bochner_check_scales_with_e_norm():
     T = product_spheres(2, 3, 1.0, 1.0)
     E1 = random_traceless(5, 7, unit=True)
     for c in (1.0, 10.0, 0.1):
-        r = bochner_bound_check(T, TracelessSym2(5, c * E1.components))
+        r = _check(T, "bochner_lower_bound", TracelessSym2(5, c * E1.components))
         assert r.ok
-        assert r.lhs == pytest.approx(c * c * bochner_rhs(T, E1), rel=1e-12)
+        assert r.lhs == pytest.approx(c * c * _check(T, "bochner_lower_bound", E1).lhs, rel=1e-12)
 
 
 def test_report_json_fields():
     T = constant_curvature(3, 1.0)
-    doc = scalar_bound_check(T, seed=11).to_json()
+    doc = _check(T, "scalar_lower_bound", seed=11).to_json()
     assert list(doc) == [
         "name",
         "lhs",
@@ -203,6 +206,30 @@ def test_report_json_fields():
     assert doc["seed"] == 11
     assert doc["fingerprint"] == T.fingerprint
     assert json.dumps(doc)  # serializable as-is
+
+
+def test_all_checks_raises_when_quadratic_form_paths_disagree(monkeypatch):
+    """A matrix that no longer represents the tensor trips the dual-path check."""
+    real = curvop.verify.second_kind_matrix
+
+    def perturbed(T, basis=None):
+        M = real(T, basis)
+        return OperatorMatrix(M.domain, M.entries + 1e-3 * np.eye(M.dim), M.basis)
+
+    T = random_curvature(3, 5)
+    E = random_traceless(5, 4, unit=True)
+    assert all(r.ok for r in all_checks(T, E=E))
+    monkeypatch.setattr(curvop.verify, "second_kind_matrix", perturbed)
+    with pytest.raises(ConsistencyError, match="disagree"):
+        all_checks(T, E=E)
+
+
+def test_all_checks_validates_e():
+    T = random_curvature(3, 4)
+    with pytest.raises(ValueError):
+        all_checks(T, E=np.eye(3))
+    with pytest.raises(TraceError):
+        all_checks(T, E=np.eye(4))
 
 
 def test_zero_tensor_reports_boundary_everywhere():
@@ -325,6 +352,8 @@ def test_fuzz_input_validation():
         fuzz_campaign(seed=0, trials_per_n=0)
     with pytest.raises(ValueError):
         fuzz_campaign(seed=0, trials_per_n=5, ns=(2, 3))
+    with pytest.raises(ValueError, match="e_per_tensor"):
+        fuzz_campaign(seed=0, trials_per_n=5, e_per_tensor=0)
 
 
 def test_persist_violator_round_trip(tmp_path):

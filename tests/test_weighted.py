@@ -13,16 +13,13 @@ from curvop import (
     class_scale,
     greedy_min,
     greedy_weights,
-    grid_min,
-    is_k_nonnegative,
-    is_k_positive,
     k_sum,
     k_verdict,
     nonneg_implies_bound,
     sample_weights,
 )
 
-from oracles import lp_weight_min
+from oracles import grid_min, lp_weight_min
 
 
 def test_k_sum_worked_examples():
@@ -66,8 +63,8 @@ def test_k_verdicts():
     assert v.boundary and v.nonnegative and not v.positive
     tiny = k_verdict([-5e-13, 1.0], 1.0)
     assert tiny.boundary and tiny.nonnegative and not tiny.positive
-    assert is_k_nonnegative(lam, 3.0).nonnegative
-    assert is_k_positive(lam, 3.0).positive
+    assert k_verdict(lam, 3.0).nonnegative
+    assert k_verdict(lam, 3.0).positive
     assert k_verdict(lam, 2.5).to_json()["k"] == 2.5
 
 
