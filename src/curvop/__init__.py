@@ -54,7 +54,6 @@ from .operators import (
     quad_form,
     coordinates,
     reconstruct,
-    spectrum_csv_row,
     operator_to_json,
 )
 from .weighted import (

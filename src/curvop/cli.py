@@ -9,6 +9,10 @@ One binary, six subcommands:
 * ``threshold``  dimension-dependent k thresholds
 * ``models``     catalog of built-in model tensors
 
+Each subcommand computes one report: a payload of JSON values plus the
+rows of its CSV table.  ``--format`` only picks the view: the payload in
+a JSON envelope, the CSV rows, or the payload as indented text.
+
 Exit codes: 0 success / property holds, 1 a checked mathematical
 property fails (negative k-sum, violated bound), 2 malformed input or
 out-of-domain parameters.  With ``--no-timestamp`` any subcommand run
@@ -26,18 +30,10 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .core import CurvatureTensor, CurvopError, tensor_from_json, traceless_ricci
+from .core import CurvatureTensor, CurvopError, tensor_from_json
 from .models import catalog, model_from_json
-from .operators import (
-    LAMBDA2,
-    S2_TRACELESS,
-    first_kind_matrix,
-    operator_to_json,
-    second_kind_matrix,
-    spectrum,
-    spectrum_csv_row,
-)
-from .verify import TOL_INEQ, all_checks, einstein_certificate, fuzz_campaign, threshold_profile
+from .operators import first_kind_matrix, operator_to_json, second_kind_matrix, spectrum
+from .verify import TOL_INEQ, _certificate, _checks, _Prep, fuzz_campaign, threshold_profile
 from .weighted import k_verdict
 
 __all__ = ["main", "entrypoint"]
@@ -74,15 +70,7 @@ def _load_tensor(args) -> CurvatureTensor:
     return T.require_valid()
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _csv_text(rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+# --- rendering: one payload, three views -------------------------------------
 
 
 def _envelope(command: str, args, payload: dict) -> dict:
@@ -93,134 +81,115 @@ def _envelope(command: str, args, payload: dict) -> dict:
     return doc
 
 
-# --- subcommand implementations ---------------------------------------------
+def _csv_text(rows: list[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n")
 
 
-def _cmd_spectrum(args) -> tuple[int, str, str]:
+def _cell(value) -> str:
+    """A scalar, or a list of scalars, on one line; floats as .12g."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_cell, value)) + "]"
+    if isinstance(value, str):
+        return value
+    return json.dumps(value)
+
+
+def _table(records: list[dict], pad: str) -> list[str]:
+    """Flat records as one left-aligned table under a header row."""
+    header = list(records[0])
+    cells = [header] + [[_cell(r[key]) for key in header] for r in records]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    return [
+        (pad + "  ".join(c.ljust(w) for c, w in zip(row, widths))).rstrip()
+        for row in cells
+    ]
+
+
+def _is_flat(record) -> bool:
+    return isinstance(record, dict) and not any(
+        isinstance(v, (dict, list)) for v in record.values()
+    )
+
+
+def _text(payload: dict, pad: str = "") -> str:
+    """The payload as ``key: value`` lines nested by indentation, losslessly."""
+    lines = []
+    for key, value in payload.items():
+        items = value if isinstance(value, list) else []
+        if isinstance(value, dict):
+            body = [_text(value, pad + "  ")]
+        elif items and all(map(_is_flat, items)):
+            body = _table(items, pad + "  ")
+        elif items and all(isinstance(v, dict) for v in items):
+            body = [f"{pad}  - " + _text(v, pad + "    ")[len(pad) + 4:] for v in items]
+        elif items and all(isinstance(v, (str, list)) for v in items):
+            body = [f"{pad}  {_cell(v)}" for v in items]
+        else:
+            lines.append(f"{pad}{key}: {_cell(value)}")
+            continue
+        lines += [f"{pad}{key}:", *body]
+    return "\n".join(lines)
+
+
+# --- subcommand implementations: each returns (exit code, payload, csv rows) --
+
+
+def _cmd_spectrum(args):
     T = _load_tensor(args)
-    first = first_kind_matrix(T)
-    second = second_kind_matrix(T)
-    spec1 = spectrum(first)
-    spec2 = spectrum(second)
-
-    if args.format == "csv":
-        lines = [
-            spectrum_csv_row(T.n, LAMBDA2, spec1),
-            spectrum_csv_row(T.n, S2_TRACELESS, spec2),
-        ]
-        return 0, "\n".join(lines), "csv"
-
-    if args.format == "json":
-        payload = {
-            "n": T.n,
-            "fingerprint": T.fingerprint,
-            "first_kind": {
-                "domain": LAMBDA2,
-                "dim": len(spec1),
-                "eigenvalues": [float(v) for v in spec1.values],
-                "multiplicities": [[v, c] for v, c in spec1.multiplicities()],
-            },
-            "second_kind": {
-                "domain": S2_TRACELESS,
-                "dim": len(spec2),
-                "eigenvalues": [float(v) for v in spec2.values],
-                "multiplicities": [[v, c] for v, c in spec2.multiplicities()],
-            },
+    payload = {"n": T.n, "fingerprint": T.fingerprint}
+    matrices = {"first_kind": first_kind_matrix(T), "second_kind": second_kind_matrix(T)}
+    rows = []
+    for key, M in matrices.items():
+        spec = spectrum(M)
+        values = [float(v) for v in spec.values]
+        payload[key] = {
+            "domain": M.domain,
+            "dim": len(spec),
+            "eigenvalues": values,
+            "multiplicities": [[v, c] for v, c in spec.multiplicities()],
         }
-        if args.matrices:
-            payload["matrices"] = {
-                "first_kind": operator_to_json(first),
-                "second_kind": operator_to_json(second),
-            }
-        return 0, json.dumps(_envelope("spectrum", args, payload), indent=2), "json"
-
-    lines = [f"n = {T.n}  fingerprint = {T.fingerprint}"]
-    for label, spec in (("first kind ", spec1), ("second kind", spec2)):
-        lines.append(f"{label} dim {len(spec)}")
-        for value, count in spec.multiplicities():
-            lines.append(f"  {_fmt(value)}  (multiplicity {count})")
-    return 0, "\n".join(lines), "txt"
+        rows.append([T.n, M.domain, len(spec), *values])
+    if args.matrices:
+        payload["matrices"] = {key: operator_to_json(M) for key, M in matrices.items()}
+    return 0, payload, rows
 
 
-def _cmd_check(args) -> tuple[int, str, str]:
+def _cmd_check(args):
     T = _load_tensor(args)
     spec = spectrum(second_kind_matrix(T))
     verdict = k_verdict(spec, args.k)
-    code = 0 if verdict.nonnegative else 1
-
-    if args.format == "csv":
-        rows = [
-            ["n", "N", "k", "k_sum", "nonnegative", "positive", "boundary"],
-            [
-                T.n,
-                len(spec),
-                repr(float(args.k)),
-                repr(verdict.value),
-                verdict.nonnegative,
-                verdict.positive,
-                verdict.boundary,
-            ],
-        ]
-        return code, _csv_text(rows), "csv"
-
-    if args.format == "json":
-        payload = {
-            "n": T.n,
-            "fingerprint": T.fingerprint,
-            "N": len(spec),
-            **verdict.to_json(),
-        }
-        return code, json.dumps(_envelope("check", args, payload), indent=2), "json"
-
-    word = (
-        "boundary (within 1e-12 of zero)"
-        if verdict.boundary
-        else ("nonnegative" if verdict.nonnegative else "negative")
-    )
-    lines = [
-        f"n = {T.n}  N = {len(spec)}  fingerprint = {T.fingerprint}",
-        f"k = {_fmt(args.k)}  k_sum = {_fmt(verdict.value)}  -> {word}",
+    payload = {"n": T.n, "fingerprint": T.fingerprint, "N": len(spec), **verdict.to_json()}
+    rows = [
+        ["n", "N", "k", "k_sum", "nonnegative", "positive", "boundary"],
+        [T.n, len(spec), verdict.k, verdict.value, verdict.nonnegative,
+         verdict.positive, verdict.boundary],
     ]
-    return code, "\n".join(lines), "txt"
+    return (0 if verdict.nonnegative else 1), payload, rows
 
 
-def _cmd_bounds(args) -> tuple[int, str, str]:
-    T = _load_tensor(args)
-    reports = all_checks(T, tol=args.tol)
-    cert = einstein_certificate(T)
-    code = 0 if all(r.ok for r in reports) else 1
-
-    if args.format == "csv":
-        rows = [["name", "lhs", "rhs", "margin", "verdict"]]
-        rows += [
-            [r.name, repr(r.lhs), repr(r.rhs), repr(r.margin), r.verdict]
-            for r in reports
-        ]
-        return code, _csv_text(rows), "csv"
-
-    if args.format == "json":
-        payload = {
-            "n": T.n,
-            "fingerprint": T.fingerprint,
-            "tol_base": TOL_INEQ if args.tol is None else args.tol,
-            "checks": [r.to_json() for r in reports],
-            "all_ok": all(r.ok for r in reports),
-            "certificate": cert.to_json(),
-        }
-        return code, json.dumps(_envelope("bounds", args, payload), indent=2), "json"
-
-    lines = [f"n = {T.n}  fingerprint = {T.fingerprint}"]
-    for r in reports:
-        lines.append(
-            f"{r.name:<22} lhs = {_fmt(r.lhs):>18}  rhs = {_fmt(r.rhs):>18}  "
-            f"margin = {_fmt(r.margin):>18}  {r.verdict}"
-        )
-    for c in cert.conclusions:
-        lines.append(f"note: {c}")
-    return code, "\n".join(lines), "txt"
+def _cmd_bounds(args):
+    prep = _Prep(_load_tensor(args))
+    reports = _checks(prep, None, args.tol, None)
+    all_ok = all(r.ok for r in reports)
+    payload = {
+        "n": prep.n,
+        "fingerprint": prep.T.fingerprint,
+        "tol_base": TOL_INEQ if args.tol is None else args.tol,
+        "checks": [r.to_json() for r in reports],
+        "all_ok": all_ok,
+        "certificate": _certificate(prep).to_json(),
+    }
+    header = ["name", "lhs", "rhs", "margin", "verdict"]
+    rows = [header] + [[c[key] for key in header] for c in payload["checks"]]
+    return (0 if all_ok else 1), payload, rows
 
 
-def _cmd_fuzz(args) -> tuple[int, str, str]:
+def _cmd_fuzz(args):
     summary = fuzz_campaign(
         seed=args.seed,
         trials_per_n=args.trials,
@@ -230,118 +199,34 @@ def _cmd_fuzz(args) -> tuple[int, str, str]:
         jobs=args.jobs,
         regression_dir=args.regression_dir,
     )
-    code = 0 if summary.ok else 1
-
-    if args.format == "csv":
-        rows = [["check", "min_scaled_margin"]]
-        rows += [
-            [name, repr(summary.min_scaled_margins[name])]
-            for name in sorted(summary.min_scaled_margins)
-        ]
-        rows.append(["max_quad_dual_rel", repr(summary.max_quad_dual_rel)])
-        rows.append(["max_eig_dual_rel", repr(summary.max_eig_dual_rel)])
-        rows.append(["violations", len(summary.violations)])
-        return code, _csv_text(rows), "csv"
-
-    if args.format == "json":
-        return (
-            code,
-            json.dumps(_envelope("fuzz", args, summary.to_json()), indent=2),
-            "json",
-        )
-
-    lines = [
-        f"seed = {summary.seed}  trials/n = {summary.trials_per_n}  "
-        f"ns = {list(summary.ns)}  tensors = {summary.tensors}  "
-        f"E per tensor = {summary.e_per_tensor}"
+    payload = summary.to_json()
+    margins = payload["min_scaled_margins"]
+    rows = [
+        ["check", "min_scaled_margin"],
+        *([name, margins[name]] for name in sorted(margins)),
+        ["max_quad_dual_rel", summary.max_quad_dual_rel],
+        ["max_eig_dual_rel", summary.max_eig_dual_rel],
+        ["violations", len(summary.violations)],
     ]
-    for name in sorted(summary.min_scaled_margins):
-        lines.append(
-            f"{name:<22} worst scaled margin = "
-            f"{_fmt(summary.min_scaled_margins[name])}"
-        )
-    lines.append(f"max dual-path rel (matrix) = {_fmt(summary.max_quad_dual_rel)}")
-    lines.append(f"max dual-path rel (eigen)  = {_fmt(summary.max_eig_dual_rel)}")
-    if summary.violations:
-        for v in summary.violations:
-            lines.append(
-                f"VIOLATION {v.check} n={v.n} trial={v.trial_index} "
-                f"margin={_fmt(v.margin)} saved={v.path}"
-            )
-    else:
-        lines.append("no violations")
-    return code, "\n".join(lines), "txt"
+    return (0 if summary.ok else 1), payload, rows
 
 
-def _cmd_threshold(args) -> tuple[int, str, str]:
-    profile = threshold_profile(args.n)
+def _cmd_threshold(args):
+    payload = threshold_profile(args.n).to_json()
+    return 0, payload, [list(payload), list(payload.values())]
 
-    if args.format == "csv":
-        rows = [
-            ["n", "einstein_threshold", "constant_curvature_threshold", "branch"],
-            [
-                profile.n,
-                repr(profile.einstein_threshold),
-                repr(profile.constant_curvature_threshold),
-                profile.branch,
-            ],
-        ]
-        return 0, _csv_text(rows), "csv"
 
-    if args.format == "json":
-        return (
-            0,
-            json.dumps(_envelope("threshold", args, profile.to_json()), indent=2),
-            "json",
-        )
-
-    lines = [
-        f"n = {profile.n}",
-        f"einstein threshold           = {_fmt(profile.einstein_threshold)}",
-        f"constant curvature threshold = {_fmt(profile.constant_curvature_threshold)}"
-        f"  (branch {profile.branch})",
+def _cmd_models(args):
+    models = [
+        {"kind": e.kind, "doc": e.doc, "params": e.params, "example": e.example.to_json()}
+        for e in catalog()
     ]
-    return 0, "\n".join(lines), "txt"
-
-
-def _cmd_models(args) -> tuple[int, str, str]:
-    entries = catalog()
-
-    if args.format == "csv":
-        rows = [["kind", "parameters", "example"]]
-        rows += [
-            [
-                e.kind,
-                " ".join(f"{k}:{v}" for k, v in e.params.items()),
-                json.dumps(e.example.to_json()),
-            ]
-            for e in entries
-        ]
-        return 0, _csv_text(rows), "csv"
-
-    if args.format == "json":
-        payload = {
-            "models": [
-                {
-                    "kind": e.kind,
-                    "doc": e.doc,
-                    "params": e.params,
-                    "example": e.example.to_json(),
-                }
-                for e in entries
-            ]
-        }
-        return 0, json.dumps(_envelope("models", args, payload), indent=2), "json"
-
-    lines = []
-    for e in entries:
-        lines.append(f"{e.kind}: {e.doc}")
-        lines.append(
-            "  parameters: "
-            + ", ".join(f"{k} ({v})" for k, v in e.params.items())
-        )
-        lines.append(f"  example: --model '{json.dumps(e.example.to_json())}'")
-    return 0, "\n".join(lines), "txt"
+    rows = [["kind", "parameters", "example"]] + [
+        [m["kind"], " ".join(f"{k}:{v}" for k, v in m["params"].items()),
+         json.dumps(m["example"])]
+        for m in models
+    ]
+    return 0, {"models": models}, rows
 
 
 # --- parser and dispatch ------------------------------------------------------
@@ -383,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_options(p)
     p.add_argument(
         "--matrices", action="store_true",
-        help="include dense operator matrices in JSON output",
+        help="include the dense operator matrices (JSON and text output)",
     )
     _add_output_options(p)
     p.set_defaults(func=_cmd_spectrum)
@@ -436,10 +321,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, output, ext = args.func(args)
+        code, payload, rows = args.func(args)
     except (CliError, CurvopError, ValueError, OSError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        output, ext = json.dumps(_envelope(args.command, args, payload), indent=2), "json"
+    elif args.format == "csv":
+        output, ext = _csv_text(rows), "csv"
+    else:
+        output, ext = _text(payload), "txt"
     print(output)
     if args.out:
         try:

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import CurvatureTensor, Sym2Tensor, TraceError, TracelessSym2, TAU_TRACE
+from .core import CurvatureTensor, Sym2Tensor, TracelessSym2
 
 __all__ = [
     "LAMBDA2",
@@ -47,7 +47,6 @@ __all__ = [
     "quad_form",
     "coordinates",
     "reconstruct",
-    "spectrum_csv_row",
     "operator_to_json",
 ]
 
@@ -344,17 +343,8 @@ def spectrum(M: OperatorMatrix | np.ndarray, gap_tol: float = DEGENERACY_GAP) ->
 def _traceless_components(E, n: int) -> np.ndarray:
     """Validate and extract trace-free symmetric components from E."""
     if isinstance(E, Sym2Tensor):
-        arr = E.components
-    else:
-        arr = np.asarray(E, dtype=float)
-    if arr.shape != (n, n):
-        raise ValueError(f"expected shape {(n, n)}, got {arr.shape}")
-    if float(np.max(np.abs(arr - arr.T))) > 1e-8 * max(1.0, float(np.max(np.abs(arr)))):
-        raise ValueError("E must be symmetric")
-    tr = abs(float(np.trace(arr)))
-    if tr > TAU_TRACE * (float(np.linalg.norm(arr)) + 1.0):
-        raise TraceError(f"E is not trace-free: |trace| = {tr:.3e}")
-    return arr
+        E = E.components
+    return TracelessSym2(n, E).components
 
 
 def quad_form(T: CurvatureTensor, E) -> float:
@@ -386,12 +376,6 @@ def reconstruct(coeffs: np.ndarray, basis: Sym2Basis) -> np.ndarray:
     if coeffs.shape != (basis.dim,):
         raise ValueError(f"expected {basis.dim} coefficients, got {coeffs.shape}")
     return np.einsum("a,aij->ij", coeffs, basis.stack)
-
-
-def spectrum_csv_row(n: int, domain: str, spec: Spectrum) -> str:
-    """One CSV row: n, domain, dim, eigenvalues ascending."""
-    vals = ",".join(repr(float(v)) for v in spec.values)
-    return f"{n},{domain},{len(spec)},{vals}"
 
 
 def operator_to_json(M: OperatorMatrix) -> dict:

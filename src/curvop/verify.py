@@ -82,6 +82,9 @@ __all__ = [
 #: Base absolute tolerance for inequality margins, before input scaling.
 TOL_INEQ = 1e-9
 
+#: Default relative tolerance of the Einstein test in the certificate.
+_EINSTEIN_TOL = 1e-9
+
 #: Environment variable naming the directory for persisted violators.
 REGRESSION_DIR_ENV = "CURVOP_REGRESSION_DIR"
 
@@ -233,19 +236,19 @@ def _evaluate(prep: _Prep, Eb: np.ndarray, tol_base: float):
     return checks, quad_rel, eig_rel
 
 
-def all_checks(T, E=None, tol=None, seed=None) -> tuple[InequalityReport, ...]:
-    """The five checks, in CHECK_NAMES order.  E defaults to the trace-free Ricci.
+def _check_tol(tol: float) -> float:
+    tol = float(tol)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    return tol
 
-    This is the one entry point for the bounds.  With an Einstein tensor
-    the default E vanishes and the two E-dependent checks sit exactly on
-    the boundary.  Raises :class:`ConsistencyError` when the three
-    quadratic-form paths disagree beyond 1e-9 relative.
-    """
-    prep = _Prep(T)
+
+def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
+    """The body of :func:`all_checks` on an already prepared tensor."""
     if E is None:
-        E = traceless_ricci(T)
+        E = traceless_ricci(prep.T)
     Eb = _traceless_components(E, prep.n)[None]
-    tol_base = TOL_INEQ if tol is None else float(tol)
+    tol_base = _check_tol(TOL_INEQ if tol is None else tol)
     checks, quad_rel, eig_rel = _evaluate(prep, Eb, tol_base)
     for label, rel in (("matrix", quad_rel), ("eigen", eig_rel)):
         if rel > 1e-9:
@@ -255,8 +258,20 @@ def all_checks(T, E=None, tol=None, seed=None) -> tuple[InequalityReport, ...]:
     reports = []
     for name in CHECK_NAMES:
         lhs, rhs, eff = (np.ravel(x)[0] for x in checks[name])
-        reports.append(_report(name, prep.n, lhs, rhs, eff, T.fingerprint, seed))
+        reports.append(_report(name, prep.n, lhs, rhs, eff, prep.T.fingerprint, seed))
     return tuple(reports)
+
+
+def all_checks(T, E=None, tol=None, seed=None) -> tuple[InequalityReport, ...]:
+    """The five checks, in CHECK_NAMES order.  E defaults to the trace-free Ricci.
+
+    This is the one entry point for the bounds.  With an Einstein tensor
+    the default E vanishes and the two E-dependent checks sit exactly on
+    the boundary.  Raises :class:`ValueError` unless ``tol`` is None or
+    a finite number >= 0, and :class:`ConsistencyError` when the three
+    quadratic-form paths disagree beyond 1e-9 relative.
+    """
+    return _checks(_Prep(T), E, tol, seed)
 
 
 # --- thresholds and certificates --------------------------------------------
@@ -343,7 +358,7 @@ class EinsteinCertificate:
         }
 
 
-def einstein_certificate(T, tol: float = 1e-9) -> EinsteinCertificate:
+def einstein_certificate(T, tol: float = _EINSTEIN_TOL) -> EinsteinCertificate:
     """Test a tensor's second-kind spectrum against both thresholds.
 
     ``is_einstein`` means the trace-free Ricci norm is below
@@ -351,12 +366,15 @@ def einstein_certificate(T, tol: float = 1e-9) -> EinsteinCertificate:
     what the verdicts imply for a compact manifold with harmonic
     curvature whose curvature tensor equals T at every point.
     """
-    prep = _Prep(T)
+    return _certificate(_Prep(T), tol)
+
+
+def _certificate(prep: _Prep, tol: float = _EINSTEIN_TOL) -> EinsteinCertificate:
+    """The body of :func:`einstein_certificate` on an already prepared tensor."""
     profile = threshold_profile(prep.n)
     kv_e = k_verdict(prep.lam, profile.einstein_threshold)
     kv_c = k_verdict(prep.lam, profile.constant_curvature_threshold)
-    E = traceless_ricci(T)
-    e_norm = E.frobenius()
+    e_norm = traceless_ricci(prep.T).frobenius()
     ric_norm = float(np.linalg.norm(prep.ric.components))
     is_einstein = e_norm <= tol * (1.0 + ric_norm)
 
@@ -559,7 +577,9 @@ def fuzz_campaign(
     so results are independent of scheduling and identical for jobs=1
     and jobs>1.  Violators (margin below -tol * scale) are persisted to
     ``regression_dir``, the CURVOP_REGRESSION_DIR environment variable,
-    or ./regressions, in that order of preference.
+    or ./regressions, in that order of preference.  ``tol`` must be a
+    finite number >= 0, and ``jobs`` is capped at the CPU count and the
+    number of trials.
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
@@ -567,6 +587,7 @@ def fuzz_campaign(
         raise ValueError("trials_per_n must be >= 1")
     if e_per_tensor < 1:
         raise ValueError("e_per_tensor must be >= 1")
+    _check_tol(tol)
     ns = tuple(int(n) for n in ns)
     if any(n < 3 for n in ns):
         raise ValueError("fuzz dimensions must satisfy n >= 3")
@@ -579,6 +600,8 @@ def fuzz_campaign(
             items.append((idx, n))
             idx += 1
 
+    # A fork-started pool starts every worker at once, even for empty chunks.
+    jobs = min(jobs, os.cpu_count() or 1, len(items))
     if jobs <= 1:
         results = _fuzz_chunk((seed, items, e_per_tensor, tol))
     else:

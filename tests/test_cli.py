@@ -1,11 +1,15 @@
-"""End-to-end command-line tests run through subprocess."""
+"""Command-line tests, run through subprocess or in-process through ``main``."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import curvop.verify
+from curvop.cli import main
 
 SPHERE = '{"model": "constant_curvature", "n": 4, "kappa": 1.0}'
 PRODUCT = '{"model": "product_spheres", "p": 2, "q": 3, "r1": 1.0, "r2": 1.0}'
@@ -22,6 +26,13 @@ def run_cli(*args, check=False):
             f"exit {proc.returncode}\nstdout: {proc.stdout}\nstderr: {proc.stderr}"
         )
     return proc
+
+
+def run_main(capsys, *args):
+    """``main(args)`` in this process: (exit code, stdout, stderr)."""
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def test_version():
@@ -60,12 +71,21 @@ def test_spectrum_includes_matrices_on_request():
     assert M["entries"][0][0] == pytest.approx(1.0)
 
 
-def test_spectrum_csv_has_one_row_per_operator():
+def test_spectrum_csv_has_one_row_per_operator(capsys):
     proc = run_cli("spectrum", "--model", SPHERE, "--format", "csv", check=True)
     rows = [r for r in proc.stdout.strip().splitlines() if r]
     assert len(rows) == 2
     assert rows[0].startswith("4,lambda2,6,")
     assert rows[1].startswith("4,s02,9,")
+    _, out, _ = run_main(capsys, "spectrum", "--model", PRODUCT, "--format", "json")
+    doc = json.loads(out)
+    _, out, _ = run_main(capsys, "spectrum", "--model", PRODUCT, "--format", "csv")
+    for row, key in zip(out.splitlines(), ("first_kind", "second_kind")):
+        fields = row.split(",")
+        spec = doc[key]
+        assert fields[:3] == ["5", spec["domain"], str(spec["dim"])]
+        # eigenvalues ascending, written so that they read back exactly
+        assert [float(x) for x in fields[3:]] == spec["eigenvalues"]
 
 
 def test_check_exit_zero_on_nonnegative():
@@ -217,10 +237,36 @@ def test_fuzz_small_campaign_json():
 def test_fuzz_rejects_bad_arguments_with_exit_two():
     for args, word in ((("--e-per-tensor", "0"), "e_per_tensor"),
                        (("--seed", "-1"), "seed"),
-                       (("--trials", "0"), "trials_per_n")):
+                       (("--trials", "0"), "trials_per_n"),
+                       (("--tol", "-1"), "tol"),
+                       (("--tol", "nan"), "tol")):
         proc = run_cli("fuzz", "--n", "3", *args)
         assert proc.returncode == 2, (args, proc.stderr)
         assert word in proc.stderr, (args, proc.stderr)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_bounds_rejects_bad_tol_with_exit_two(capsys, tol):
+    code, out, err = run_main(capsys, "bounds", "--model", SPHERE, "--tol", tol)
+    assert code == 2 and out == ""
+    assert "tol" in err
+
+
+def test_bounds_assembles_and_eigensolves_once(capsys, monkeypatch):
+    calls = {"second_kind_matrix": 0, "eigh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(curvop.verify, "second_kind_matrix",
+                        counted("second_kind_matrix", curvop.verify.second_kind_matrix))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    code, _, _ = run_main(capsys, "bounds", "--model", PRODUCT, "--format", "json")
+    assert code == 0
+    assert calls == {"second_kind_matrix": 1, "eigh": 1}
 
 
 def test_repeated_runs_are_byte_identical():
@@ -252,3 +298,51 @@ def test_out_csv_extension(tmp_path):
         check=True,
     )
     assert (tmp_path / "spectrum.csv").exists()
+
+
+# --- one report, three views ---------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GOLDEN_CALLS = {
+    "threshold_n3": ("threshold", "--n", "3"),
+    "threshold_n8": ("threshold", "--n", "8"),
+    "threshold_n14": ("threshold", "--n", "14"),
+    "models": ("models",),
+    "spectrum_s4": ("spectrum", "--model", SPHERE),
+    "check_s4_k2": ("check", "--model", SPHERE, "--k", "2.0"),
+    "bounds_s4": ("bounds", "--model", SPHERE),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CALLS))
+def test_machine_formats_match_golden_bytes(capsys, name, fmt):
+    """JSON and CSV reports are pinned byte for byte.
+
+    Floats are compared to the last bit, which the LAPACK build behind
+    numpy can move.
+    """
+    code, out, _ = run_main(capsys, *GOLDEN_CALLS[name], "--format", fmt, "--no-timestamp")
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text()
+
+
+TEXT_CALLS = [
+    ("spectrum", "--model", SPHERE, "--matrices"),
+    ("check", "--model", PRODUCT, "--k", "1.0"),
+    ("bounds", "--model", PRODUCT),
+    ("fuzz", "--seed", "5", "--trials", "2", "--n", "3", "--e-per-tensor", "2"),
+    ("threshold", "--n", "14"),
+    ("models",),
+]
+
+
+@pytest.mark.parametrize("args", TEXT_CALLS, ids=[a[0] for a in TEXT_CALLS])
+def test_text_shows_every_payload_field(capsys, args):
+    code, out, _ = run_main(capsys, *args, "--format", "json", "--no-timestamp")
+    doc = json.loads(out)
+    text_code, text, _ = run_main(capsys, *args)
+    assert text_code == code
+    keys = [line.split(":")[0] for line in text.splitlines() if not line.startswith(" ")]
+    assert keys == [key for key in doc if key not in ("command", "timestamp")]

@@ -25,7 +25,6 @@ from curvop import (
     scalar,
     second_kind_matrix,
     spectrum,
-    spectrum_csv_row,
     sym2_operator_matrix,
 )
 
@@ -321,14 +320,6 @@ def test_trace_identities():
             assert np.trace(compressed.entries) == pytest.approx(
                 s * (n + 2) / (2.0 * n), abs=1e-10 * scale
             )
-
-
-def test_spectrum_csv_row_format():
-    spec = Spectrum(np.array([-1.5, 0.0, 2.0]))
-    row = spectrum_csv_row(4, "s02", spec)
-    fields = row.split(",")
-    assert fields[:3] == ["4", "s02", "3"]
-    assert [float(x) for x in fields[3:]] == [-1.5, 0.0, 2.0]
 
 
 def test_operator_to_json():

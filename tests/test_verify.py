@@ -232,6 +232,12 @@ def test_all_checks_validates_e():
         all_checks(T, E=np.eye(4))
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_all_checks_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        all_checks(constant_curvature(4, 1.0), tol=tol)
+
+
 def test_zero_tensor_reports_boundary_everywhere():
     T = 0.0 * constant_curvature(4, 1.0)
     E = random_traceless(4, 3, unit=True)
@@ -354,6 +360,38 @@ def test_fuzz_input_validation():
         fuzz_campaign(seed=0, trials_per_n=5, ns=(2, 3))
     with pytest.raises(ValueError, match="e_per_tensor"):
         fuzz_campaign(seed=0, trials_per_n=5, e_per_tensor=0)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            fuzz_campaign(seed=0, trials_per_n=5, tol=tol)
+
+
+def test_fuzz_jobs_clamped_to_cpus_and_trials(monkeypatch):
+    """The pool gets min(jobs, cpu count, trials) workers, and none when that is 1."""
+    workers = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor; runs the chunks in this process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(curvop.verify, "ProcessPoolExecutor", RecordingPool)
+    serial = fuzz_campaign(seed=4, trials_per_n=2, ns=(3, 4), e_per_tensor=2).to_json()
+    for cpus, expected in ((8, 4), (3, 3), (None, None)):
+        monkeypatch.setattr(curvop.verify.os, "cpu_count", lambda c=cpus: c)
+        workers.clear()
+        s = fuzz_campaign(seed=4, trials_per_n=2, ns=(3, 4), e_per_tensor=2, jobs=64)
+        assert workers == ([] if expected is None else [expected])
+        assert s.to_json() == serial
 
 
 def test_persist_violator_round_trip(tmp_path):
