@@ -64,6 +64,7 @@ def _load_tensor(args) -> CurvatureTensor:
         except OSError as bad:
             raise CliError(f"cannot read {args.input}: {bad}") from None
         obj = _parse_json(text, where=args.input)
+        del text  # the raw text need not outlive the parse while the tensor is built
     else:
         obj = _parse_json(args.model, where="--model")
     T = model_from_json(obj).build() if "model" in obj else tensor_from_json(obj)

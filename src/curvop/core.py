@@ -25,8 +25,10 @@ spaces) is pinned to this convention.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -53,7 +55,7 @@ __all__ = [
     "tensor_from_json",
 ]
 
-#: Absolute tolerance for the four symmetry residuals.
+#: Tolerance for the four symmetry residuals, relative to max(1, max-norm).
 TAU_SYM = 1e-9
 
 #: Relative tolerance for trace-free checks: |tr E| <= TAU_TRACE * (||E||_F + 1).
@@ -96,7 +98,7 @@ class SymmetryReport:
 
     ``antisymmetry`` is the worse of the first-pair and last-pair
     residuals.  A tensor is accepted when every residual is at most
-    ``tol``.
+    ``tol``, the effective tolerance (already scaled to the tensor).
     """
 
     antisymmetry: float
@@ -250,7 +252,9 @@ def validate_symmetries(T: CurvatureTensor, tol: float = TAU_SYM) -> SymmetryRep
     """Measure the residuals of the four defining symmetries of ``T``.
 
     Returns a :class:`SymmetryReport`; ``report.valid`` is True when all
-    residuals are within ``tol`` (absolute, default ``TAU_SYM``).
+    residuals are within ``tol * max(1, T.norm_inf())`` (default ``tol``
+    is ``TAU_SYM``), the same scale as the bound checks use.  The report
+    stores that effective tolerance.
     """
     R = T.components
     anti_first = np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3))))
@@ -264,7 +268,7 @@ def validate_symmetries(T: CurvatureTensor, tol: float = TAU_SYM) -> SymmetryRep
         antisymmetry=float(max(anti_first, anti_last)),
         pair_symmetry=float(pair),
         first_bianchi=float(bianchi),
-        tol=tol,
+        tol=tol * max(1.0, T.norm_inf()),
     )
 
 
@@ -367,15 +371,28 @@ def random_traceless(
 # ---------------------------------------------------------------------------
 
 
-def _orbit(i: int, j: int, k: int, l: int, v: float):
-    yield i, j, k, l, v
-    yield j, i, k, l, -v
-    yield i, j, l, k, -v
-    yield j, i, l, k, v
-    yield k, l, i, j, v
-    yield l, k, i, j, -v
-    yield k, l, j, i, -v
-    yield l, k, j, i, v
+#: The orbit of (i, j, k, l, v) under the three linear symmetries: for each
+#: member, the index slots it takes from (i, j, k, l) and its sign, in the
+#: order the loader writes them.  The first write of a component wins.
+_ORBIT = (
+    ((0, 1, 2, 3), 1.0),
+    ((1, 0, 2, 3), -1.0),
+    ((0, 1, 3, 2), -1.0),
+    ((1, 0, 3, 2), 1.0),
+    ((2, 3, 0, 1), 1.0),
+    ((3, 2, 0, 1), -1.0),
+    ((2, 3, 1, 0), -1.0),
+    ((3, 2, 1, 0), 1.0),
+)
+
+
+def _flat(idx, slots, n: int) -> np.ndarray:
+    """Row-major flat index of the components (idx[s] for s in slots).
+
+    ``idx`` holds four index arrays, one per slot (i, j, k, l).
+    """
+    a, b, c, d = (idx[s] for s in slots)
+    return ((a * n + b) * n + c) * n + d
 
 
 def tensor_to_json(T: CurvatureTensor) -> dict:
@@ -384,28 +401,158 @@ def tensor_to_json(T: CurvatureTensor) -> dict:
     Representatives are the nonzero components with i < j, k < l and
     (i, j) <= (k, l) lexicographically, in row-major order.
     """
-    R = T.components
+    I, J = np.triu_indices(T.n, 1)
     entries = []
-    for i in range(T.n):
-        for j in range(i + 1, T.n):
-            for k in range(T.n):
-                for l in range(k + 1, T.n):
-                    if (k, l) < (i, j):
-                        continue
-                    v = R[i, j, k, l]
-                    if v != 0.0:
-                        entries.append(
-                            {"i": i, "j": j, "k": k, "l": l, "v": float(v)}
-                        )
+    # One (i, j) pair at a time keeps the temporaries O(n^2).
+    for p, (i, j) in enumerate(zip(I.tolist(), J.tolist())):
+        K, L = I[p:], J[p:]
+        row = T.components[i, j, K, L]
+        keep = row != 0.0
+        entries += [
+            {"i": i, "j": j, "k": k, "l": l, "v": v}
+            for k, l, v in zip(K[keep].tolist(), L[keep].tolist(), row[keep].tolist())
+        ]
     return {"n": T.n, "entries": entries}
+
+
+#: The entry fields as columns: key, the exact types accepted, array dtype.
+_COLUMNS = tuple((key, {int}, np.int64) for key in "ijkl") + (("v", {int, float}, float),)
+
+
+def _entry(pos: int, e, n: int) -> tuple:
+    """Entry ``pos`` as (i, j, k, l, v); raises the SchemaError naming its first fault."""
+    if not isinstance(e, dict):
+        raise SchemaError(f"entry {pos} is not an object")
+    try:
+        idx = tuple(e[key] for key in ("i", "j", "k", "l"))
+        v = e["v"]
+    except KeyError as missing:
+        raise SchemaError(f"entry {pos} is missing key {missing}") from None
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in idx):
+        raise SchemaError(f"entry {pos} has non-integer indices {idx!r}")
+    if not all(0 <= x < n for x in idx):
+        raise SchemaError(f"entry {pos} has index out of range for n={n}: {idx!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(f"entry {pos} has non-numeric value {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise SchemaError(f"entry {pos} has non-finite value")
+    return (*idx, v)
+
+
+def _columns(entries: list, n: int):
+    """(idx, v, fault): four int64 index arrays and a float64 value array.
+
+    They hold the entries before the first malformed one, whose
+    SchemaError is ``fault`` (None when every entry is well-formed).
+    """
+    if set(map(type, entries)) <= {dict}:
+        cols = []
+        try:
+            for key, types, dtype in _COLUMNS:
+                col = list(map(itemgetter(key), entries))
+                if not set(map(type, col)) <= types:
+                    break
+                cols.append(np.array(col, dtype=dtype))
+        except (KeyError, OverflowError):
+            pass
+        if len(cols) == 5:
+            *idx, v = cols
+            in_range = all(a.min(initial=0) >= 0 and a.max(initial=0) < n for a in idx)
+            if in_range and np.isfinite(v).all():
+                return idx, v, None
+    # The error path, also taken by subclasses of dict, int or float: check
+    # the entries one by one up to the first bad one.
+    rows, fault = [], None
+    try:
+        for pos, e in enumerate(entries):
+            rows.append(_entry(pos, e, n))
+    except SchemaError as bad:
+        fault = bad
+    idx = list(np.array([r[:4] for r in rows], dtype=np.int64).reshape(-1, 4).T)
+    return idx, np.array([r[4] for r in rows], dtype=float), fault
+
+
+def _conflict(idx, v: np.ndarray, members) -> SchemaError:
+    """The error of the last of ``members``, entries of one orbit class, replayed in order."""
+    seen = {}
+    for pos in members.tolist():
+        ijkl, value = [int(a[pos]) for a in idx], float(v[pos])
+        for slots, sign in _ORBIT:
+            at, w = tuple(ijkl[s] for s in slots), sign * value
+            if at not in seen:
+                seen[at] = w
+            elif abs(seen[at] - w) > 1e-12 * (1.0 + abs(w)):
+                return SchemaError(
+                    f"entry {pos} conflicts with an earlier entry at component "
+                    f"({','.join(map(str, at))}): {seen[at]!r} vs {w!r}"
+                )
+
+
+def _heads(idx, v: np.ndarray, n: int) -> np.ndarray:
+    """The first entry of each orbit class; raises SchemaError at the first conflict.
+
+    Each entry fills its orbit class, and the classes are disjoint.  The
+    first entry of a class (its head) writes it and every later entry is
+    compared with the head, as in an entry-by-entry fill.
+    """
+    # Key a class by its smallest flat index; c = sign * v carries each value
+    # to that component.
+    key = _flat(idx, _ORBIT[0][0], n)
+    sign = np.ones(v.size)
+    for slots, s in _ORBIT[1:]:
+        f = _flat(idx, slots, n)
+        lower = f < key
+        key[lower] = f[lower]
+        sign[lower] = s
+    c = sign * v
+
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    new = np.ones(v.size, dtype=bool)
+    new[1:] = sorted_key[1:] != sorted_key[:-1]
+    heads = order[new]
+    first = np.empty(v.size, dtype=np.int64)
+    first[order] = heads[np.cumsum(new) - 1]
+    c_first = c[first]
+    # A class with i == j or k == l holds each component with both signs, so
+    # there every entry, the head included, meets both signs of the head's
+    # value: the worse gap is |c_head| + |c|.
+    degenerate = (idx[0] == idx[1]) | (idx[2] == idx[3])
+    with np.errstate(over="ignore"):
+        gap = np.where(degenerate, np.abs(c_first) + np.abs(c), np.abs(c_first - c))
+    bad = np.flatnonzero(gap > 1e-12 * (1.0 + np.abs(v)))
+    if bad.size:
+        pos = bad[0]
+        raise _conflict(idx, v, np.flatnonzero(key[: pos + 1] == key[pos]))
+    return heads
+
+
+def _fill(R: np.ndarray, entries: list) -> None:
+    """Write the orbit of every entry into the zero array R, or raise at the first bad entry."""
+    n = R.shape[0]
+    idx, v, fault = _columns(entries, n)
+    heads = _heads(idx, v, n)  # a conflict comes before the malformed entry
+    if fault is not None:
+        raise fault
+    idx, v = [a[heads] for a in idx], v[heads]
+    # Writing the members last to first leaves each component with the value
+    # of its first write, as an entry-by-entry fill would.
+    flat = R.reshape(-1)
+    for slots, s in reversed(_ORBIT):
+        flat[_flat(idx, slots, n)] = s * v
 
 
 def tensor_from_json(obj: dict) -> CurvatureTensor:
     """Build a tensor from the entry-list schema, completing by symmetry.
 
     Raises :class:`SchemaError` on missing keys, out-of-range indices,
-    or entries whose symmetry orbits assign conflicting values
-    (disagreement beyond 1e-12 relative).
+    values that are not finite numbers, or entries whose symmetry orbits
+    assign conflicting values (disagreement beyond 1e-12 relative).  The
+    first offending entry is the one reported.
     """
     if not isinstance(obj, dict):
         raise SchemaError("tensor document must be a JSON object")
@@ -418,35 +565,9 @@ def tensor_from_json(obj: dict) -> CurvatureTensor:
         raise SchemaError(f'"n" must be an integer >= 2, got {n!r}')
     if not isinstance(entries, list):
         raise SchemaError('"entries" must be a list')
-
+    # Allocated first: a size too large to allocate fails here, before the
+    # int64 flat indices could overflow.
     R = np.zeros((n, n, n, n))
-    seen = np.zeros((n, n, n, n), dtype=bool)
-    for pos, e in enumerate(entries):
-        if not isinstance(e, dict):
-            raise SchemaError(f"entry {pos} is not an object")
-        try:
-            idx = tuple(e[key] for key in ("i", "j", "k", "l"))
-            v = e["v"]
-        except KeyError as missing:
-            raise SchemaError(f"entry {pos} is missing key {missing}") from None
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in idx):
-            raise SchemaError(f"entry {pos} has non-integer indices {idx!r}")
-        if not all(0 <= x < n for x in idx):
-            raise SchemaError(
-                f"entry {pos} has index out of range for n={n}: {idx!r}"
-            )
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"entry {pos} has non-numeric value {v!r}")
-        v = float(v)
-        for a, b, c, d, w in _orbit(*idx, v):
-            if seen[a, b, c, d]:
-                if abs(R[a, b, c, d] - w) > 1e-12 * (1.0 + abs(w)):
-                    raise SchemaError(
-                        f"entry {pos} conflicts with an earlier entry at "
-                        f"component ({a},{b},{c},{d}): "
-                        f"{R[a, b, c, d]!r} vs {w!r}"
-                    )
-            else:
-                seen[a, b, c, d] = True
-                R[a, b, c, d] = w
+    # The helpers' temporaries are gone before CurvatureTensor copies R.
+    _fill(R, entries)
     return CurvatureTensor(n, R)

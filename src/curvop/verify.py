@@ -243,22 +243,39 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _require_finite(values: dict) -> None:
+    """Raise :class:`CurvopError` at the first of ``values`` that is not finite."""
+    for what, value in values.items():
+        if not np.isfinite(value):
+            raise CurvopError(
+                f"{what} is {float(value)!r}: the tensor is too large to evaluate in "
+                "double precision"
+            )
+
+
 def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
     """The body of :func:`all_checks` on an already prepared tensor."""
-    if E is None:
-        E = traceless_ricci(prep.T)
-    Eb = _traceless_components(E, prep.n)[None]
-    tol_base = _check_tol(TOL_INEQ if tol is None else tol)
-    checks, quad_rel, eig_rel = _evaluate(prep, Eb, tol_base)
-    for label, rel in (("matrix", quad_rel), ("eigen", eig_rel)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if E is None:
+            E = traceless_ricci(prep.T)
+        Eb = _traceless_components(E, prep.n)[None]
+        tol_base = _check_tol(TOL_INEQ if tol is None else tol)
+        checks, quad_rel, eig_rel = _evaluate(prep, Eb, tol_base)
+        reports = []
+        for name in CHECK_NAMES:
+            lhs, rhs, eff = (np.ravel(x)[0] for x in checks[name])
+            reports.append(_report(name, prep.n, lhs, rhs, eff, prep.T.fingerprint, seed))
+    rels = {"matrix": quad_rel, "eigen": eig_rel}
+    _require_finite({
+        **{f"{r.name} {field}": getattr(r, field)
+           for r in reports for field in ("lhs", "rhs", "margin", "tol")},
+        **{f"quadratic form error (index vs {label})": rel for label, rel in rels.items()},
+    })
+    for label, rel in rels.items():
         if rel > 1e-9:
             raise ConsistencyError(
                 f"quadratic form paths disagree (index vs {label}): relative {rel:.3e}"
             )
-    reports = []
-    for name in CHECK_NAMES:
-        lhs, rhs, eff = (np.ravel(x)[0] for x in checks[name])
-        reports.append(_report(name, prep.n, lhs, rhs, eff, prep.T.fingerprint, seed))
     return tuple(reports)
 
 
@@ -268,8 +285,9 @@ def all_checks(T, E=None, tol=None, seed=None) -> tuple[InequalityReport, ...]:
     This is the one entry point for the bounds.  With an Einstein tensor
     the default E vanishes and the two E-dependent checks sit exactly on
     the boundary.  Raises :class:`ValueError` unless ``tol`` is None or
-    a finite number >= 0, and :class:`ConsistencyError` when the three
-    quadratic-form paths disagree beyond 1e-9 relative.
+    a finite number >= 0, :class:`ConsistencyError` when the three
+    quadratic-form paths disagree beyond 1e-9 relative, and
+    :class:`CurvopError` when a value it would report is not finite.
     """
     return _checks(_Prep(T), E, tol, seed)
 
@@ -364,7 +382,8 @@ def einstein_certificate(T, tol: float = _EINSTEIN_TOL) -> EinsteinCertificate:
     ``is_einstein`` means the trace-free Ricci norm is below
     tol * (1 + |Ric|_F).  Conclusions are plain-language statements of
     what the verdicts imply for a compact manifold with harmonic
-    curvature whose curvature tensor equals T at every point.
+    curvature whose curvature tensor equals T at every point.  Raises
+    :class:`CurvopError` when a k-sum or a norm is not finite.
     """
     return _certificate(_Prep(T), tol)
 
@@ -372,10 +391,17 @@ def einstein_certificate(T, tol: float = _EINSTEIN_TOL) -> EinsteinCertificate:
 def _certificate(prep: _Prep, tol: float = _EINSTEIN_TOL) -> EinsteinCertificate:
     """The body of :func:`einstein_certificate` on an already prepared tensor."""
     profile = threshold_profile(prep.n)
-    kv_e = k_verdict(prep.lam, profile.einstein_threshold)
-    kv_c = k_verdict(prep.lam, profile.constant_curvature_threshold)
-    e_norm = traceless_ricci(prep.T).frobenius()
-    ric_norm = float(np.linalg.norm(prep.ric.components))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kv_e = k_verdict(prep.lam, profile.einstein_threshold)
+        kv_c = k_verdict(prep.lam, profile.constant_curvature_threshold)
+        e_norm = traceless_ricci(prep.T).frobenius()
+        ric_norm = float(np.linalg.norm(prep.ric.components))
+    _require_finite({
+        "einstein threshold k-sum": kv_e.value,
+        "constant curvature threshold k-sum": kv_c.value,
+        "traceless Ricci norm": e_norm,
+        "Ricci norm": ric_norm,
+    })
     is_einstein = e_norm <= tol * (1.0 + ric_norm)
 
     conclusions = []

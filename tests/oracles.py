@@ -10,6 +10,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linprog
 
+from curvop import CurvatureTensor, SchemaError
+
 
 def loop_symmetry_residuals(R):
     """(antisymmetry, pair symmetry, first Bianchi) maxima by quadruple loop."""
@@ -30,6 +32,86 @@ def loop_symmetry_residuals(R):
                         abs(R[i, j, k, l] + R[i, k, l, j] + R[i, l, j, k]),
                     )
     return anti, pair, bianchi
+
+
+def _loop_orbit(i, j, k, l, v):
+    yield i, j, k, l, v
+    yield j, i, k, l, -v
+    yield i, j, l, k, -v
+    yield j, i, l, k, v
+    yield k, l, i, j, v
+    yield l, k, i, j, -v
+    yield k, l, j, i, -v
+    yield l, k, j, i, v
+
+
+def loop_tensor_to_json(T):
+    """Entry list of one representative per orbit, by quadruple loop."""
+    R = T.components
+    entries = []
+    for i in range(T.n):
+        for j in range(i + 1, T.n):
+            for k in range(T.n):
+                for l in range(k + 1, T.n):
+                    if (k, l) < (i, j):
+                        continue
+                    v = R[i, j, k, l]
+                    if v != 0.0:
+                        entries.append(
+                            {"i": i, "j": j, "k": k, "l": l, "v": float(v)}
+                        )
+    return {"n": T.n, "entries": entries}
+
+
+def loop_tensor_from_json(obj):
+    """Entry-list loader that fills each entry's orbit one component at a time.
+
+    Its conflict messages print the stored component as numpy renders it
+    (``np.float64(2.5)`` under numpy 2), and it accepts non-finite values.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError("tensor document must be a JSON object")
+    try:
+        n = obj["n"]
+        entries = obj["entries"]
+    except KeyError as missing:
+        raise SchemaError(f"tensor document is missing key {missing}") from None
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise SchemaError(f'"n" must be an integer >= 2, got {n!r}')
+    if not isinstance(entries, list):
+        raise SchemaError('"entries" must be a list')
+
+    R = np.zeros((n, n, n, n))
+    seen = np.zeros((n, n, n, n), dtype=bool)
+    for pos, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise SchemaError(f"entry {pos} is not an object")
+        try:
+            idx = tuple(e[key] for key in ("i", "j", "k", "l"))
+            v = e["v"]
+        except KeyError as missing:
+            raise SchemaError(f"entry {pos} is missing key {missing}") from None
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in idx):
+            raise SchemaError(f"entry {pos} has non-integer indices {idx!r}")
+        if not all(0 <= x < n for x in idx):
+            raise SchemaError(
+                f"entry {pos} has index out of range for n={n}: {idx!r}"
+            )
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SchemaError(f"entry {pos} has non-numeric value {v!r}")
+        v = float(v)
+        for a, b, c, d, w in _loop_orbit(*idx, v):
+            if seen[a, b, c, d]:
+                if abs(R[a, b, c, d] - w) > 1e-12 * (1.0 + abs(w)):
+                    raise SchemaError(
+                        f"entry {pos} conflicts with an earlier entry at "
+                        f"component ({a},{b},{c},{d}): "
+                        f"{R[a, b, c, d]!r} vs {w!r}"
+                    )
+            else:
+                seen[a, b, c, d] = True
+                R[a, b, c, d] = w
+    return CurvatureTensor(n, R)
 
 
 def loop_ricci(R):

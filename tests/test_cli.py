@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,45 @@ def test_invalid_tensor_file_is_rejected(tmp_path):
     proc = run_cli("spectrum", "--input", str(path))
     assert proc.returncode == 2
     assert "bianchi" in proc.stderr.lower()
+
+
+_SECTIONAL = '{"i": 0, "j": 1, "k": 0, "l": 1, "v": %s}'
+_OVERFLOW_FILES = {
+    "nan": '{"n": 3, "entries": [%s]}' % (_SECTIONAL % "NaN"),
+    "infinity": '{"n": 3, "entries": [%s]}' % (_SECTIONAL % "Infinity"),
+    "negative infinity": '{"n": 3, "entries": [%s]}' % (_SECTIONAL % "-Infinity"),
+    "integer overflow": '{"n": 3, "entries": [%s]}' % (_SECTIONAL % ("1" + "0" * 400)),
+    "overflowing results": (
+        '{"n": 3, "entries": [{"i": 0, "j": 1, "k": 0, "l": 1, "v": 1e300}, '
+        '{"i": 0, "j": 2, "k": 0, "l": 2, "v": -1e300}, '
+        '{"i": 1, "j": 2, "k": 1, "l": 2, "v": 3e299}]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOW_FILES))
+def test_non_finite_input_or_result_exits_two(capsys, tmp_path, name):
+    path = tmp_path / "tensor.json"
+    path.write_text(_OVERFLOW_FILES[name])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_main(capsys, "bounds", "--input", str(path))
+    assert code == 2 and out == ""
+    expected = "too large to evaluate" if name == "overflowing results" else (
+        "entry 0 has non-finite value"
+    )
+    assert expected in err
+    assert not caught
+
+
+@pytest.mark.parametrize("name", ["integer overflow", "overflowing results"])
+def test_non_finite_input_or_result_leaves_stderr_clean(tmp_path, name):
+    path = tmp_path / "tensor.json"
+    path.write_text(_OVERFLOW_FILES[name])
+    proc = run_cli("bounds", "--input", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_missing_source_is_a_usage_error():

@@ -1,9 +1,13 @@
 """Curvature tensor construction, validation, contractions, serialization."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvop import (
+    TAU_SYM,
     CurvatureTensor,
     InvalidTensorError,
     SchemaError,
@@ -25,6 +29,8 @@ from curvop.operators import first_kind_matrix, spectrum
 
 from oracles import (
     loop_kulkarni_nomizu,
+    loop_tensor_from_json,
+    loop_tensor_to_json,
     loop_ricci,
     loop_scalar,
     loop_symmetry_residuals,
@@ -63,6 +69,33 @@ def test_single_entry_perturbation_detected():
     with pytest.raises(InvalidTensorError) as err:
         T.require_valid()
     assert err.value.report is rep
+
+
+def test_symmetry_tolerance_scales_with_the_max_norm():
+    # Scaling a valid tensor scales its rounding residue (~2e-9 here, above
+    # the unscaled 1e-9), so the tolerance scales with max(1, max-norm).
+    T = 1e6 * random_curvature(5, 5)
+    rep = T.symmetry_report
+    assert rep.max_violation > TAU_SYM
+    assert rep.tol == TAU_SYM * T.norm_inf()
+    assert rep.valid
+    assert T.require_valid() is T
+    assert constant_curvature(3, 0.5).symmetry_report.tol == TAU_SYM
+
+
+def test_scaled_tensor_with_relative_bianchi_defect_is_rejected():
+    base = random_curvature(5, 5)
+    # One orbit of R[0,1,2,3] breaks only the first Bianchi identity.
+    defect = tensor_from_json(
+        {"n": 5, "entries": [{"i": 0, "j": 1, "k": 2, "l": 3, "v": 1e-3 * base.norm_inf()}]}
+    )
+    T = 1e6 * (base + defect)
+    rep = T.symmetry_report
+    assert rep.first_bianchi == pytest.approx(1e-3 * T.norm_inf(), rel=0.05)
+    assert rep.antisymmetry <= rep.tol and rep.pair_symmetry <= rep.tol
+    assert not rep.valid
+    with pytest.raises(InvalidTensorError, match="first Bianchi"):
+        T.require_valid()
 
 
 def test_bianchi_violation_detected():
@@ -369,6 +402,125 @@ def test_json_schema_errors():
         tensor_from_json(
             {"n": 3, "entries": [{"i": 0, "j": 1, "k": 0, "l": 1, "v": "x"}]}
         )
+
+
+def test_json_degenerate_conflict_prints_plain_floats():
+    doc = {"n": 3, "entries": [{"i": 1, "j": 1, "k": 2, "l": 0, "v": 2.5}]}
+    with pytest.raises(SchemaError) as err:
+        tensor_from_json(doc)
+    assert str(err.value) == (
+        "entry 0 conflicts with an earlier entry at component (1,1,2,0): 2.5 vs -2.5"
+    )
+
+
+def test_json_first_offending_entry_wins():
+    conflict = {"i": 0, "j": 0, "k": 1, "l": 2, "v": 1.0}  # conflicts with itself
+    fine = {"i": 0, "j": 1, "k": 0, "l": 1, "v": 1.0}
+    missing = {"i": 0, "j": 1, "k": 0, "v": 1.0}
+    with pytest.raises(SchemaError, match="^entry 0 conflicts"):
+        tensor_from_json({"n": 3, "entries": [conflict, fine, missing]})
+    with pytest.raises(SchemaError, match="^entry 1 is missing key 'l'"):
+        tensor_from_json({"n": 3, "entries": [fine, missing, conflict]})
+    partner = {"i": 1, "j": 0, "k": 0, "l": 1, "v": 1.0}  # must be -1.0
+    with pytest.raises(SchemaError, match="^entry 1 conflicts"):
+        tensor_from_json({"n": 3, "entries": [fine, partner, [0, 1, 0, 1]]})
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "int-overflow"],
+)
+def test_json_rejects_values_that_are_not_finite_doubles(bad):
+    fine = {"i": 0, "j": 1, "k": 0, "l": 1, "v": 1.0}
+    doc = {"n": 3, "entries": [fine, {"i": 0, "j": 2, "k": 0, "l": 2, "v": bad}]}
+    with pytest.raises(SchemaError, match="^entry 1 has non-finite value$"):
+        tensor_from_json(doc)
+
+
+_ORBIT_SLOTS = [
+    ((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1), ((0, 1, 3, 2), -1), ((1, 0, 3, 2), 1),
+    ((2, 3, 0, 1), 1), ((3, 2, 0, 1), -1), ((2, 3, 1, 0), -1), ((3, 2, 1, 0), 1),
+]
+
+
+def _break(entry, n, how):
+    """``entry`` with one schema fault of kind ``how``."""
+    if not isinstance(entry, dict):
+        return entry
+    if how == "not an object":
+        return [entry.get(key) for key in "ijklv"]
+    entry = dict(entry)
+    if how == "missing key":
+        entry.pop("l", None)
+    elif how == "missing value":
+        entry.pop("v", None)
+    elif how == "index type":
+        entry["j"] = True
+    elif how == "float index":
+        entry["k"] = 1.0
+    elif how == "index range":
+        entry["i"] = n
+    elif how == "negative index":
+        entry["l"] = -1
+    elif how == "value type":
+        entry["v"] = "1.0"
+    else:
+        entry["v"] = None
+    return entry
+
+
+_FAULTS = ["not an object", "missing key", "missing value", "index type", "float index",
+           "index range", "negative index", "value type", "null value"]
+
+
+@st.composite
+def entry_documents(draw):
+    """Entry lists over a few orbits: duplicates, orbit partners, conflicts,
+    degenerate orbits (i == j or k == l), signed zeros, tiny values, and
+    schema faults at random positions."""
+    n = draw(st.integers(2, 5))
+    index = st.integers(0, n - 1)
+    value = st.sampled_from(
+        [0.0, -0.0, 1e-13, -4e-13, 5e-13, 6e-13, 1.0, -2.5, 3, np.float64(1.5)]
+    ) | st.floats(-4.0, 4.0, allow_nan=False)
+    bases = draw(st.lists(st.tuples(st.tuples(index, index, index, index), value),
+                          min_size=1, max_size=4))
+    entries = []
+    for _ in range(draw(st.integers(0, 8))):
+        ijkl, v = draw(st.sampled_from(bases))
+        slots, sign = draw(st.sampled_from(_ORBIT_SLOTS))
+        w = sign * v
+        w = draw(st.sampled_from(
+            [w, w, -w, w * (1 + 1e-13), w * (1 + 1e-11), w + 1e-13, 0.0]
+        ))
+        entries.append({**dict(zip("ijkl", (ijkl[s] for s in slots))), "v": w})
+    for _ in range(draw(st.integers(0, 2)) if entries else 0):
+        pos = draw(st.integers(0, len(entries) - 1))
+        entries[pos] = _break(entries[pos], n, draw(st.sampled_from(_FAULTS)))
+    return {"n": n, "entries": entries}
+
+
+def _load(loader, doc):
+    try:
+        return loader(doc).components.tobytes()
+    except SchemaError as bad:
+        return re.sub(r"np\.float64\((.*?)\)", r"\1", str(bad))
+
+
+@settings(max_examples=400, deadline=None)
+@given(entry_documents())
+def test_json_loader_matches_the_loop_oracle(doc):
+    # Same components bit for bit, or the same error at the same entry; the
+    # oracle prints stored components as np.float64(...), the loader as floats.
+    assert _load(tensor_from_json, doc) == _load(loop_tensor_from_json, doc)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 40])
+def test_tensor_to_json_matches_the_loop_oracle(n):
+    T = random_curvature(seed=100 + n, n=n, terms=2)
+    doc = tensor_to_json(T)
+    assert doc == loop_tensor_to_json(T)
+    assert all(type(e["v"]) is float and type(e["i"]) is int for e in doc["entries"])
 
 
 def test_json_zero_tensor():

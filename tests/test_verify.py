@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import curvop.verify
 from curvop import (
     CHECK_NAMES,
     ConsistencyError,
+    CurvopError,
     OperatorMatrix,
     Spectrum,
     TraceError,
@@ -236,6 +238,28 @@ def test_all_checks_validates_e():
 def test_all_checks_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         all_checks(constant_curvature(4, 1.0), tol=tol)
+
+
+def _sectional_overflow():
+    """A valid n=3 tensor whose quadratic forms overflow double precision."""
+    entries = [
+        {"i": 0, "j": 1, "k": 0, "l": 1, "v": 1e300},
+        {"i": 0, "j": 2, "k": 0, "l": 2, "v": -1e300},
+        {"i": 1, "j": 2, "k": 1, "l": 2, "v": 3e299},
+    ]
+    return tensor_from_json({"n": 3, "entries": entries})
+
+
+def test_non_finite_results_raise_instead_of_passing():
+    T = _sectional_overflow()
+    assert T.symmetry_report.valid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CurvopError, match="too large to evaluate") as err:
+            all_checks(T)
+        assert not isinstance(err.value, ConsistencyError)
+        with pytest.raises(CurvopError, match="traceless Ricci norm is inf"):
+            einstein_certificate(T)
 
 
 def test_zero_tensor_reports_boundary_everywhere():
