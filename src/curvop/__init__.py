@@ -36,18 +36,11 @@ from .core import (
 )
 from .operators import (
     LAMBDA2,
-    S2_FULL,
     S2_TRACELESS,
     lambda2_dim,
-    s2_dim,
     s2_traceless_dim,
-    Sym2Basis,
-    basis_lambda2,
-    basis_s2_full,
-    basis_s2_traceless,
     OperatorMatrix,
     first_kind_matrix,
-    sym2_operator_matrix,
     second_kind_matrix,
     Spectrum,
     spectrum,

@@ -92,6 +92,17 @@ class AdmissibilityError(CurvopError):
     """A weight class is not admissible for the given spectrum length."""
 
 
+def _require_finite(values: dict) -> None:
+    """Raise :class:`CurvopError` at the first of ``values`` (numbers or arrays) not finite."""
+    for what, value in values.items():
+        bad = np.asarray(value)[~np.isfinite(value)]
+        if bad.size:
+            raise CurvopError(
+                f"{what} is {float(bad[0])!r}: the tensor is too large to evaluate in "
+                "double precision"
+            )
+
+
 @dataclass(frozen=True)
 class SymmetryReport:
     """Maximum-entry residuals of the four curvature symmetries.

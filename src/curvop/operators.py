@@ -8,39 +8,40 @@ A curvature tensor acts on two natural spaces of 2-tensors:
   (n-1)(n+2)/2), as the compression of  S |-> sum_{kl} R[k,i,j,l] S[k,l]
   to the trace-free subspace.
 
-Both are assembled as Gram matrices M[a,b] = <op(B_a), B_b> over an
-orthonormal basis B, which makes the compression automatic for the
-second kind: restricting the index set to a trace-free orthonormal
-family is exactly the orthogonal projection.
+Both are Gram matrices M[a,b] = <op(B_a), B_b> over one fixed orthonormal
+frame B: (e_i e_j^T -/+ e_j e_i^T)/sqrt(2) for i < j in lexicographic
+order, followed on the trace-free side by the n - 1 Helmert elements
+diag(1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)), k = 1..n-1.  Restricting
+to a trace-free orthonormal family makes the compression automatic, and
+any other orthonormal frame yields the same spectra.  In this frame every
+entry is a gathered component of R, or a sum of two, except in the
+second kind's diagonal block, which mixes components through the Helmert
+rows.
 
 On the round sphere of curvature kappa both operators are kappa times
 the identity, which calibrates the sign convention and the 1/2 in the
-first-kind action.
+first-kind action.  The gather keeps the first kind exact, and the
+diagonal block is scaled by the integer Helmert numerators before one
+division, which keeps the second kind exact for dyadic kappa.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import CurvatureTensor, Sym2Tensor, TracelessSym2
+from .core import CurvatureTensor, Sym2Tensor, TracelessSym2, _require_finite
 
 __all__ = [
     "LAMBDA2",
-    "S2_FULL",
     "S2_TRACELESS",
     "lambda2_dim",
-    "s2_dim",
     "s2_traceless_dim",
-    "Sym2Basis",
-    "basis_lambda2",
-    "basis_s2_full",
-    "basis_s2_traceless",
     "OperatorMatrix",
     "first_kind_matrix",
-    "sym2_operator_matrix",
     "second_kind_matrix",
     "Spectrum",
     "spectrum",
@@ -51,7 +52,6 @@ __all__ = [
 ]
 
 LAMBDA2 = "lambda2"
-S2_FULL = "s2"
 S2_TRACELESS = "s02"
 
 #: Relative gap below which adjacent eigenvalues are reported as degenerate.
@@ -63,165 +63,80 @@ def lambda2_dim(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def s2_dim(n: int) -> int:
-    """Dimension of the space of symmetric matrices, n(n+1)/2."""
-    return n * (n + 1) // 2
-
-
 def s2_traceless_dim(n: int) -> int:
     """Dimension of the space of trace-free symmetric matrices, (n-1)(n+2)/2."""
     return (n - 1) * (n + 2) // 2
 
 
-def _freeze(mats: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    for m in mats:
-        m.setflags(write=False)
-    return tuple(mats)
+class _Frame(NamedTuple):
+    """Index form of the fixed frame at one dimension n (read-only arrays)."""
+
+    I: np.ndarray  # (n(n-1)/2,) first index of each pair i < j, lexicographic
+    J: np.ndarray  # (n(n-1)/2,) second index
+    U: np.ndarray  # (n-1, n) Helmert numerators: row k-1 is k ones, then -k
+    w: np.ndarray  # (n-1,) k (k + 1), the squared norm of row k-1 of U
+    H: np.ndarray  # (n-1, n) U / sqrt(w): the trace-free diagonal elements
 
 
-@dataclass(frozen=True, eq=False)
-class Sym2Basis:
-    """Ordered orthonormal basis of a space of symmetric matrices.
-
-    ``traceless`` marks whether the family spans the trace-free subspace
-    (every element trace-free) or all of the symmetric matrices.
-    Orthonormality is in the Frobenius inner product <A, B> = sum A_ij B_ij.
-    """
-
-    n: int
-    elements: tuple[np.ndarray, ...]
-    traceless: bool
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """Elements stacked into a read-only (dim, n, n) array."""
-        arr = np.stack(self.elements)
+@lru_cache(maxsize=None)
+def _frame(n: int) -> _Frame:
+    I, J = np.triu_indices(n, 1)
+    k = np.arange(1, n)
+    U = np.tri(n - 1, n)
+    U[k - 1, k] = -k
+    w = k * (k + 1.0)
+    frame = _Frame(I, J, U, w, U / np.sqrt(w)[:, None])
+    for arr in frame:
         arr.setflags(write=False)
-        return arr
-
-    def gram_defect(self) -> float:
-        """Max deviation of the Gram matrix from the identity."""
-        g = np.einsum("aij,bij->ab", self.stack, self.stack)
-        return float(np.max(np.abs(g - np.eye(self.dim))))
-
-    def max_trace(self) -> float:
-        """Largest |trace| over elements (zero for a trace-free family)."""
-        return float(np.max(np.abs(np.trace(self.stack, axis1=1, axis2=2))))
+    return frame
 
 
-@lru_cache(maxsize=None)
-def basis_lambda2(n: int) -> tuple[np.ndarray, ...]:
-    """Orthonormal basis (e_i e_j^T - e_j e_i^T)/sqrt(2) for i < j, lexicographic."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = 1.0 / np.sqrt(2.0)
-            m[j, i] = -1.0 / np.sqrt(2.0)
-            mats.append(m)
-    return _freeze(mats)
+def _symmetric(M) -> np.ndarray:
+    """M as a float matrix, checked and exactly symmetrized.
 
-
-def _offdiag_elements(n: int) -> list[np.ndarray]:
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
-            mats.append(m)
-    return mats
-
-
-@lru_cache(maxsize=None)
-def basis_s2_full(n: int) -> Sym2Basis:
-    """Orthonormal basis of all symmetric matrices.
-
-    Off-diagonal elements (e_i e_j^T + e_j e_i^T)/sqrt(2) for i < j in
-    lexicographic order, followed by the diagonal elements e_i e_i^T.
+    Rejects a non-square shape and asymmetry beyond 1e-12 relative with
+    :class:`ValueError`, and entries that are (or overflow to) infinity
+    or NaN with :class:`CurvopError`.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    mats = _offdiag_elements(n)
-    for i in range(n):
-        m = np.zeros((n, n))
-        m[i, i] = 1.0
-        mats.append(m)
-    return Sym2Basis(n=n, elements=_freeze(mats), traceless=False)
-
-
-@lru_cache(maxsize=None)
-def basis_s2_traceless(n: int) -> Sym2Basis:
-    """Orthonormal basis of trace-free symmetric matrices.
-
-    The off-diagonal family of :func:`basis_s2_full` followed by the
-    n - 1 trace-free diagonal elements
-
-        d_k = diag(1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)),  k = 1..n-1,
-
-    with k ones before the -k.  Any other orthonormal trace-free family
-    yields the same operator spectra; this one is a convenient default.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    mats = _offdiag_elements(n)
-    for k in range(1, n):
-        d = np.zeros(n)
-        d[:k] = 1.0
-        d[k] = -float(k)
-        mats.append(np.diag(d / np.sqrt(k * (k + 1.0))))
-    return Sym2Basis(n=n, elements=_freeze(mats), traceless=True)
+    arr = np.array(M, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (arr + arr.T) / 2.0
+        skew = float(np.max(np.abs(arr - arr.T)))
+    _require_finite({"matrix entry": sym})
+    if skew > 1e-12 * max(1.0, float(np.max(np.abs(arr)))):
+        raise ValueError(f"matrix is asymmetric beyond tolerance: {skew:.3e}")
+    return sym
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense symmetric matrix of a curvature operator in a fixed basis.
+    """Dense symmetric matrix of a curvature operator in the fixed frame.
 
-    ``domain`` is one of "lambda2", "s2", "s02"; ``basis`` is the family
-    the entries refer to (a tuple of matrices for lambda2, a
-    :class:`Sym2Basis` otherwise).  Construction rejects matrices that
-    are asymmetric beyond 1e-12 relative and stores the exact
-    symmetrization.
+    ``domain`` is "lambda2" (the first kind) or "s02" (the second kind)
+    and ``n`` the dimension of the underlying space.  Construction
+    rejects what :func:`spectrum` rejects in a raw array and stores the
+    exact symmetrization.
     """
 
     domain: str
+    n: int
     entries: np.ndarray
-    basis: object = field(repr=False)
 
     def __post_init__(self):
-        if self.domain not in (LAMBDA2, S2_FULL, S2_TRACELESS):
+        dims = {LAMBDA2: lambda2_dim, S2_TRACELESS: s2_traceless_dim}
+        if self.domain not in dims:
             raise ValueError(f"unknown domain {self.domain!r}")
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"operator matrix must be square, got {arr.shape}")
-        scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
-        skew = float(np.max(np.abs(arr - arr.T)))
-        if skew > 1e-12 * scale:
+        arr = _symmetric(self.entries)
+        expected = dims[self.domain](self.n)
+        if arr.shape[0] != expected:
             raise ValueError(
-                f"operator matrix asymmetric beyond tolerance: {skew:.3e}"
+                f"matrix dim {arr.shape[0]} does not match domain {self.domain!r} "
+                f"at n={self.n}, expected {expected}"
             )
-        arr = (arr + arr.T) / 2.0
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        elements = (
-            self.basis.elements if isinstance(self.basis, Sym2Basis) else self.basis
-        )
-        n = elements[0].shape[0]
-        expected = {
-            LAMBDA2: lambda2_dim(n),
-            S2_FULL: s2_dim(n),
-            S2_TRACELESS: s2_traceless_dim(n),
-        }[self.domain]
-        if arr.shape[0] != expected or len(elements) != expected:
-            raise ValueError(
-                f"matrix dim {arr.shape[0]} (basis size {len(elements)}) does not "
-                f"match domain {self.domain!r} at n={n}, expected {expected}"
-            )
 
     @property
     def dim(self) -> int:
@@ -232,51 +147,39 @@ def first_kind_matrix(T: CurvatureTensor) -> OperatorMatrix:
     """Matrix of the curvature operator on antisymmetric matrices.
 
     Entries M[a,b] = <op(B_a), B_b> with op(A)[k,l] = (1/2) sum_{ij}
-    R[i,j,k,l] A[i,j] over the basis of :func:`basis_lambda2`.  In that
-    basis the entry for pairs (i<j), (k<l) is just R[i,j,k,l].
+    R[i,j,k,l] A[i,j] over the frame; the entry for pairs (i<j), (k<l)
+    is just R[i,j,k,l].
     """
     T.require_valid()
-    basis = basis_lambda2(T.n)
-    B = np.stack(basis)
-    acted = 0.5 * np.einsum("ijkl,aij->akl", T.components, B, optimize=True)
-    M = np.einsum("akl,bkl->ab", acted, B, optimize=True)
-    return OperatorMatrix(domain=LAMBDA2, entries=M, basis=basis)
+    f = _frame(T.n)
+    M = T.components[f.I[:, None], f.J[:, None], f.I, f.J]
+    return OperatorMatrix(LAMBDA2, T.n, M)
 
 
-def sym2_operator_matrix(T: CurvatureTensor, basis: Sym2Basis) -> OperatorMatrix:
-    """Gram matrix of  S |-> sum_{kl} R[k,i,j,l] S[k,l]  over a symmetric basis.
-
-    With a trace-free basis this is the curvature operator of the second
-    kind (the Gram assembly performs the compression); with the full
-    basis it is the uncompressed action on symmetric matrices, whose
-    trace equals s/2.
-    """
-    T.require_valid()
-    if basis.n != T.n:
-        raise ValueError(
-            f"basis dimension n={basis.n} does not match tensor n={T.n}"
-        )
-    B = basis.stack
-    acted = np.einsum("kijl,akl->aij", T.components, B, optimize=True)
-    M = np.einsum("aij,bij->ab", acted, B, optimize=True)
-    domain = S2_TRACELESS if basis.traceless else S2_FULL
-    return OperatorMatrix(domain=domain, entries=M, basis=basis)
-
-
-def second_kind_matrix(
-    T: CurvatureTensor, basis: Sym2Basis | None = None
-) -> OperatorMatrix:
+def second_kind_matrix(T: CurvatureTensor) -> OperatorMatrix:
     """Matrix of the curvature operator of the second kind.
 
-    Acts on trace-free symmetric matrices; dimension (n-1)(n+2)/2.  A
-    custom orthonormal trace-free ``basis`` may be supplied (the
-    spectrum does not depend on the choice).
+    Acts on trace-free symmetric matrices; dimension (n-1)(n+2)/2.  For
+    off-diagonal frame elements B_a, B_b of pairs (p<q), (r<s) and
+    trace-free diagonal elements D_m = diag(H[m]):
+
+    * <op(B_a), B_b> = R[p,r,s,q] + R[q,r,s,p];
+    * <op(B_a), D_m> = sum_e H[m,e] (R[p,e,e,q] + R[q,e,e,p]) / sqrt(2);
+    * <op(D_m), D_m'> = (H K H^T)[m,m'] with K[d,e] = R[d,e,e,d].
     """
-    if basis is None:
-        basis = basis_s2_traceless(T.n)
-    if not basis.traceless:
-        raise ValueError("second_kind_matrix requires a trace-free basis")
-    return sym2_operator_matrix(T, basis)
+    T.require_valid()
+    f = _frame(T.n)
+    R, d = T.components, np.arange(T.n)
+    I, J = f.I[:, None], f.J[:, None]
+    # An overflow leaves a non-finite entry, which OperatorMatrix rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = R[I, f.I, f.J, J] + R[J, f.I, f.J, I]
+        cross = (R[I, d, d, J] + R[J, d, d, I]) @ f.H.T / np.sqrt(2.0)
+        K = R[d[:, None], d, d, d[:, None]]
+        # H K H^T, dividing by the Helmert norms last keeps a space form exact.
+        diag = f.U @ K @ f.U.T / np.sqrt(np.outer(f.w, f.w))
+        M = np.block([[off, cross], [cross.T, diag]])
+    return OperatorMatrix(S2_TRACELESS, T.n, M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,18 +228,10 @@ class Spectrum:
 def spectrum(M: OperatorMatrix | np.ndarray, gap_tol: float = DEGENERACY_GAP) -> Spectrum:
     """Eigenvalues of a symmetric operator matrix, ascending.
 
-    Accepts an :class:`OperatorMatrix` or a raw symmetric array; raw
-    input asymmetric beyond 1e-12 relative is rejected.
+    Accepts an :class:`OperatorMatrix` or a raw symmetric array, which
+    is checked as :class:`OperatorMatrix` checks its entries.
     """
-    if isinstance(M, OperatorMatrix):
-        arr = M.entries
-    else:
-        arr = np.asarray(M, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
-        if float(np.max(np.abs(arr - arr.T))) > 1e-12 * scale:
-            raise ValueError("matrix is not symmetric within tolerance")
+    arr = M.entries if isinstance(M, OperatorMatrix) else _symmetric(M)
     return Spectrum(np.linalg.eigvalsh(arr), gap_tol)
 
 
@@ -350,8 +245,8 @@ def _traceless_components(E, n: int) -> np.ndarray:
 def quad_form(T: CurvatureTensor, E) -> float:
     """Quadratic form of the second-kind operator: sum R[k,i,j,l] E[k,l] E[i,j].
 
-    Computed directly by index contraction, no basis involved.  Agrees
-    with the matrix quadratic form coords(E) . M . coords(E) to 1e-10
+    Computed directly by index contraction, no frame involved.  Agrees
+    with the matrix quadratic form coordinates(E) . M . coordinates(E) to 1e-10
     relative; that identity is enforced by the test suite rather than
     recomputed here.
     """
@@ -362,20 +257,42 @@ def quad_form(T: CurvatureTensor, E) -> float:
     )
 
 
-def coordinates(E, basis: Sym2Basis) -> np.ndarray:
-    """Coefficients of a trace-free symmetric E in an orthonormal basis."""
-    if not basis.traceless:
-        raise ValueError("coordinates expects a trace-free basis")
-    arr = _traceless_components(E, basis.n)
-    return np.einsum("ij,aij->a", arr, basis.stack)
+def coordinates(E) -> np.ndarray:
+    """Frame coordinates of E, a matrix or a stack of shape (..., n, n).
+
+    Returns shape (..., (n-1)(n+2)/2): the inner products of E with the
+    trace-free symmetric frame elements, which are the coordinates of
+    E's orthogonal projection onto the trace-free symmetric matrices.
+    For trace-free symmetric E the map is an isometry, inverted by
+    :func:`reconstruct`.
+    """
+    if isinstance(E, Sym2Tensor):
+        E = E.components
+    E = np.asarray(E, dtype=float)
+    if E.ndim < 2 or E.shape[-1] != E.shape[-2] or E.shape[-1] < 2:
+        raise ValueError(f"expected matrices of shape (..., n, n), n >= 2, got {E.shape}")
+    f = _frame(E.shape[-1])
+    off = (E[..., f.I, f.J] + E[..., f.J, f.I]) / np.sqrt(2.0)
+    diag = np.diagonal(E, axis1=-2, axis2=-1) @ f.H.T
+    return np.concatenate([off, diag], axis=-1)
 
 
-def reconstruct(coeffs: np.ndarray, basis: Sym2Basis) -> np.ndarray:
-    """Matrix with the given coefficients in the basis (inverse of coordinates)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (basis.dim,):
-        raise ValueError(f"expected {basis.dim} coefficients, got {coeffs.shape}")
-    return np.einsum("a,aij->ij", coeffs, basis.stack)
+def reconstruct(coeffs, n: int) -> np.ndarray:
+    """Trace-free symmetric matrix with the given frame coordinates.
+
+    ``coeffs`` has shape (..., (n-1)(n+2)/2); the result has shape
+    (..., n, n).  Inverse of :func:`coordinates`.
+    """
+    v = np.asarray(coeffs, dtype=float)
+    dim = s2_traceless_dim(n)
+    if n < 2 or v.ndim < 1 or v.shape[-1] != dim:
+        raise ValueError(f"expected {dim} coefficients at n={n}, got shape {v.shape}")
+    f = _frame(n)
+    E = np.zeros(v.shape[:-1] + (n, n))
+    E[..., f.I, f.J] = E[..., f.J, f.I] = v[..., : f.I.size] / np.sqrt(2.0)
+    d = np.arange(n)
+    E[..., d, d] = v[..., f.I.size:] @ f.H
+    return E
 
 
 def operator_to_json(M: OperatorMatrix) -> dict:

@@ -48,6 +48,7 @@ import numpy as np
 from .core import (
     CurvatureTensor,
     CurvopError,
+    _require_finite,
     random_curvature,
     ricci,
     tensor_to_json,
@@ -56,7 +57,7 @@ from .core import (
 from .operators import (
     Spectrum,
     _traceless_components,
-    basis_s2_traceless,
+    coordinates,
     s2_traceless_dim,
     second_kind_matrix,
 )
@@ -171,8 +172,7 @@ class _Prep:
             raise ValueError("curvature bounds require n >= 3")
         self.T = T
         self.n = T.n
-        self.basis = basis_s2_traceless(T.n)
-        self.matrix = second_kind_matrix(T, self.basis)
+        self.matrix = second_kind_matrix(T)
         eigvals, eigvecs = np.linalg.eigh(self.matrix.entries)
         self.lam = Spectrum(eigvals)
         self.eigvecs = eigvecs
@@ -210,7 +210,7 @@ def _evaluate(prep: _Prep, Eb: np.ndarray, tol_base: float):
     tol = tol_base * prep.scale
 
     q_idx = np.einsum("kijl,akl,aij->a", prep.T.components, Eb, Eb, optimize=True)
-    C = np.einsum("aij,bij->ab", Eb, prep.basis.stack, optimize=True)
+    C = coordinates(Eb)
     q_mat = np.einsum("ab,bc,ac->a", C, prep.matrix.entries, C, optimize=True)
     W = C @ prep.eigvecs
     q_eig = (W * W) @ lam.values
@@ -241,16 +241,6 @@ def _check_tol(tol: float) -> float:
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     return tol
-
-
-def _require_finite(values: dict) -> None:
-    """Raise :class:`CurvopError` at the first of ``values`` that is not finite."""
-    for what, value in values.items():
-        if not np.isfinite(value):
-            raise CurvopError(
-                f"{what} is {float(value)!r}: the tensor is too large to evaluate in "
-                "double precision"
-            )
 
 
 def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:

@@ -1,8 +1,8 @@
 """Independent brute-force implementations used as test oracles.
 
-Everything here is written with explicit Python loops (or a generic LP
-solver), deliberately avoiding the einsum-based code paths under test.
-Slow but unambiguous.
+Everything here is written with explicit Python loops, a generic LP
+solver, or dense contractions over explicit basis stacks, deliberately
+avoiding the index-gather code paths under test.  Slow but unambiguous.
 """
 
 from functools import lru_cache
@@ -171,6 +171,58 @@ def loop_second_kind_action(R, S):
                 R[k, i, j, l] * S[k, l] for k in range(n) for l in range(n)
             )
     return out
+
+
+def loop_basis_lambda2(n):
+    """(e_i e_j^T - e_j e_i^T)/sqrt(2) for i < j, lexicographic, as an (N, n, n) stack."""
+    mats = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n))
+            m[i, j] = 1.0 / np.sqrt(2.0)
+            m[j, i] = -1.0 / np.sqrt(2.0)
+            mats.append(m)
+    return np.stack(mats)
+
+
+def loop_basis_s2(n, traceless=True):
+    """Orthonormal basis of the (trace-free) symmetric matrices as an (N, n, n) stack.
+
+    (e_i e_j^T + e_j e_i^T)/sqrt(2) for i < j, lexicographic, followed by
+    either the n - 1 trace-free diagonal elements
+    diag(1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)), k = 1..n-1, with k
+    ones before the -k, or (``traceless=False``) the n elements e_i e_i^T.
+    """
+    mats = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n))
+            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
+            mats.append(m)
+    if traceless:
+        for k in range(1, n):
+            d = np.zeros(n)
+            d[:k] = 1.0
+            d[k] = -float(k)
+            mats.append(np.diag(d / np.sqrt(k * (k + 1.0))))
+    else:
+        for i in range(n):
+            m = np.zeros((n, n))
+            m[i, i] = 1.0
+            mats.append(m)
+    return np.stack(mats)
+
+
+def gram_first_kind(R, B):
+    """M[a,b] = <op(B_a), B_b>, op(A)[k,l] = (1/2) sum_ij R[i,j,k,l] A[i,j], over a stack B."""
+    acted = 0.5 * np.einsum("ijkl,aij->akl", R, B, optimize=True)
+    return np.einsum("akl,bkl->ab", acted, B, optimize=True)
+
+
+def gram_second_kind(R, B):
+    """M[a,b] = <op(B_a), B_b>, op(S)[i,j] = sum_kl R[k,i,j,l] S[k,l], over a stack B."""
+    acted = np.einsum("kijl,akl->aij", R, B, optimize=True)
+    return np.einsum("aij,bij->ab", acted, B, optimize=True)
 
 
 def loop_quad_form(R, E):

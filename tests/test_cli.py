@@ -207,6 +207,12 @@ _OVERFLOW_FILES = {
         '{"i": 0, "j": 2, "k": 0, "l": 2, "v": -1e300}, '
         '{"i": 1, "j": 2, "k": 1, "l": 2, "v": 3e299}]}'
     ),
+    # Valid and finite, but the second-kind matrix overflows.
+    "overflowing matrices": (
+        '{"n": 3, "entries": [{"i": 0, "j": 1, "k": 0, "l": 1, "v": 1.5e308}, '
+        '{"i": 0, "j": 2, "k": 0, "l": 2, "v": 1.5e308}, '
+        '{"i": 1, "j": 2, "k": 1, "l": 2, "v": 1.5e308}]}'
+    ),
 }
 
 
@@ -218,14 +224,27 @@ def test_non_finite_input_or_result_exits_two(capsys, tmp_path, name):
         warnings.simplefilter("always")
         code, out, err = run_main(capsys, "bounds", "--input", str(path))
     assert code == 2 and out == ""
-    expected = "too large to evaluate" if name == "overflowing results" else (
+    expected = "too large to evaluate" if name.startswith("overflowing") else (
         "entry 0 has non-finite value"
     )
     assert expected in err
     assert not caught
 
 
-@pytest.mark.parametrize("name", ["integer overflow", "overflowing results"])
+@pytest.mark.parametrize("args", [("spectrum",), ("check", "--k", "2")], ids=["spectrum", "check"])
+def test_overflowing_operator_matrix_exits_two(capsys, tmp_path, args):
+    """Once "Eigenvalues did not converge" after numpy RuntimeWarnings on stderr."""
+    path = tmp_path / "tensor.json"
+    path.write_text(_OVERFLOW_FILES["overflowing matrices"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_main(capsys, *args, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: matrix entry is inf: the tensor is too large to evaluate in double precision\n"
+    assert not caught
+
+
+@pytest.mark.parametrize("name", ["integer overflow", "overflowing results", "overflowing matrices"])
 def test_non_finite_input_or_result_leaves_stderr_clean(tmp_path, name):
     path = tmp_path / "tensor.json"
     path.write_text(_OVERFLOW_FILES[name])

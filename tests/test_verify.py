@@ -18,7 +18,6 @@ from curvop import (
     TracelessSym2,
     WeightClass,
     all_checks,
-    basis_s2_traceless,
     class_add,
     class_scale,
     constant_curvature,
@@ -32,13 +31,14 @@ from curvop import (
     product_spheres,
     random_curvature,
     random_traceless,
-    reconstruct,
     second_kind_matrix,
     spectrum,
     tensor_from_json,
     threshold_profile,
     traceless_ricci,
 )
+
+from oracles import loop_basis_s2
 
 
 def _check(T, name, E=None, **kwargs):
@@ -163,10 +163,9 @@ def test_ricci_combined_class_matches_direct_class_arithmetic():
 def test_quadform_bound_sharp_at_bottom_eigenvector():
     for n in (3, 4, 5):
         T = random_curvature(n, n)
-        basis = basis_s2_traceless(n)
-        M = second_kind_matrix(T, basis)
+        M = second_kind_matrix(T)
         vals, vecs = np.linalg.eigh(M.entries)
-        E = TracelessSym2(n, reconstruct(vecs[:, 0], basis))
+        E = TracelessSym2(n, np.einsum("a,aij->ij", vecs[:, 0], loop_basis_s2(n)))
         r = _check(T, "quadform_lower_bound", E)
         assert r.verdict == "boundary"
         assert r.lhs == pytest.approx(vals[0], rel=1e-9, abs=1e-12)
@@ -214,9 +213,9 @@ def test_all_checks_raises_when_quadratic_form_paths_disagree(monkeypatch):
     """A matrix that no longer represents the tensor trips the dual-path check."""
     real = curvop.verify.second_kind_matrix
 
-    def perturbed(T, basis=None):
-        M = real(T, basis)
-        return OperatorMatrix(M.domain, M.entries + 1e-3 * np.eye(M.dim), M.basis)
+    def perturbed(T):
+        M = real(T)
+        return OperatorMatrix(M.domain, M.n, M.entries + 1e-3 * np.eye(M.dim))
 
     T = random_curvature(3, 5)
     E = random_traceless(5, 4, unit=True)
