@@ -33,7 +33,7 @@ from . import __version__
 from .core import CurvatureTensor, CurvopError, tensor_from_json
 from .models import catalog, model_from_json
 from .operators import first_kind_matrix, operator_to_json, second_kind_matrix, spectrum
-from .verify import TOL_INEQ, _certificate, _checks, _Prep, fuzz_campaign, threshold_profile
+from .verify import TOL_INEQ, _certificate, _checks, _prepare, fuzz_campaign, threshold_profile
 from .weighted import k_verdict
 
 __all__ = ["main", "entrypoint"]
@@ -174,7 +174,7 @@ def _cmd_check(args):
 
 
 def _cmd_bounds(args):
-    prep = _Prep(_load_tensor(args))
+    prep = _prepare(_load_tensor(args))
     reports = _checks(prep, None, args.tol, None)
     all_ok = all(r.ok for r in reports)
     payload = {

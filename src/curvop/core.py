@@ -139,6 +139,19 @@ class SymmetryReport:
         }
 
 
+def _fingerprint(R: np.ndarray) -> str:
+    """Digest of one component array (n, n, n, n), with -0.0 already canonicalized."""
+    h = hashlib.sha256()
+    h.update(str(R.shape[0]).encode())
+    h.update(R.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _norm_inf(R: np.ndarray) -> np.ndarray:
+    """Largest absolute component of each tensor in a stack (..., n, n, n, n)."""
+    return np.max(np.abs(R), axis=(-4, -3, -2, -1))
+
+
 @dataclass(frozen=True, eq=False)
 class CurvatureTensor:
     """Dense curvature tensor with components R[i,j,k,l] in an orthonormal frame.
@@ -178,14 +191,11 @@ class CurvatureTensor:
     @cached_property
     def fingerprint(self) -> str:
         """Stable 16-hex-digit digest of (n, components) for report provenance."""
-        h = hashlib.sha256()
-        h.update(str(self.n).encode())
-        h.update(self.components.tobytes())
-        return h.hexdigest()[:16]
+        return _fingerprint(self.components)
 
     def norm_inf(self) -> float:
         """Largest absolute component, used to scale inequality tolerances."""
-        return float(np.max(np.abs(self.components)))
+        return float(_norm_inf(self.components))
 
     def __add__(self, other: "CurvatureTensor") -> "CurvatureTensor":
         if not isinstance(other, CurvatureTensor):
@@ -259,6 +269,38 @@ class TracelessSym2(Sym2Tensor):
             )
 
 
+def _symmetry_residuals(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(antisymmetry, pair symmetry, first Bianchi) maxima of each tensor in a stack.
+
+    ``R`` has shape (..., n, n, n, n); each residual has shape (...).
+    """
+    def worst(X):
+        return np.max(np.abs(X), axis=(-4, -3, -2, -1))
+
+    anti_first = worst(R + np.swapaxes(R, -4, -3))
+    anti_last = worst(R + np.swapaxes(R, -2, -1))
+    pair = worst(R - np.swapaxes(np.swapaxes(R, -4, -2), -3, -1))
+    # Cyclic sum over the last three slots: R[i,j,k,l] + R[i,k,l,j] + R[i,l,j,k].
+    bianchi = worst(R + np.moveaxis(R, -1, -3) + np.moveaxis(R, -3, -1))
+    return np.maximum(anti_first, anti_last), pair, bianchi
+
+
+def _require_valid_stack(R: np.ndarray, tol: float = TAU_SYM) -> None:
+    """Validate each tensor of a stack (B, n, n, n, n) as :func:`validate_symmetries` does.
+
+    Raises :class:`InvalidTensorError` with the report of the first
+    tensor that fails.
+    """
+    residuals = _symmetry_residuals(R)
+    limit = tol * np.maximum(1.0, _norm_inf(R))
+    bad = np.flatnonzero(~(np.max(residuals, axis=0) <= limit))
+    if bad.size:
+        b = bad[0]
+        raise InvalidTensorError(
+            SymmetryReport(*(float(r[b]) for r in residuals), tol=float(limit[b]))
+        )
+
+
 def validate_symmetries(T: CurvatureTensor, tol: float = TAU_SYM) -> SymmetryReport:
     """Measure the residuals of the four defining symmetries of ``T``.
 
@@ -267,16 +309,9 @@ def validate_symmetries(T: CurvatureTensor, tol: float = TAU_SYM) -> SymmetryRep
     is ``TAU_SYM``), the same scale as the bound checks use.  The report
     stores that effective tolerance.
     """
-    R = T.components
-    anti_first = np.max(np.abs(R + np.transpose(R, (1, 0, 2, 3))))
-    anti_last = np.max(np.abs(R + np.transpose(R, (0, 1, 3, 2))))
-    pair = np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1))))
-    # Cyclic sum over the last three slots: R[i,j,k,l] + R[i,k,l,j] + R[i,l,j,k].
-    bianchi = np.max(
-        np.abs(R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2)))
-    )
+    anti, pair, bianchi = _symmetry_residuals(T.components)
     return SymmetryReport(
-        antisymmetry=float(max(anti_first, anti_last)),
+        antisymmetry=float(anti),
         pair_symmetry=float(pair),
         first_bianchi=float(bianchi),
         tol=tol * max(1.0, T.norm_inf()),
@@ -305,6 +340,23 @@ def traceless_ricci(T: CurvatureTensor) -> TracelessSym2:
     return TracelessSym2(T.n, E)
 
 
+def _kn(H: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Kulkarni-Nomizu product of stacks of matrices (..., n, n), as (..., n, n, n, n)."""
+
+    def at(M, rows, cols):
+        # M[..., a, b] on the slots rows < cols of the index (i, j, k, l).
+        shape = [1, 1, 1, 1]
+        shape[rows] = shape[cols] = M.shape[-1]
+        return M.reshape(M.shape[:-2] + tuple(shape))
+
+    i, j, k, l = range(4)
+    out = at(H, i, k) * at(K, j, l)
+    out += at(H, j, l) * at(K, i, k)
+    out -= at(H, i, l) * at(K, j, k)
+    out -= at(H, j, k) * at(K, i, l)
+    return out
+
+
 def kulkarni_nomizu(h: np.ndarray | Sym2Tensor, k: np.ndarray | Sym2Tensor) -> CurvatureTensor:
     """Kulkarni-Nomizu product of two symmetric 2-tensors.
 
@@ -318,14 +370,31 @@ def kulkarni_nomizu(h: np.ndarray | Sym2Tensor, k: np.ndarray | Sym2Tensor) -> C
     K = k.components if isinstance(k, Sym2Tensor) else np.asarray(k, dtype=float)
     if H.ndim != 2 or H.shape != K.shape or H.shape[0] != H.shape[1]:
         raise ValueError("kulkarni_nomizu needs two square matrices of equal shape")
-    n = H.shape[0]
-    out = (
-        np.einsum("ik,jl->ijkl", H, K)
-        + np.einsum("jl,ik->ijkl", H, K)
-        - np.einsum("il,jk->ijkl", H, K)
-        - np.einsum("jk,il->ijkl", H, K)
-    )
-    return CurvatureTensor(n, out)
+    return CurvatureTensor(H.shape[0], _kn(H, K))
+
+
+def _random_terms(rng: np.random.Generator, n: int, terms: int) -> np.ndarray:
+    """The ``terms`` symmetric matrices h_a of :func:`random_curvature`, as (terms, n, n)."""
+    raw = rng.normal(size=(terms, n, n))
+    return np.triu(raw) + np.swapaxes(np.triu(raw, 1), -1, -2)
+
+
+def _alternating_kn(h: np.ndarray) -> np.ndarray:
+    """sum_a eps_a (h_a ^ h_a), eps = +1, -1, +1, ..., over axis -3 of ``h``.
+
+    ``h`` has shape (..., terms, n, n).  A zero h_a adds only signed
+    zeros, so stacks of different term counts pad with zeros and keep
+    every tensor bitwise equal to its unpadded sum.
+    """
+    n = h.shape[-1]
+    total = np.zeros(h.shape[:-3] + (n,) * 4)
+    for a in range(h.shape[-3]):
+        square = _kn(h[..., a, :, :], h[..., a, :, :])
+        if a % 2 == 0:
+            total += square
+        else:
+            total -= square
+    return total
 
 
 def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
@@ -339,14 +408,8 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    rng = np.random.default_rng(seed)
-    total = np.zeros((n, n, n, n))
-    for a in range(terms):
-        raw = rng.normal(size=(n, n))
-        h = np.triu(raw) + np.triu(raw, 1).T
-        sign = 1.0 if a % 2 == 0 else -1.0
-        total += sign * kulkarni_nomizu(h, h).components
-    return CurvatureTensor(n, total)
+    h = _random_terms(np.random.default_rng(seed), n, terms)
+    return CurvatureTensor(n, _alternating_kn(h))
 
 
 def random_traceless(

@@ -91,23 +91,40 @@ def _frame(n: int) -> _Frame:
     return frame
 
 
-def _symmetric(M) -> np.ndarray:
+def _symmetric(M, stacked: bool = False) -> np.ndarray:
     """M as a float matrix, checked and exactly symmetrized.
 
-    Rejects a non-square shape and asymmetry beyond 1e-12 relative with
-    :class:`ValueError`, and entries that are (or overflow to) infinity
-    or NaN with :class:`CurvopError`.
+    With ``stacked``, M is a stack (B, N, N) and each matrix is checked
+    against its own scale.  Rejects a non-square shape and asymmetry
+    beyond 1e-12 relative with :class:`ValueError`, and entries that are
+    (or overflow to) infinity or NaN with :class:`CurvopError`.
     """
     arr = np.array(M, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim != 2 + stacked or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    arr_t = np.swapaxes(arr, -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = (arr + arr.T) / 2.0
-        skew = float(np.max(np.abs(arr - arr.T)))
+        sym = (arr + arr_t) / 2.0
+        skew = np.max(np.abs(arr - arr_t), axis=(-2, -1))
     _require_finite({"matrix entry": sym})
-    if skew > 1e-12 * max(1.0, float(np.max(np.abs(arr)))):
-        raise ValueError(f"matrix is asymmetric beyond tolerance: {skew:.3e}")
+    limit = 1e-12 * np.maximum(1.0, np.max(np.abs(arr), axis=(-2, -1)))
+    bad = np.ravel(skew)[np.ravel(skew > limit)]
+    if bad.size:
+        raise ValueError(f"matrix is asymmetric beyond tolerance: {bad[0]:.3e}")
     return sym
+
+
+def _spectra(values) -> np.ndarray:
+    """Eigenvalues (..., N) as floats, checked finite and ascending along the last axis.
+
+    Non-finite values raise :class:`CurvopError` (an error, never a
+    verdict), descending ones :class:`ValueError`.
+    """
+    vals = np.array(values, dtype=float)
+    _require_finite({"eigenvalue": vals})
+    if np.any(np.diff(vals, axis=-1) < 0):
+        raise ValueError("eigenvalues must be in ascending order")
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +173,24 @@ def first_kind_matrix(T: CurvatureTensor) -> OperatorMatrix:
     return OperatorMatrix(LAMBDA2, T.n, M)
 
 
+def _second_kind_entries(R: np.ndarray) -> np.ndarray:
+    """The second-kind matrices of a stack R (..., n, n, n, n), as (..., N, N).
+
+    The gather of :func:`second_kind_matrix`, unchecked: an overflow
+    leaves a non-finite entry for :func:`_symmetric` to reject.
+    """
+    f = _frame(R.shape[-1])
+    d = np.arange(R.shape[-1])
+    I, J = f.I[:, None], f.J[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = R[..., I, f.I, f.J, J] + R[..., J, f.I, f.J, I]
+        cross = (R[..., I, d, d, J] + R[..., J, d, d, I]) @ f.H.T / np.sqrt(2.0)
+        K = R[..., d[:, None], d, d, d[:, None]]
+        # H K H^T, dividing by the Helmert norms last keeps a space form exact.
+        diag = f.U @ K @ f.U.T / np.sqrt(np.outer(f.w, f.w))
+        return np.block([[off, cross], [np.swapaxes(cross, -1, -2), diag]])
+
+
 def second_kind_matrix(T: CurvatureTensor) -> OperatorMatrix:
     """Matrix of the curvature operator of the second kind.
 
@@ -168,23 +203,14 @@ def second_kind_matrix(T: CurvatureTensor) -> OperatorMatrix:
     * <op(D_m), D_m'> = (H K H^T)[m,m'] with K[d,e] = R[d,e,e,d].
     """
     T.require_valid()
-    f = _frame(T.n)
-    R, d = T.components, np.arange(T.n)
-    I, J = f.I[:, None], f.J[:, None]
-    # An overflow leaves a non-finite entry, which OperatorMatrix rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        off = R[I, f.I, f.J, J] + R[J, f.I, f.J, I]
-        cross = (R[I, d, d, J] + R[J, d, d, I]) @ f.H.T / np.sqrt(2.0)
-        K = R[d[:, None], d, d, d[:, None]]
-        # H K H^T, dividing by the Helmert norms last keeps a space form exact.
-        diag = f.U @ K @ f.U.T / np.sqrt(np.outer(f.w, f.w))
-        M = np.block([[off, cross], [cross.T, diag]])
-    return OperatorMatrix(S2_TRACELESS, T.n, M)
+    return OperatorMatrix(S2_TRACELESS, T.n, _second_kind_entries(T.components))
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues in ascending order, with degeneracy reporting.
+
+    Construction rejects non-finite values with :class:`CurvopError`.
 
     ``multiplicities`` groups adjacent eigenvalues whose gap is below
     ``gap_tol`` relative; the grouping is for reporting only and feeds
@@ -195,9 +221,7 @@ class Spectrum:
     gap_tol: float = DEGENERACY_GAP
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float).ravel()
-        if np.any(np.diff(vals) < 0):
-            raise ValueError("eigenvalues must be in ascending order")
+        vals = _spectra(np.ravel(self.values))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -271,8 +295,11 @@ def coordinates(E) -> np.ndarray:
     E = np.asarray(E, dtype=float)
     if E.ndim < 2 or E.shape[-1] != E.shape[-2] or E.shape[-1] < 2:
         raise ValueError(f"expected matrices of shape (..., n, n), n >= 2, got {E.shape}")
-    f = _frame(E.shape[-1])
-    off = (E[..., f.I, f.J] + E[..., f.J, f.I]) / np.sqrt(2.0)
+    n = E.shape[-1]
+    f = _frame(n)
+    flat = E.reshape(E.shape[:-2] + (n * n,))
+    off = np.take(flat, f.I * n + f.J, axis=-1) + np.take(flat, f.J * n + f.I, axis=-1)
+    off /= np.sqrt(2.0)
     diag = np.diagonal(E, axis1=-2, axis2=-1) @ f.H.T
     return np.concatenate([off, diag], axis=-1)
 

@@ -18,8 +18,9 @@ weights to the cap), which the test suite uses as a calibration.
 
 ``all_checks`` is the one entry point for the five bounds.  It and the
 fuzz campaign share a single kernel that evaluates all five over a
-stack of probes E, so each weight class and each bound formula is
-written down once.
+stack of tensors of one dimension, each with a stack of probes E, so
+each weight class and each bound formula is written down once;
+``all_checks`` is its one-tensor case.
 
 The Einstein certificate evaluates the spectrum against two thresholds:
 
@@ -29,8 +30,9 @@ The Einstein certificate evaluates the spectrum against two thresholds:
   k-nonnegativity at this level forces constant sectional curvature.
 
 A fuzz campaign hammers the five bounds with seeded random tensors and
-batches of random unit trace-free tensors, recording worst margins and
-persisting any violator for regression replay.
+batches of random unit trace-free tensors, run through the kernel in
+blocks of one dimension, recording worst margins and persisting any
+violator for regression replay.
 """
 
 from __future__ import annotations
@@ -48,20 +50,26 @@ import numpy as np
 from .core import (
     CurvatureTensor,
     CurvopError,
+    _alternating_kn,
+    _fingerprint,
+    _norm_inf,
+    _random_terms,
     _require_finite,
+    _require_valid_stack,
     random_curvature,
-    ricci,
     tensor_to_json,
     traceless_ricci,
 )
 from .operators import (
-    Spectrum,
+    _second_kind_entries,
+    _spectra,
+    _symmetric,
     _traceless_components,
     coordinates,
     s2_traceless_dim,
     second_kind_matrix,
 )
-from .weighted import WeightClass, KVerdict, greedy_min, k_verdict
+from .weighted import WeightClass, KVerdict, _greedy_min, k_verdict
 
 __all__ = [
     "TOL_INEQ",
@@ -164,22 +172,39 @@ def _report(name, n, lhs, rhs, tol, fingerprint, seed) -> InequalityReport:
 
 
 class _Prep:
-    """Shared per-tensor context so a batch of checks assembles things once."""
+    """Shared context of a stack of B tensors of one dimension n.
 
-    def __init__(self, T: CurvatureTensor):
-        T.require_valid()
-        if T.n < 3:
-            raise ValueError("curvature bounds require n >= 3")
+    A batch of checks assembles and eigensolves once.  Every array has
+    the leading axis B; ``T`` is the tensor when the stack is the one
+    tensor of :func:`_prepare`.
+    """
+
+    def __init__(self, R: np.ndarray, matrix: np.ndarray, T: CurvatureTensor | None = None):
         self.T = T
-        self.n = T.n
-        self.matrix = second_kind_matrix(T)
-        eigvals, eigvecs = np.linalg.eigh(self.matrix.entries)
-        self.lam = Spectrum(eigvals)
-        self.eigvecs = eigvecs
-        self.ric = ricci(T)
-        self.ric_eigs = self.ric.eigenvalues()
-        self.s = self.ric.trace()
-        self.scale = max(1.0, T.norm_inf())
+        self.n = R.shape[-1]
+        self.R = R
+        self.matrix = matrix
+        eigvals, self.eigvecs = np.linalg.eigh(matrix)
+        self.lam = _spectra(eigvals)
+        ric = np.einsum("...kikj->...ij", R)
+        self.ric = (ric + np.swapaxes(ric, -1, -2)) / 2.0
+        self.ric_eigs = np.linalg.eigvalsh(self.ric)
+        self.s = np.trace(self.ric, axis1=-2, axis2=-1)
+        self.scale = np.maximum(1.0, _norm_inf(R))
+
+
+def _prepare(T: CurvatureTensor) -> _Prep:
+    """The context of one validated tensor, a stack with B = 1."""
+    T.require_valid()
+    if T.n < 3:
+        raise ValueError("curvature bounds require n >= 3")
+    return _Prep(T.components[None], second_kind_matrix(T).entries[None], T)
+
+
+def _prepare_stack(R: np.ndarray) -> _Prep:
+    """The context of a stack (B, n, n, n, n), each tensor checked as :func:`_prepare` checks it."""
+    _require_valid_stack(R)
+    return _Prep(R, _symmetric(_second_kind_entries(R), stacked=True))
 
 
 def _weight_classes(n: int) -> dict[str, WeightClass]:
@@ -194,34 +219,41 @@ def _weight_classes(n: int) -> dict[str, WeightClass]:
 
 
 def _evaluate(prep: _Prep, Eb: np.ndarray, tol_base: float):
-    """All five checks over a stack Eb of shape (P, n, n) of trace-free probes.
+    """All five checks over a stack Eb of shape (B, P, n, n): P trace-free probes per tensor.
 
     Returns ``(checks, quad_rel, eig_rel)``.  ``checks`` maps each name
-    in CHECK_NAMES to (lhs, rhs, tol): scalars for the three E-free
-    checks, length-P arrays for the two E-dependent ones.  The quadratic
-    form is computed three ways, by index contraction, through the
-    matrix, and through the eigen decomposition; ``quad_rel`` and
-    ``eig_rel`` are the worst relative disagreements of the last two
+    in CHECK_NAMES to (lhs, rhs, tol): shape (B,) for the three E-free
+    checks, (B, P) for the two E-dependent ones.  The quadratic form is
+    computed three ways, by index contraction, through the matrix, and
+    through the eigen decomposition; ``quad_rel`` and ``eig_rel``, of
+    shape (B,), are the worst relative disagreements of the last two
     with the first.
     """
     n, lam, s = prep.n, prep.lam, prep.s
-    g = {name: greedy_min(lam, cls) for name, cls in _weight_classes(n).items()}
-    ric_min = float(prep.ric_eigs[0])
+    g = {name: _greedy_min(lam, cls) for name, cls in _weight_classes(n).items()}
+    ric_min = prep.ric_eigs[:, 0]
     tol = tol_base * prep.scale
 
-    q_idx = np.einsum("kijl,akl,aij->a", prep.T.components, Eb, Eb, optimize=True)
-    C = coordinates(Eb)
-    q_mat = np.einsum("ab,bc,ac->a", C, prep.matrix.entries, C, optimize=True)
-    W = C @ prep.eigvecs
-    q_eig = (W * W) @ lam.values
-    nsq = np.sum(Eb * Eb, axis=(1, 2))
+    # The index contraction sum R[k,i,j,l] E[k,l] E[i,j] as e^T S e, with
+    # e = E flattened and S[(k,l),(i,j)] = R[k,i,j,l].
+    B, P = Eb.shape[:2]
+    e = Eb.reshape(B, P, n * n)
+    S = np.transpose(prep.R, (0, 1, 4, 2, 3)).reshape(B, n * n, n * n)
+    q_idx = np.einsum("...i,...i->...", e @ S, e)
+    nsq = np.sum(Eb * Eb, axis=(-2, -1))
     nsq_floor = np.maximum(1.0, nsq)
-    ric_term = np.einsum("ij,ait,ajt->a", prep.ric.components, Eb, Eb, optimize=True)
-    denom = np.maximum(np.maximum(1.0, np.abs(q_idx)), prep.scale * nsq_floor)
-    quad_rel = float(np.max(np.abs(q_idx - q_mat) / denom))
-    eig_rel = float(np.max(np.abs(q_idx - q_eig) / denom))
+    # sum Ric[i,j] E[i,t] E[j,t]
+    ric_term = np.einsum("...ij,...ij->...", prep.ric[:, None] @ Eb, Eb)
+    C = coordinates(Eb)
+    q_mat = np.einsum("...i,...i->...", C @ prep.matrix, C)
+    W = C @ prep.eigvecs
+    W *= W
+    q_eig = (W @ lam[:, :, None])[..., 0]
+    denom = np.maximum(np.maximum(1.0, np.abs(q_idx)), prep.scale[:, None] * nsq_floor)
+    quad_rel = np.max(np.abs(q_idx - q_mat) / denom, axis=-1)
+    eig_rel = np.max(np.abs(q_idx - q_eig) / denom, axis=-1)
 
-    tol_e = tol * nsq_floor
+    tol_e = tol[:, None] * nsq_floor
     checks = {
         "scalar_lower_bound": (s, (2.0 * n / (n + 2.0)) * g["scalar_lower_bound"], tol),
         "ricci_lower_bound": (
@@ -230,8 +262,10 @@ def _evaluate(prep: _Prep, Eb: np.ndarray, tol_base: float):
             tol,
         ),
         "ricci_combined_bound": (ric_min, g["ricci_combined_bound"], tol),
-        "quadform_lower_bound": (q_idx, g["quadform_lower_bound"] * nsq, tol_e),
-        "bochner_lower_bound": (q_idx + ric_term, g["bochner_lower_bound"] * nsq, tol_e),
+        "quadform_lower_bound": (q_idx, g["quadform_lower_bound"][:, None] * nsq, tol_e),
+        "bochner_lower_bound": (
+            q_idx + ric_term, g["bochner_lower_bound"][:, None] * nsq, tol_e,
+        ),
     }
     return checks, quad_rel, eig_rel
 
@@ -248,14 +282,14 @@ def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
     with np.errstate(over="ignore", invalid="ignore"):
         if E is None:
             E = traceless_ricci(prep.T)
-        Eb = _traceless_components(E, prep.n)[None]
+        Eb = _traceless_components(E, prep.n)[None, None]
         tol_base = _check_tol(TOL_INEQ if tol is None else tol)
         checks, quad_rel, eig_rel = _evaluate(prep, Eb, tol_base)
         reports = []
         for name in CHECK_NAMES:
             lhs, rhs, eff = (np.ravel(x)[0] for x in checks[name])
             reports.append(_report(name, prep.n, lhs, rhs, eff, prep.T.fingerprint, seed))
-    rels = {"matrix": quad_rel, "eigen": eig_rel}
+    rels = {"matrix": float(quad_rel[0]), "eigen": float(eig_rel[0])}
     _require_finite({
         **{f"{r.name} {field}": getattr(r, field)
            for r in reports for field in ("lhs", "rhs", "margin", "tol")},
@@ -279,7 +313,7 @@ def all_checks(T, E=None, tol=None, seed=None) -> tuple[InequalityReport, ...]:
     quadratic-form paths disagree beyond 1e-9 relative, and
     :class:`CurvopError` when a value it would report is not finite.
     """
-    return _checks(_Prep(T), E, tol, seed)
+    return _checks(_prepare(T), E, tol, seed)
 
 
 # --- thresholds and certificates --------------------------------------------
@@ -375,17 +409,17 @@ def einstein_certificate(T, tol: float = _EINSTEIN_TOL) -> EinsteinCertificate:
     curvature whose curvature tensor equals T at every point.  Raises
     :class:`CurvopError` when a k-sum or a norm is not finite.
     """
-    return _certificate(_Prep(T), tol)
+    return _certificate(_prepare(T), tol)
 
 
 def _certificate(prep: _Prep, tol: float = _EINSTEIN_TOL) -> EinsteinCertificate:
     """The body of :func:`einstein_certificate` on an already prepared tensor."""
     profile = threshold_profile(prep.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        kv_e = k_verdict(prep.lam, profile.einstein_threshold)
-        kv_c = k_verdict(prep.lam, profile.constant_curvature_threshold)
+        kv_e = k_verdict(prep.lam[0], profile.einstein_threshold)
+        kv_c = k_verdict(prep.lam[0], profile.constant_curvature_threshold)
         e_norm = traceless_ricci(prep.T).frobenius()
-        ric_norm = float(np.linalg.norm(prep.ric.components))
+        ric_norm = float(np.linalg.norm(prep.ric[0]))
     _require_finite({
         "einstein threshold k-sum": kv_e.value,
         "constant curvature threshold k-sum": kv_c.value,
@@ -513,52 +547,113 @@ class FuzzSummary:
         }
 
 
-def _fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float) -> dict:
-    """Run one seeded tensor and its unit probes through all five checks.
+#: A fuzz block holds at most this many trials, all of one dimension n ...
+_BLOCK_TRIALS = 32
 
-    Returns plain floats: per check the worst margin over the probes and
-    the tolerance at that probe.
+#: ... and at most this many bytes of probe entries, B * P * n^2 * 8, though
+#: always one trial.  The kernel's temporaries come to about three times
+#: this, so it bounds the memory a campaign adds to the process.
+_BLOCK_PROBE_BYTES = 1 << 19
+
+
+def _blocks(ns, trials_per_n: int, e_per_tensor: int) -> list[tuple[int, int, int]]:
+    """(n, first trial index, trial count) of each block, in trial order.
+
+    The boundaries depend on nothing but the arguments, so a campaign
+    runs the same blocks whatever the number of jobs.
     """
-    trial_seed = seed ^ idx
-    terms = 1 + idx % 3
-    T = random_curvature(trial_seed, n, terms=terms)
-    prep = _Prep(T)
+    blocks, start = [], 0
+    for n in ns:
+        size = _BLOCK_PROBE_BYTES // (e_per_tensor * n * n * 8)
+        size = max(1, min(_BLOCK_TRIALS, size))
+        for offset in range(0, trials_per_n, size):
+            blocks.append((n, start + offset, min(size, trials_per_n - offset)))
+        start += trials_per_n
+    return blocks
 
-    rng = np.random.default_rng([trial_seed, 1])
-    raw = rng.normal(size=(e_per_tensor, n, n))
-    sym = (raw + np.transpose(raw, (0, 2, 1))) / 2.0
-    tr = np.trace(sym, axis1=1, axis2=2)
-    Eb = sym - tr[:, None, None] * (np.eye(n) / n)
-    norms = np.sqrt(np.einsum("aij,aij->a", Eb, Eb))
-    Eb /= norms[:, None, None]
 
+def _trial_seed(seed: int, idx: int) -> int:
+    """The 64-bit seed of trial ``idx``, from SeedSequence([seed, idx]).
+
+    Streams of different campaign seeds are independent;
+    ``random_curvature(trial_seed, n, terms)`` replays the trial's tensor.
+    """
+    return int(np.random.SeedSequence([seed, idx]).generate_state(1, np.uint64)[0])
+
+
+def _block_draws(seed: int, n: int, start: int, count: int, e_per_tensor: int):
+    """The tensors and unit probes of trials start .. start + count - 1.
+
+    Returns ``(trial_seeds, terms, R, Eb)``, with R of shape (count, n,
+    n, n, n) and Eb of shape (count, e_per_tensor, n, n).  Trial t draws
+    its tensor as ``random_curvature(trial_seed, n, terms)`` does, with
+    1 + t % 3 terms, and its probes from the stream [trial_seed, 1].
+    """
+    idx = range(start, start + count)
+    trial_seeds = [_trial_seed(seed, t) for t in idx]
+    terms = [1 + t % 3 for t in idx]
+    h = np.zeros((count, 3, n, n))
+    # Each probe is raw + raw^T with its trace removed, scaled to unit norm.
+    # (That is twice the symmetric part, a factor that cancels exactly.)
+    Eb = np.empty((count, e_per_tensor, n, n))
+    for b, (trial_seed, m) in enumerate(zip(trial_seeds, terms)):
+        h[b, :m] = _random_terms(np.random.default_rng(trial_seed), n, m)
+        raw = np.random.default_rng([trial_seed, 1]).normal(size=(e_per_tensor, n, n))
+        np.add(raw, np.swapaxes(raw, -1, -2), out=Eb[b])
+    R = _alternating_kn(h)
+    R += 0.0  # canonicalize -0.0, as CurvatureTensor does
+
+    diag = Eb.reshape(count, e_per_tensor, n * n)[..., :: n + 1]
+    diag -= diag.sum(axis=-1, keepdims=True) * (1.0 / n)
+    Eb /= np.sqrt(np.einsum("...ij,...ij->...", Eb, Eb))[..., None, None]
+    return trial_seeds, terms, R, Eb
+
+
+def _fuzz_block(args) -> dict:
+    """Run one block of trials through all five checks in one kernel call.
+
+    ``args`` is (seed, block, e_per_tensor, tol_base), with a block from
+    :func:`_blocks`.
+
+    Returns per-trial arrays: for each check the worst margin over the
+    probes and the tolerance at that probe, the scale, both dual-path
+    disagreements; and the block's violations, in trial order.
+    """
+    seed, (n, start, count), e_per_tensor, tol_base = args
+    trial_seeds, terms, R, Eb = _block_draws(seed, n, start, count, e_per_tensor)
+    prep = _prepare_stack(R)
     checks, quad_rel, eig_rel = _evaluate(prep, Eb, tol_base)
     margins, tols = {}, {}
     for name, (lhs, rhs, tol) in checks.items():
         margin = lhs - rhs
-        if np.ndim(margin):
-            worst = margin.argmin()
-            margin, tol = margin[worst], tol[worst]
-        margins[name] = float(margin)
-        tols[name] = float(tol)
+        if margin.ndim == 2:
+            worst = margin.argmin(axis=1)[:, None]
+            margin = np.take_along_axis(margin, worst, axis=1)[:, 0]
+            tol = np.take_along_axis(tol, worst, axis=1)[:, 0]
+        margins[name], tols[name] = margin, tol
 
+    violations = []
+    failed = np.array([margins[name] < -tols[name] for name in CHECK_NAMES])
+    for b, c in np.argwhere(failed.T).tolist():
+        name = CHECK_NAMES[c]
+        violations.append(Violation(
+            check=name,
+            n=n,
+            trial_index=start + b,
+            trial_seed=trial_seeds[b],
+            terms=terms[b],
+            margin=float(margins[name][b]),
+            tol=float(tols[name][b]),
+            fingerprint=_fingerprint(R[b]),
+        ))
     return {
-        "idx": idx,
-        "n": n,
-        "trial_seed": trial_seed,
-        "terms": terms,
-        "fingerprint": T.fingerprint,
         "scale": prep.scale,
-        "tols": tols,
         "margins": margins,
+        "tols": tols,
         "quad_rel": quad_rel,
         "eig_rel": eig_rel,
+        "violations": violations,
     }
-
-
-def _fuzz_chunk(args) -> list[dict]:
-    seed, items, e_per_tensor, tol_base = args
-    return [_fuzz_trial(idx, n, seed, e_per_tensor, tol_base) for idx, n in items]
 
 
 def persist_violator(T: CurvatureTensor, directory, meta: dict | None = None) -> Path:
@@ -589,13 +684,17 @@ def fuzz_campaign(
 ) -> FuzzSummary:
     """Randomized sweep of all five bounds over seeded curvature tensors.
 
-    Each trial owns the RNG stream seeded by seed XOR its global index,
-    so results are independent of scheduling and identical for jobs=1
-    and jobs>1.  Violators (margin below -tol * scale) are persisted to
-    ``regression_dir``, the CURVOP_REGRESSION_DIR environment variable,
-    or ./regressions, in that order of preference.  ``tol`` must be a
-    finite number >= 0, and ``jobs`` is capped at the CPU count and the
-    number of trials.
+    Trial t (counted across ``ns`` in order) draws its tensor and probes
+    from its own RNG stream, seeded by SeedSequence([seed, t]); its
+    ``trial_seed`` replays the tensor through ``random_curvature``.  The
+    trials of each n run in blocks of at most 32 through one batched
+    kernel, and ``jobs`` > 1 hands whole blocks to worker processes.
+    The blocks do not depend on ``jobs``, so the report is identical
+    for jobs=1 and jobs>1.  Violators (margin below -tol * scale) are
+    persisted to ``regression_dir``, the CURVOP_REGRESSION_DIR
+    environment variable, or ./regressions, in that order of
+    preference.  ``tol`` must be a finite number >= 0, and ``jobs`` is
+    capped at the CPU count and the number of trials.
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
@@ -609,50 +708,25 @@ def fuzz_campaign(
         raise ValueError("fuzz dimensions must satisfy n >= 3")
     start = time.perf_counter()
 
-    items = []
-    idx = 0
-    for n in ns:
-        for _ in range(trials_per_n):
-            items.append((idx, n))
-            idx += 1
-
+    blocks = _blocks(ns, trials_per_n, e_per_tensor)
+    tensors = trials_per_n * len(ns)
     # A fork-started pool starts every worker at once, even for empty chunks.
-    jobs = min(jobs, os.cpu_count() or 1, len(items))
+    jobs = min(jobs, os.cpu_count() or 1, tensors)
+    tasks = [(seed, block, e_per_tensor, tol) for block in blocks]
     if jobs <= 1:
-        results = _fuzz_chunk((seed, items, e_per_tensor, tol))
+        results = list(map(_fuzz_block, tasks))
     else:
-        chunks = [
-            (seed, items[i::jobs], e_per_tensor, tol) for i in range(jobs)
-        ]
-        results = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_fuzz_chunk, chunks):
-                results.extend(part)
-        results.sort(key=lambda r: r["idx"])
+            results = list(pool.map(_fuzz_block, tasks))
 
-    min_scaled = {name: np.inf for name in CHECK_NAMES}
-    max_quad_rel = 0.0
-    max_eig_rel = 0.0
-    violations: list[Violation] = []
-    for r in results:
-        for name in CHECK_NAMES:
-            scaled = r["margins"][name] / r["scale"]
-            min_scaled[name] = min(min_scaled[name], scaled)
-            if r["margins"][name] < -r["tols"][name]:
-                violations.append(
-                    Violation(
-                        check=name,
-                        n=r["n"],
-                        trial_index=r["idx"],
-                        trial_seed=r["trial_seed"],
-                        terms=r["terms"],
-                        margin=r["margins"][name],
-                        tol=r["tols"][name],
-                        fingerprint=r["fingerprint"],
-                    )
-                )
-        max_quad_rel = max(max_quad_rel, r["quad_rel"])
-        max_eig_rel = max(max_eig_rel, r["eig_rel"])
+    min_scaled = {
+        name: float(min((np.min(r["margins"][name] / r["scale"]) for r in results),
+                        default=np.inf))
+        for name in CHECK_NAMES
+    }
+    max_quad_rel = float(max((np.max(r["quad_rel"]) for r in results), default=0.0))
+    max_eig_rel = float(max((np.max(r["eig_rel"]) for r in results), default=0.0))
+    violations = [v for r in results for v in r["violations"]]
 
     if violations:
         directory = (
@@ -682,9 +756,9 @@ def fuzz_campaign(
         trials_per_n=trials_per_n,
         ns=ns,
         e_per_tensor=e_per_tensor,
-        tensors=len(items),
+        tensors=tensors,
         tol=tol,
-        min_scaled_margins={k: float(v) for k, v in min_scaled.items()},
+        min_scaled_margins=min_scaled,
         max_quad_dual_rel=max_quad_rel,
         max_eig_dual_rel=max_eig_rel,
         violations=tuple(violations),

@@ -57,15 +57,12 @@ BOUNDARY_TOL = 1e-12
 
 
 def _ascending(lam) -> np.ndarray:
-    """Coerce a Spectrum or array-like to a 1d ascending float array."""
-    if isinstance(lam, Spectrum):
-        return lam.values
-    arr = np.asarray(lam, dtype=float).ravel()
-    if arr.size == 0:
+    """The values of a Spectrum, or of an array-like checked as Spectrum checks them."""
+    if not isinstance(lam, Spectrum):
+        lam = Spectrum(lam)
+    if len(lam) == 0:
         raise ValueError("spectrum is empty")
-    if np.any(np.diff(arr) < 0):
-        raise ValueError("eigenvalues must be given in ascending order")
-    return arr
+    return lam.values
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,11 @@ class KVerdict:
 
 
 def k_verdict(lam, k: float) -> KVerdict:
-    """Evaluate k_sum and classify its sign."""
+    """Evaluate k_sum and classify its sign.
+
+    A non-finite eigenvalue raises :class:`CurvopError`: it is an error,
+    never a failed property.
+    """
     value = k_sum(lam, k)
     boundary = abs(value) <= BOUNDARY_TOL
     return KVerdict(
@@ -166,13 +167,17 @@ def greedy_min(lam, cls: WeightClass) -> float:
     Equals omega * k_sum(lam, total / omega).  Raises
     :class:`AdmissibilityError` when the class is empty for len(lam).
     """
-    arr = _ascending(lam)
-    N = arr.size
+    return float(_greedy_min(_ascending(lam), cls))
+
+
+def _greedy_min(arr: np.ndarray, cls: WeightClass) -> np.ndarray:
+    """:func:`greedy_min` along the last axis of checked ascending spectra (..., N)."""
+    N = arr.shape[-1]
     cls.require_admissible(N)
     m = floor(cls.total / cls.omega)
     if m >= N:
-        return float(cls.omega * arr.sum())
-    return float(cls.omega * arr[:m].sum() + (cls.total - m * cls.omega) * arr[m])
+        return cls.omega * arr.sum(axis=-1)
+    return cls.omega * arr[..., :m].sum(axis=-1) + (cls.total - m * cls.omega) * arr[..., m]
 
 
 def greedy_weights(lam, cls: WeightClass) -> np.ndarray:

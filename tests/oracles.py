@@ -10,7 +10,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linprog
 
-from curvop import CurvatureTensor, SchemaError
+from curvop import (
+    CurvatureTensor,
+    SchemaError,
+    WeightClass,
+    coordinates,
+    greedy_min,
+    random_curvature,
+    ricci,
+    s2_traceless_dim,
+    second_kind_matrix,
+)
 
 
 def loop_symmetry_residuals(R):
@@ -285,3 +295,84 @@ def grid_min(lam, cls, steps: int = 100) -> float:
     feasible = (last >= 0) & (last <= steps)
     dots = arr[:-1] @ head[:, feasible] + arr[-1] * last[feasible]
     return float(step * dots.min())
+
+
+def fuzz_trial_seed(seed: int, idx: int) -> int:
+    """The 64-bit seed of fuzz trial ``idx`` of a campaign with ``seed``."""
+    return int(np.random.SeedSequence([seed, idx]).generate_state(1, np.uint64)[0])
+
+
+def fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float) -> dict:
+    """One fuzz trial on its own: its tensor and unit probes through all five checks.
+
+    The per-trial reference for the batched fuzz engine.  It assembles
+    through the public API, eigensolves one matrix, and contracts with
+    ``np.einsum``.  Returns plain floats: per check the worst margin over
+    the probes and the tolerance at that probe.
+    """
+    trial_seed = fuzz_trial_seed(seed, idx)
+    terms = 1 + idx % 3
+    T = random_curvature(trial_seed, n, terms=terms)
+    matrix = second_kind_matrix(T).entries
+    lam, eigvecs = np.linalg.eigh(matrix)
+    ric = ricci(T)
+    ric_min = float(ric.eigenvalues()[0])
+    s = ric.trace()
+    scale = max(1.0, T.norm_inf())
+    tol = tol_base * scale
+
+    rng = np.random.default_rng([trial_seed, 1])
+    raw = rng.normal(size=(e_per_tensor, n, n))
+    sym = (raw + np.transpose(raw, (0, 2, 1))) / 2.0
+    tr = np.trace(sym, axis1=1, axis2=2)
+    Eb = sym - tr[:, None, None] * (np.eye(n) / n)
+    Eb /= np.sqrt(np.einsum("aij,aij->a", Eb, Eb))[:, None, None]
+
+    def g(omega, total):
+        return greedy_min(lam, WeightClass(omega, total))
+
+    q_idx = np.einsum("kijl,akl,aij->a", T.components, Eb, Eb, optimize=True)
+    C = coordinates(Eb)
+    q_mat = np.einsum("ab,bc,ac->a", C, matrix, C, optimize=True)
+    W = C @ eigvecs
+    q_eig = (W * W) @ lam
+    nsq = np.sum(Eb * Eb, axis=(1, 2))
+    nsq_floor = np.maximum(1.0, nsq)
+    ric_term = np.einsum("ij,ait,ajt->a", ric.components, Eb, Eb, optimize=True)
+    denom = np.maximum(np.maximum(1.0, np.abs(q_idx)), scale * nsq_floor)
+    tol_e = tol * nsq_floor
+    checks = {
+        "scalar_lower_bound": (
+            s, (2.0 * n / (n + 2.0)) * g(1.0, float(s2_traceless_dim(n))), tol),
+        "ricci_lower_bound": (
+            ric_min, ((n - 1.0) / (n + 1.0)) * g(1.0, float(n)) + s / (n * (n + 1.0)), tol),
+        "ricci_combined_bound": (ric_min, g(n / (n + 2.0), n - 1.0), tol),
+        "quadform_lower_bound": (q_idx, g(1.0, 1.0) * nsq, tol_e),
+        "bochner_lower_bound": (
+            q_idx + ric_term, g(2.0 * (n + 1.0) / (n + 2.0), float(n)) * nsq, tol_e),
+    }
+    margins, tols = {}, {}
+    for name, (lhs, rhs, eff) in checks.items():
+        margin = lhs - rhs
+        if np.ndim(margin):
+            worst = margin.argmin()
+            margin, eff = margin[worst], eff[worst]
+        margins[name] = float(margin)
+        tols[name] = float(eff)
+    return {
+        "idx": idx,
+        "n": n,
+        "trial_seed": trial_seed,
+        "terms": terms,
+        "fingerprint": T.fingerprint,
+        "scale": scale,
+        "tols": tols,
+        "margins": margins,
+        "quad_rel": float(np.max(np.abs(q_idx - q_mat) / denom)),
+        "eig_rel": float(np.max(np.abs(q_idx - q_eig) / denom)),
+    }
+
+
+def fuzz_trials(seed: int, items, e_per_tensor: int, tol_base: float) -> list[dict]:
+    """:func:`fuzz_trial` for each (idx, n) of ``items``, in order."""
+    return [fuzz_trial(idx, n, seed, e_per_tensor, tol_base) for idx, n in items]

@@ -1,0 +1,170 @@
+"""The batched fuzz engine: blocks, seed streams, stacked checks, and the per-trial oracle."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from curvop import (
+    CHECK_NAMES,
+    CurvatureTensor,
+    CurvopError,
+    InvalidTensorError,
+    fuzz_campaign,
+    random_curvature,
+    tensor_from_json,
+    validate_symmetries,
+)
+from curvop.core import _fingerprint, _require_valid_stack
+from curvop.operators import _spectra, _symmetric
+from curvop.verify import _block_draws, _blocks, _fuzz_block, _trial_seed
+
+from oracles import fuzz_trial_seed, fuzz_trials
+
+NS = (3, 4, 5, 6, 7, 8)
+
+
+def test_blocks_cover_each_n_in_order_within_both_caps():
+    assert _blocks((3, 4), 70, 20) == [
+        (3, 0, 32), (3, 32, 32), (3, 64, 6), (4, 70, 32), (4, 102, 32), (4, 134, 6),
+    ]
+    # 512 KiB of probe entries hold five trials of 200 probes at n = 8 ...
+    assert _blocks((8,), 12, 200) == [(8, 0, 5), (8, 5, 5), (8, 10, 2)]
+    # ... and a block keeps one trial however large its probes are.
+    assert _blocks((8,), 2, 10**6) == [(8, 0, 1), (8, 1, 1)]
+
+
+def test_trial_seed_is_the_seed_sequence_of_seed_and_index():
+    for seed, idx in ((0, 0), (3, 7), (2**40, 12345)):
+        assert _trial_seed(seed, idx) == fuzz_trial_seed(seed, idx)
+        assert isinstance(_trial_seed(seed, idx), int)
+
+
+def test_campaign_seeds_draw_independent_streams():
+    """Campaigns 0 and 3 shared 14 of their first 30 tensors at n = 3 under seed XOR index."""
+    prints = {}
+    for seed in range(8):
+        _, _, R, _ = _block_draws(seed, 3, 0, 30, 1)
+        prints[seed] = {_fingerprint(r) for r in R}
+    assert not prints[0] & prints[3]
+    assert len(set().union(*prints.values())) == 8 * 30
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    trials_per_n=st.sampled_from([5, 33]),
+    e_per_tensor=st.integers(1, 12),
+)
+def test_blocks_match_the_per_trial_oracle(seed, trials_per_n, e_per_tensor):
+    """Every trial of every block agrees with the same trial run alone.
+
+    With 33 trials per n a block boundary falls inside each n.
+    """
+    tol_base = 1e-9
+    items = [(i * trials_per_n + t, n) for i, n in enumerate(NS) for t in range(trials_per_n)]
+    expected = fuzz_trials(seed, items, e_per_tensor, tol_base)
+    got = []
+    for block in _blocks(NS, trials_per_n, e_per_tensor):
+        n, start, count = block
+        trial_seeds, terms, R, _ = _block_draws(seed, n, start, count, e_per_tensor)
+        res = _fuzz_block((seed, block, e_per_tensor, tol_base))
+        assert res["violations"] == []
+        for b in range(count):
+            got.append({
+                "idx": start + b,
+                "trial_seed": trial_seeds[b],
+                "terms": terms[b],
+                "fingerprint": _fingerprint(R[b]),
+                "scale": res["scale"][b],
+                "margins": {name: res["margins"][name][b] for name in CHECK_NAMES},
+                "tols": {name: res["tols"][name][b] for name in CHECK_NAMES},
+                "quad_rel": res["quad_rel"][b],
+                "eig_rel": res["eig_rel"][b],
+            })
+    assert [g["idx"] for g in got] == [idx for idx, _ in items]
+    for g, e in zip(got, expected):
+        for key in ("trial_seed", "terms", "fingerprint", "scale"):
+            assert g[key] == e[key], (g["idx"], key)
+        assert random_curvature(g["trial_seed"], e["n"], g["terms"]).fingerprint == g["fingerprint"]
+        for name in CHECK_NAMES:
+            assert abs(g["margins"][name] - e["margins"][name]) <= 1e-14 * e["scale"], name
+            assert g["tols"][name] == pytest.approx(e["tols"][name], rel=1e-14, abs=0)
+        assert g["quad_rel"] <= 1e-9 and g["eig_rel"] <= 1e-9
+
+    summary = fuzz_campaign(seed, trials_per_n, ns=NS, e_per_tensor=e_per_tensor)
+    assert summary.tensors == len(items) and summary.ok
+    for name in CHECK_NAMES:
+        worst = min(e["margins"][name] / e["scale"] for e in expected)
+        assert abs(summary.min_scaled_margins[name] - worst) <= 1e-14
+
+
+def test_report_is_identical_for_one_and_two_jobs_across_a_mid_n_block(tmp_path):
+    """Blocks of 32 split each n; with tol = 0 rounding-level margins persist violators too."""
+    a = fuzz_campaign(11, 40, ns=(3, 4), e_per_tensor=4, tol=0.0, regression_dir=tmp_path)
+    b = fuzz_campaign(11, 40, ns=(3, 4), e_per_tensor=4, tol=0.0, regression_dir=tmp_path,
+                      jobs=2)
+    assert a.violations
+    assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+
+
+def test_violations_are_the_failed_margins_in_trial_order_and_replay(tmp_path):
+    seed, trials = 3, 33
+    s = fuzz_campaign(seed, trials, ns=(3, 4), e_per_tensor=3, tol=0.0, regression_dir=tmp_path)
+    failed = []
+    for block in _blocks((3, 4), trials, 3):
+        res = _fuzz_block((seed, block, 3, 0.0))
+        failed += [(v.trial_index, v.check) for v in res["violations"]]
+        for name in CHECK_NAMES:
+            for b in np.flatnonzero(res["margins"][name] < 0.0):
+                assert (block[1] + b, name) in failed
+    order = {name: c for c, name in enumerate(CHECK_NAMES)}
+    assert failed == sorted(failed, key=lambda f: (f[0], order[f[1]]))
+    assert [(v.trial_index, v.check) for v in s.violations] == failed
+    for v in s.violations:
+        assert v.margin < 0.0 and v.trial_seed == _trial_seed(seed, v.trial_index)
+        T = random_curvature(v.trial_seed, v.n, terms=v.terms)
+        assert T.fingerprint == v.fingerprint
+        back = tensor_from_json(json.loads(open(v.path).read()))
+        np.testing.assert_allclose(back.components, T.components, rtol=0,
+                                   atol=1e-14 * max(1.0, T.norm_inf()))
+
+
+def test_stacked_symmetric_check_uses_each_matrix_scale():
+    rng = np.random.default_rng(5)
+    big = 1e6 * rng.normal(size=(4, 4))
+    big = big + big.T
+    big[0, 1] += 1e-7  # 1e-13 of its own scale: accepted
+    small = np.eye(4)
+    small[0, 1] += 1e-11  # beyond 1e-12 of its scale, though not of big's
+    ok = _symmetric(np.stack([big, big.T]), stacked=True)
+    np.testing.assert_array_equal(ok[0], _symmetric(big))
+    with pytest.raises(ValueError, match="asymmetric beyond tolerance: 1.000e-11"):
+        _symmetric(np.stack([big, small]), stacked=True)
+    with pytest.raises(ValueError, match="asymmetric"):
+        _symmetric(small)
+    with pytest.raises(CurvopError, match="matrix entry is nan"):
+        _symmetric(np.stack([big, np.diag([np.nan, 1.0, 1.0, 1.0])]), stacked=True)
+    with pytest.raises(ValueError, match="square"):
+        _symmetric(big, stacked=True)
+
+
+def test_stacked_spectra_reject_non_finite_and_descending_rows():
+    good = np.array([[0.0, 1.0], [-2.0, 3.0]])
+    np.testing.assert_array_equal(_spectra(good), good)
+    with pytest.raises(CurvopError, match="eigenvalue is nan"):
+        _spectra(np.array([[0.0, 1.0], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="ascending"):
+        _spectra(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_stack_validation_reports_the_first_invalid_tensor():
+    valid = random_curvature(1, 4).components
+    garbage = np.random.default_rng(2).normal(size=(4,) * 4)
+    # Each tensor is judged at its own scale, so a large valid one passes.
+    _require_valid_stack(np.stack([1e6 * valid, valid]))
+    with pytest.raises(InvalidTensorError) as info:
+        _require_valid_stack(np.stack([valid, garbage, garbage]))
+    expected = validate_symmetries(CurvatureTensor(4, garbage))
+    assert info.value.report.to_json() == expected.to_json()

@@ -204,6 +204,13 @@ def test_spectrum_input_validation():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectrum_rejects_non_finite_values(bad):
+    """A non-finite eigenvalue is an error, not a spectrum that fails a property."""
+    with pytest.raises(CurvopError, match=f"eigenvalue is {float(bad)!r}"):
+        Spectrum(np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_spectrum_rejects_non_finite_matrix(bad):
     """A NaN once came back as eigenvalues [0, -0] that k_verdict called nonnegative."""
     with warnings.catch_warnings():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from curvop import (
     AdmissibilityError,
+    CurvopError,
     Spectrum,
     WeightClass,
     bound_for_m,
@@ -50,6 +51,14 @@ def test_k_sum_domain_errors():
         k_sum([], 1)
     with pytest.raises(ValueError):
         k_sum([2.0, 1.0], 1)  # descending input is a caller bug
+
+
+def test_k_verdict_rejects_nan_spectrum():
+    """[nan, 1] once gave nonnegative=False, which the CLI reads as a failed property."""
+    with pytest.raises(CurvopError, match="eigenvalue is nan"):
+        k_verdict(np.array([np.nan, 1.0]), 1.0)
+    with pytest.raises(CurvopError, match="eigenvalue is inf"):
+        greedy_min([0.0, np.inf], WeightClass(1.0, 1.0))
 
 
 def test_k_verdicts():
