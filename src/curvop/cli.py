@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .core import CurvatureTensor, CurvopError, tensor_from_json
+from .core import CurvatureTensor, CurvopError, _json_text, tensor_from_json
 from .models import catalog, model_from_json
 from .operators import first_kind_matrix, operator_to_json, second_kind_matrix, spectrum
 from .verify import TOL_INEQ, _certificate, _checks, _prepare, fuzz_campaign, threshold_profile
@@ -68,6 +68,7 @@ def _load_tensor(args) -> CurvatureTensor:
     else:
         obj = _parse_json(args.model, where="--model")
     T = model_from_json(obj).build() if "model" in obj else tensor_from_json(obj)
+    del obj  # nor the parsed document while the tensor is validated
     return T.require_valid()
 
 
@@ -147,7 +148,7 @@ def _cmd_spectrum(args):
     rows = []
     for key, M in matrices.items():
         spec = spectrum(M)
-        values = [float(v) for v in spec.values]
+        values = spec.values.tolist()
         payload[key] = {
             "domain": M.domain,
             "dim": len(spec),
@@ -327,7 +328,7 @@ def main(argv=None) -> int:
         print(f"error: {bad}", file=sys.stderr)
         return 2
     if args.format == "json":
-        output, ext = json.dumps(_envelope(args.command, args, payload), indent=2), "json"
+        output, ext = _json_text(_envelope(args.command, args, payload)), "json"
     elif args.format == "csv":
         output, ext = _csv_text(rows), "csv"
     else:

@@ -25,8 +25,9 @@ spaces) is pinned to this convention.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -164,11 +165,14 @@ class CurvatureTensor:
 
     n: int
     components: np.ndarray
+    # Private: True hands over a fresh float64 array that no caller holds,
+    # which is then adopted rather than copied.
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValueError(f"dimension n must be an integer >= 2, got {self.n!r}")
-        arr = np.array(self.components, dtype=float)
+        arr = self.components if _owned else np.array(self.components, dtype=float)
         if arr.shape != (self.n,) * 4:
             raise ValueError(
                 f"component array has shape {arr.shape}, expected {(self.n,) * 4}"
@@ -202,17 +206,17 @@ class CurvatureTensor:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("cannot add curvature tensors of different dimension")
-        return CurvatureTensor(self.n, self.components + other.components)
+        return CurvatureTensor(self.n, self.components + other.components, _owned=True)
 
     def __mul__(self, a: float) -> "CurvatureTensor":
         if not isinstance(a, (int, float, np.floating, np.integer)):
             return NotImplemented
-        return CurvatureTensor(self.n, float(a) * self.components)
+        return CurvatureTensor(self.n, float(a) * self.components, _owned=True)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "CurvatureTensor":
-        return CurvatureTensor(self.n, -self.components)
+        return CurvatureTensor(self.n, -self.components, _owned=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,7 +374,7 @@ def kulkarni_nomizu(h: np.ndarray | Sym2Tensor, k: np.ndarray | Sym2Tensor) -> C
     K = k.components if isinstance(k, Sym2Tensor) else np.asarray(k, dtype=float)
     if H.ndim != 2 or H.shape != K.shape or H.shape[0] != H.shape[1]:
         raise ValueError("kulkarni_nomizu needs two square matrices of equal shape")
-    return CurvatureTensor(H.shape[0], _kn(H, K))
+    return CurvatureTensor(H.shape[0], _kn(H, K), _owned=True)
 
 
 def _random_terms(rng: np.random.Generator, n: int, terms: int) -> np.ndarray:
@@ -409,7 +413,7 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
     if terms < 1:
         raise ValueError("terms must be >= 1")
     h = _random_terms(np.random.default_rng(seed), n, terms)
-    return CurvatureTensor(n, _alternating_kn(h))
+    return CurvatureTensor(n, _alternating_kn(h), _owned=True)
 
 
 def random_traceless(
@@ -487,6 +491,30 @@ def tensor_to_json(T: CurvatureTensor) -> dict:
             for k, l, v in zip(K[keep].tolist(), L[keep].tolist(), row[keep].tolist())
         ]
     return {"n": T.n, "entries": entries}
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """Exactly what ``json.dumps`` writes with an indent of 2, flat number lists in C.
+
+    Any indent sends json to its pure-Python encoder, one call per value.
+    Here only the nesting is Python: a list of plain ints and floats is
+    one ``json.dumps`` whose ``", "`` separators (which no number holds)
+    become the indented line breaks, and every other scalar and key is
+    one ``json.dumps`` too.  ``pad`` is the line break plus the
+    indentation of ``obj``'s own level.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        # json.dumps({key: 0}) is '{KEY: 0}': KEY as json converts it, str or not.
+        ends, items = "{}", (f"{json.dumps({key: 0})[1:-4]}: {_json_text(value, inner)}"
+                             for key, value in obj.items())
+    elif isinstance(obj, (list, tuple)) and obj:
+        if {*map(type, obj)} <= {int, float}:
+            return f"[{inner}{json.dumps(obj)[1:-1].replace(', ', ',' + inner)}{pad}]"
+        ends, items = "[]", (_json_text(item, inner) for item in obj)
+    else:
+        return json.dumps(obj)
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
 
 
 #: The entry fields as columns: key, the exact types accepted, array dtype.
@@ -574,24 +602,26 @@ def _heads(idx, v: np.ndarray, n: int) -> np.ndarray:
     compared with the head, as in an entry-by-entry fill.
     """
     # Key a class by its smallest flat index; c = sign * v carries each value
-    # to that component.
+    # to that component.  Temporaries go as soon as they are used, since
+    # this runs beside the dense tensor and the entry columns.
     key = _flat(idx, _ORBIT[0][0], n)
-    sign = np.ones(v.size)
+    c = v.copy()
     for slots, s in _ORBIT[1:]:
         f = _flat(idx, slots, n)
         lower = f < key
         key[lower] = f[lower]
-        sign[lower] = s
-    c = sign * v
+        c[lower] = s * v[lower]
+    del f, lower
 
     order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
     new = np.ones(v.size, dtype=bool)
-    new[1:] = sorted_key[1:] != sorted_key[:-1]
+    new[1:] = np.diff(key[order]) != 0
     heads = order[new]
     first = np.empty(v.size, dtype=np.int64)
     first[order] = heads[np.cumsum(new) - 1]
+    del order
     c_first = c[first]
+    del first
     # A class with i == j or k == l holds each component with both signs, so
     # there every entry, the head included, meets both signs of the head's
     # value: the worse gap is |c_head| + |c|.
@@ -642,6 +672,5 @@ def tensor_from_json(obj: dict) -> CurvatureTensor:
     # Allocated first: a size too large to allocate fails here, before the
     # int64 flat indices could overflow.
     R = np.zeros((n, n, n, n))
-    # The helpers' temporaries are gone before CurvatureTensor copies R.
     _fill(R, entries)
-    return CurvatureTensor(n, R)
+    return CurvatureTensor(n, R, _owned=True)

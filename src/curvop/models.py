@@ -65,7 +65,7 @@ def product_spheres(p: int, q: int, r1: float, r2: float) -> CurvatureTensor:
     R = np.zeros((n, n, n, n))
     R[:p, :p, :p, :p] = constant_curvature(p, 1.0 / r1**2).components
     R[p:, p:, p:, p:] = constant_curvature(q, 1.0 / r2**2).components
-    return CurvatureTensor(n, R)
+    return CurvatureTensor(n, R, _owned=True)
 
 
 def fubini_study(m: int) -> CurvatureTensor:
@@ -95,7 +95,7 @@ def fubini_study(m: int) -> CurvatureTensor:
         - np.einsum("il,jk->ijkl", A, A)
         + 2.0 * np.einsum("ij,kl->ijkl", A, A)
     )
-    return CurvatureTensor(n, R)
+    return CurvatureTensor(n, R, _owned=True)
 
 
 # --- model registry and JSON schema ----------------------------------------

@@ -327,5 +327,5 @@ def operator_to_json(M: OperatorMatrix) -> dict:
     return {
         "domain": M.domain,
         "dim": M.dim,
-        "entries": [[float(x) for x in row] for row in M.entries],
+        "entries": M.entries.tolist(),
     }

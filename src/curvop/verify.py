@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -52,6 +51,7 @@ from .core import (
     CurvopError,
     _alternating_kn,
     _fingerprint,
+    _json_text,
     _norm_inf,
     _random_terms,
     _require_finite,
@@ -668,8 +668,7 @@ def persist_violator(T: CurvatureTensor, directory, meta: dict | None = None) ->
     if meta:
         doc = {"meta": meta, **doc}
     path = directory / f"violator_{T.fingerprint}.json"
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+    path.write_text(_json_text(doc))
     return path
 
 
@@ -694,7 +693,7 @@ def fuzz_campaign(
     persisted to ``regression_dir``, the CURVOP_REGRESSION_DIR
     environment variable, or ./regressions, in that order of
     preference.  ``tol`` must be a finite number >= 0, and ``jobs`` is
-    capped at the CPU count and the number of trials.
+    capped at the CPU count and the number of blocks.
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
@@ -709,9 +708,8 @@ def fuzz_campaign(
     start = time.perf_counter()
 
     blocks = _blocks(ns, trials_per_n, e_per_tensor)
-    tensors = trials_per_n * len(ns)
     # A fork-started pool starts every worker at once, even for empty chunks.
-    jobs = min(jobs, os.cpu_count() or 1, tensors)
+    jobs = min(jobs, os.cpu_count() or 1, len(blocks))
     tasks = [(seed, block, e_per_tensor, tol) for block in blocks]
     if jobs <= 1:
         results = list(map(_fuzz_block, tasks))
@@ -756,7 +754,7 @@ def fuzz_campaign(
         trials_per_n=trials_per_n,
         ns=ns,
         e_per_tensor=e_per_tensor,
-        tensors=tensors,
+        tensors=trials_per_n * len(ns),
         tol=tol,
         min_scaled_margins=min_scaled,
         max_quad_dual_rel=max_quad_rel,

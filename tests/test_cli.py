@@ -1,6 +1,7 @@
 """Command-line tests, run through subprocess or in-process through ``main``."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -8,12 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import curvop.verify
 from curvop.cli import main
+from curvop.core import _json_text
 
 SPHERE = '{"model": "constant_curvature", "n": 4, "kappa": 1.0}'
 PRODUCT = '{"model": "product_spheres", "p": 2, "q": 3, "r1": 1.0, "r2": 1.0}'
+CP2 = '{"model": "fubini_study", "m": 2}'
 
 
 def run_cli(*args, check=False):
@@ -371,6 +375,7 @@ GOLDEN_CALLS = {
     "spectrum_s4": ("spectrum", "--model", SPHERE),
     "check_s4_k2": ("check", "--model", SPHERE, "--k", "2.0"),
     "bounds_s4": ("bounds", "--model", SPHERE),
+    "spectrum_cp2_matrices": ("spectrum", "--model", CP2, "--matrices"),
 }
 
 
@@ -385,6 +390,38 @@ def test_machine_formats_match_golden_bytes(capsys, name, fmt):
     code, out, _ = run_main(capsys, *GOLDEN_CALLS[name], "--format", fmt, "--no-timestamp")
     assert code == 0
     assert out == (GOLDEN / f"{name}.{fmt}").read_text()
+
+
+_NUMBERS = st.one_of(
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]),
+)
+_TEXT = st.text() | st.sampled_from([", ", "a, b", "\n", "\u00e9, \u4e2d\n"])
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _NUMBERS, _TEXT, st.floats().map(np.float64)
+)
+_KEYS = st.one_of(_TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.lists(_NUMBERS, max_size=6),
+        st.lists(_NUMBERS | st.booleans() | st.none(), max_size=6),
+        st.lists(_NUMBERS | st.floats().map(np.float64), max_size=6),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(JSON_VALUES)
+@example({"a, b": [[], {}, [1, True, None, 2**70, -0.0, 5e-324, 1e308, math.nan,
+                              math.inf, -math.inf, np.float64(0.1)],
+                   {1: "\u00e9\n, ", 2.5: [], None: {}, False: [[]], math.nan: [0]}]})
+def test_json_text_is_the_indented_json_dump(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 TEXT_CALLS = [

@@ -1,6 +1,7 @@
 """Curvature tensor construction, validation, contractions, serialization."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ def test_components_read_only():
     T = constant_curvature(3, 2.0)
     with pytest.raises(ValueError):
         T.components[0, 1, 0, 1] = 5.0
+
+
+def test_constructor_copies_the_callers_array():
+    arr = random_curvature(seed=4, n=3).components.copy()
+    T = CurvatureTensor(3, arr)
+    before = T.components.copy()
+    arr[0, 1, 0, 1] += 99.0
+    np.testing.assert_array_equal(T.components, before)
+    assert arr.flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -521,6 +531,18 @@ def test_tensor_to_json_matches_the_loop_oracle(n):
     doc = tensor_to_json(T)
     assert doc == loop_tensor_to_json(T)
     assert all(type(e["v"]) is float and type(e["i"]) is int for e in doc["entries"])
+
+
+def test_json_loader_peak_memory_stays_near_the_tensor():
+    """The loader adopts the array it fills and frees its temporaries early."""
+    doc = tensor_to_json(random_curvature(seed=3, n=24))
+    tracemalloc.start()
+    try:
+        T = tensor_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * T.components.nbytes
 
 
 def test_json_zero_tensor():

@@ -34,6 +34,7 @@ from curvop import (
     second_kind_matrix,
     spectrum,
     tensor_from_json,
+    tensor_to_json,
     threshold_profile,
     traceless_ricci,
 )
@@ -388,8 +389,8 @@ def test_fuzz_input_validation():
             fuzz_campaign(seed=0, trials_per_n=5, tol=tol)
 
 
-def test_fuzz_jobs_clamped_to_cpus_and_trials(monkeypatch):
-    """The pool gets min(jobs, cpu count, trials) workers, and none when that is 1."""
+def test_fuzz_jobs_clamped_to_cpus_and_blocks(monkeypatch):
+    """The pool gets min(jobs, cpu count, blocks) workers, and none when that is 1."""
     workers = []
 
     class RecordingPool:
@@ -408,13 +409,20 @@ def test_fuzz_jobs_clamped_to_cpus_and_trials(monkeypatch):
             return map(fn, chunks)
 
     monkeypatch.setattr(curvop.verify, "ProcessPoolExecutor", RecordingPool)
+    # Two blocks (one per n) of two trials each.
     serial = fuzz_campaign(seed=4, trials_per_n=2, ns=(3, 4), e_per_tensor=2).to_json()
-    for cpus, expected in ((8, 4), (3, 3), (None, None)):
+    for cpus, expected in ((8, 2), (3, 2), (None, None)):
         monkeypatch.setattr(curvop.verify.os, "cpu_count", lambda c=cpus: c)
         workers.clear()
         s = fuzz_campaign(seed=4, trials_per_n=2, ns=(3, 4), e_per_tensor=2, jobs=64)
         assert workers == ([] if expected is None else [expected])
         assert s.to_json() == serial
+    # Three trials in one block: no pool at all, whatever the jobs and CPUs.
+    monkeypatch.setattr(curvop.verify.os, "cpu_count", lambda: 8)
+    workers.clear()
+    s = fuzz_campaign(seed=4, trials_per_n=3, ns=(3,), e_per_tensor=2, jobs=2)
+    assert workers == []
+    assert s.to_json() == fuzz_campaign(seed=4, trials_per_n=3, ns=(3,), e_per_tensor=2).to_json()
 
 
 def test_persist_violator_round_trip(tmp_path):
@@ -428,3 +436,12 @@ def test_persist_violator_round_trip(tmp_path):
     np.testing.assert_allclose(
         back.components, T.components, rtol=0, atol=1e-14 * scale
     )
+
+
+def test_persist_violator_writes_the_indented_json_bytes(tmp_path):
+    """The file holds exactly json.dumps(doc, indent=2), with no trailing newline."""
+    T = random_curvature(7, 3)
+    meta = {"check": "demo", "margin": -0.5, "seed": 2**70, "note": "\u00e9, \n"}
+    path = persist_violator(T, tmp_path, meta=meta)
+    expected = json.dumps({"meta": meta, **tensor_to_json(T)}, indent=2)
+    assert path.read_bytes() == expected.encode()
