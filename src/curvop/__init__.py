@@ -30,7 +30,6 @@ from .core import (
     traceless_ricci,
     kulkarni_nomizu,
     random_curvature,
-    random_traceless,
     tensor_to_json,
     tensor_from_json,
 )
@@ -44,7 +43,6 @@ from .operators import (
     second_kind_matrix,
     Spectrum,
     spectrum,
-    quad_form,
     coordinates,
     reconstruct,
     operator_to_json,
@@ -55,13 +53,6 @@ from .weighted import (
     k_sum,
     k_verdict,
     greedy_min,
-    greedy_weights,
-    bound_for_m,
-    class_scale,
-    class_add,
-    ImplicationReport,
-    nonneg_implies_bound,
-    sample_weights,
 )
 from .models import (
     constant_curvature,

@@ -14,9 +14,10 @@ rows of its CSV table.  ``--format`` only picks the view: the payload in
 a JSON envelope, the CSV rows, or the payload as indented text.
 
 Exit codes: 0 success / property holds, 1 a checked mathematical
-property fails (negative k-sum, violated bound), 2 malformed input or
-out-of-domain parameters.  With ``--no-timestamp`` any subcommand run
-twice on identical inputs emits byte-identical output.
+property fails (negative k-sum, violated bound), 2 malformed input,
+out-of-domain parameters, or an input too large to allocate.  With
+``--no-timestamp`` any subcommand run twice on identical inputs emits
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -326,6 +327,9 @@ def main(argv=None) -> int:
         code, payload, rows = args.func(args)
     except (CliError, CurvopError, ValueError, OSError) as bad:
         print(f"error: {bad}", file=sys.stderr)
+        return 2
+    except MemoryError as bad:
+        print(f"error: input too large to allocate: {bad}", file=sys.stderr)
         return 2
     if args.format == "json":
         output, ext = _json_text(_envelope(args.command, args, payload)), "json"

@@ -51,7 +51,6 @@ __all__ = [
     "traceless_ricci",
     "kulkarni_nomizu",
     "random_curvature",
-    "random_traceless",
     "tensor_to_json",
     "tensor_from_json",
 ]
@@ -251,10 +250,6 @@ class Sym2Tensor:
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.components))
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order."""
-        return np.linalg.eigvalsh(self.components)
-
 
 @dataclass(frozen=True, eq=False)
 class TracelessSym2(Sym2Tensor):
@@ -289,14 +284,14 @@ def _symmetry_residuals(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.maximum(anti_first, anti_last), pair, bianchi
 
 
-def _require_valid_stack(R: np.ndarray, tol: float = TAU_SYM) -> None:
+def _require_valid_stack(R: np.ndarray) -> None:
     """Validate each tensor of a stack (B, n, n, n, n) as :func:`validate_symmetries` does.
 
     Raises :class:`InvalidTensorError` with the report of the first
     tensor that fails.
     """
     residuals = _symmetry_residuals(R)
-    limit = tol * np.maximum(1.0, _norm_inf(R))
+    limit = TAU_SYM * np.maximum(1.0, _norm_inf(R))
     bad = np.flatnonzero(~(np.max(residuals, axis=0) <= limit))
     if bad.size:
         b = bad[0]
@@ -305,20 +300,20 @@ def _require_valid_stack(R: np.ndarray, tol: float = TAU_SYM) -> None:
         )
 
 
-def validate_symmetries(T: CurvatureTensor, tol: float = TAU_SYM) -> SymmetryReport:
+def validate_symmetries(T: CurvatureTensor) -> SymmetryReport:
     """Measure the residuals of the four defining symmetries of ``T``.
 
     Returns a :class:`SymmetryReport`; ``report.valid`` is True when all
-    residuals are within ``tol * max(1, T.norm_inf())`` (default ``tol``
-    is ``TAU_SYM``), the same scale as the bound checks use.  The report
-    stores that effective tolerance.
+    residuals are within ``TAU_SYM * max(1, T.norm_inf())``, the same
+    scale as the bound checks use.  The report stores that effective
+    tolerance.
     """
     anti, pair, bianchi = _symmetry_residuals(T.components)
     return SymmetryReport(
         antisymmetry=float(anti),
         pair_symmetry=float(pair),
         first_bianchi=float(bianchi),
-        tol=tol * max(1.0, T.norm_inf()),
+        tol=TAU_SYM * max(1.0, T.norm_inf()),
     )
 
 
@@ -414,27 +409,6 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
         raise ValueError("terms must be >= 1")
     h = _random_terms(np.random.default_rng(seed), n, terms)
     return CurvatureTensor(n, _alternating_kn(h), _owned=True)
-
-
-def random_traceless(
-    n: int, rng: np.random.Generator | int, unit: bool = False
-) -> TracelessSym2:
-    """Random trace-free symmetric 2-tensor with normal entries.
-
-    ``rng`` may be a Generator or an integer seed.  With ``unit=True``
-    the result is scaled to Frobenius norm 1.
-    """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    raw = rng.normal(size=(n, n))
-    sym = (raw + raw.T) / 2.0
-    E = sym - (np.trace(sym) / n) * np.eye(n)
-    if unit:
-        nrm = np.linalg.norm(E)
-        if nrm == 0.0:
-            raise ValueError("degenerate zero draw cannot be normalized")
-        E = E / nrm
-    return TracelessSym2(n, E)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ Three families:
   (real dimension 2m), normalized to holomorphic sectional curvature 4,
   so real planes have sectional curvature 1 and Ric = (2m + 2) g.
 
-Each family knows its Ricci tensor in closed form, which the tests use
-as an independent cross-check on the contraction code.  Model
-descriptions round-trip through a small JSON schema, e.g.
+The closed-form Ricci tensor of each family lives in
+``tests/oracles.py`` (``expected_ricci``), as an independent cross-check
+on the contraction code.  Model descriptions round-trip through a small
+JSON schema, e.g.
 
     {"model": "product_spheres", "p": 2, "q": 3, "r1": 1.0, "r2": 1.0}
 """
@@ -103,43 +104,23 @@ def fubini_study(m: int) -> CurvatureTensor:
 _INT = "int"
 _FLOAT = "float"
 
-
-def _ricci_constant(params: dict) -> np.ndarray:
-    n, kappa = params["n"], params["kappa"]
-    return (n - 1) * kappa * np.eye(n)
-
-
-def _ricci_product(params: dict) -> np.ndarray:
-    p, q, r1, r2 = params["p"], params["q"], params["r1"], params["r2"]
-    diag = [(p - 1) / r1**2] * p + [(q - 1) / r2**2] * q
-    return np.diag(diag)
-
-
-def _ricci_fubini(params: dict) -> np.ndarray:
-    m = params["m"]
-    return (2 * m + 2) * np.eye(2 * m)
-
-
 _REGISTRY: dict[str, dict] = {
     "constant_curvature": {
         "doc": "Round space form of sectional curvature kappa in dimension n.",
         "params": {"n": _INT, "kappa": _FLOAT},
         "build": lambda p: constant_curvature(p["n"], p["kappa"]),
-        "ricci": _ricci_constant,
         "example": {"n": 4, "kappa": 1.0},
     },
     "product_spheres": {
         "doc": "Product S^p(r1) x S^q(r2) of round spheres, dimension p + q.",
         "params": {"p": _INT, "q": _INT, "r1": _FLOAT, "r2": _FLOAT},
         "build": lambda p: product_spheres(p["p"], p["q"], p["r1"], p["r2"]),
-        "ricci": _ricci_product,
         "example": {"p": 2, "q": 3, "r1": 1.0, "r2": 1.0},
     },
     "fubini_study": {
         "doc": "Complex projective space CP^m, holomorphic sectional curvature 4.",
         "params": {"m": _INT},
         "build": lambda p: fubini_study(p["m"]),
-        "ricci": _ricci_fubini,
         "example": {"m": 2},
     },
 }
@@ -197,10 +178,6 @@ class ModelSpec:
             return _REGISTRY[self.kind]["build"](self.params)
         except ValueError as bad:
             raise SchemaError(f"model {self.kind!r}: {bad}") from bad
-
-    def expected_ricci(self) -> np.ndarray:
-        """Closed-form Ricci tensor of the model, for cross-checks."""
-        return _REGISTRY[self.kind]["ricci"](self.params)
 
     def to_json(self) -> dict:
         return {"model": self.kind, **self.params}

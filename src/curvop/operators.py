@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CurvatureTensor, Sym2Tensor, TracelessSym2, _require_finite
+from .core import CurvatureTensor, Sym2Tensor, _require_finite
 
 __all__ = [
     "LAMBDA2",
@@ -45,7 +45,6 @@ __all__ = [
     "second_kind_matrix",
     "Spectrum",
     "spectrum",
-    "quad_form",
     "coordinates",
     "reconstruct",
     "operator_to_json",
@@ -213,12 +212,11 @@ class Spectrum:
     Construction rejects non-finite values with :class:`CurvopError`.
 
     ``multiplicities`` groups adjacent eigenvalues whose gap is below
-    ``gap_tol`` relative; the grouping is for reporting only and feeds
-    no numerical decision elsewhere.
+    ``DEGENERACY_GAP`` relative; the grouping is for reporting only and
+    feeds no numerical decision elsewhere.
     """
 
     values: np.ndarray
-    gap_tol: float = DEGENERACY_GAP
 
     def __post_init__(self):
         vals = _spectra(np.ravel(self.values))
@@ -240,7 +238,7 @@ class Spectrum:
         vals = self.values
         start = 0
         for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i] - vals[i - 1] > self.gap_tol * max(
+            if i == len(vals) or vals[i] - vals[i - 1] > DEGENERACY_GAP * max(
                 1.0, abs(vals[i]), abs(vals[i - 1])
             ):
                 cluster = vals[start:i]
@@ -249,36 +247,14 @@ class Spectrum:
         return out
 
 
-def spectrum(M: OperatorMatrix | np.ndarray, gap_tol: float = DEGENERACY_GAP) -> Spectrum:
+def spectrum(M: OperatorMatrix | np.ndarray) -> Spectrum:
     """Eigenvalues of a symmetric operator matrix, ascending.
 
     Accepts an :class:`OperatorMatrix` or a raw symmetric array, which
     is checked as :class:`OperatorMatrix` checks its entries.
     """
     arr = M.entries if isinstance(M, OperatorMatrix) else _symmetric(M)
-    return Spectrum(np.linalg.eigvalsh(arr), gap_tol)
-
-
-def _traceless_components(E, n: int) -> np.ndarray:
-    """Validate and extract trace-free symmetric components from E."""
-    if isinstance(E, Sym2Tensor):
-        E = E.components
-    return TracelessSym2(n, E).components
-
-
-def quad_form(T: CurvatureTensor, E) -> float:
-    """Quadratic form of the second-kind operator: sum R[k,i,j,l] E[k,l] E[i,j].
-
-    Computed directly by index contraction, no frame involved.  Agrees
-    with the matrix quadratic form coordinates(E) . M . coordinates(E) to 1e-10
-    relative; that identity is enforced by the test suite rather than
-    recomputed here.
-    """
-    T.require_valid()
-    arr = _traceless_components(E, T.n)
-    return float(
-        np.einsum("kijl,kl,ij->", T.components, arr, arr, optimize=True)
-    )
+    return Spectrum(np.linalg.eigvalsh(arr))
 
 
 def coordinates(E) -> np.ndarray:

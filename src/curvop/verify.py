@@ -49,6 +49,8 @@ import numpy as np
 from .core import (
     CurvatureTensor,
     CurvopError,
+    Sym2Tensor,
+    TracelessSym2,
     _alternating_kn,
     _fingerprint,
     _json_text,
@@ -64,7 +66,6 @@ from .operators import (
     _second_kind_entries,
     _spectra,
     _symmetric,
-    _traceless_components,
     coordinates,
     s2_traceless_dim,
     second_kind_matrix,
@@ -91,7 +92,7 @@ __all__ = [
 #: Base absolute tolerance for inequality margins, before input scaling.
 TOL_INEQ = 1e-9
 
-#: Default relative tolerance of the Einstein test in the certificate.
+#: Relative tolerance of the Einstein test in the certificate.
 _EINSTEIN_TOL = 1e-9
 
 #: Environment variable naming the directory for persisted violators.
@@ -282,7 +283,9 @@ def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
     with np.errstate(over="ignore", invalid="ignore"):
         if E is None:
             E = traceless_ricci(prep.T)
-        Eb = _traceless_components(E, prep.n)[None, None]
+        if isinstance(E, Sym2Tensor):
+            E = E.components
+        Eb = TracelessSym2(prep.n, E).components[None, None]
         tol_base = _check_tol(TOL_INEQ if tol is None else tol)
         checks, quad_rel, eig_rel = _evaluate(prep, Eb, tol_base)
         reports = []
@@ -400,19 +403,19 @@ class EinsteinCertificate:
         }
 
 
-def einstein_certificate(T, tol: float = _EINSTEIN_TOL) -> EinsteinCertificate:
+def einstein_certificate(T) -> EinsteinCertificate:
     """Test a tensor's second-kind spectrum against both thresholds.
 
     ``is_einstein`` means the trace-free Ricci norm is below
-    tol * (1 + |Ric|_F).  Conclusions are plain-language statements of
+    1e-9 * (1 + |Ric|_F).  Conclusions are plain-language statements of
     what the verdicts imply for a compact manifold with harmonic
     curvature whose curvature tensor equals T at every point.  Raises
     :class:`CurvopError` when a k-sum or a norm is not finite.
     """
-    return _certificate(_prepare(T), tol)
+    return _certificate(_prepare(T))
 
 
-def _certificate(prep: _Prep, tol: float = _EINSTEIN_TOL) -> EinsteinCertificate:
+def _certificate(prep: _Prep) -> EinsteinCertificate:
     """The body of :func:`einstein_certificate` on an already prepared tensor."""
     profile = threshold_profile(prep.n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -426,7 +429,7 @@ def _certificate(prep: _Prep, tol: float = _EINSTEIN_TOL) -> EinsteinCertificate
         "traceless Ricci norm": e_norm,
         "Ricci norm": ric_norm,
     })
-    is_einstein = e_norm <= tol * (1.0 + ric_norm)
+    is_einstein = e_norm <= _EINSTEIN_TOL * (1.0 + ric_norm)
 
     conclusions = []
     if kv_e.nonnegative:

@@ -16,15 +16,15 @@ The special case omega = 1 is the fractional partial sum
 
     k_sum(lam, k) = lam_1 + ... + lam_{floor(k)} + (k - floor(k)) * lam_{floor(k)+1}
 
-whose sign defines k-nonnegativity and k-positivity of a spectrum.
-The two are linked by  greedy_min(lam, [omega, total]) =
-omega * k_sum(lam, total / omega).
+whose sign defines k-nonnegativity and k-positivity of a spectrum, and
+k_sum is computed as that case.  In general greedy_min(lam, [omega,
+total]) = omega * k_sum(lam, total / omega).
 
 Weight classes combine: scaling by a > 0 multiplies both parameters,
 and termwise addition of two classes adds them.  Those rules are not
-assumed here, they are exercised by property tests (superadditivity of
-the greedy minimum, and exact reproduction of known eigenvalue-bound
-arithmetic).
+used here; ``tests/oracles.py`` states them (``class_scale``,
+``class_add``, with the per-count bounds and a weight sampler), and
+property tests exercise them against the greedy minimum.
 """
 
 from __future__ import annotations
@@ -43,13 +43,6 @@ __all__ = [
     "k_sum",
     "k_verdict",
     "greedy_min",
-    "greedy_weights",
-    "bound_for_m",
-    "class_scale",
-    "class_add",
-    "ImplicationReport",
-    "nonneg_implies_bound",
-    "sample_weights",
 ]
 
 #: Absolute half-width of the boundary band around zero for k-verdicts.
@@ -114,10 +107,7 @@ def k_sum(lam, k: float) -> float:
     if k < 1.0 - 1e-12 or k > N * (1.0 + 1e-12):
         raise ValueError(f"k must lie in [1, {N}], got {k}")
     k = min(max(float(k), 1.0), float(N))
-    m = floor(k)
-    if m >= N:
-        return float(arr.sum())
-    return float(arr[:m].sum() + (k - m) * arr[m])
+    return float(_greedy_min(arr, WeightClass(1.0, k)))
 
 
 @dataclass(frozen=True)
@@ -179,153 +169,3 @@ def _greedy_min(arr: np.ndarray, cls: WeightClass) -> np.ndarray:
         return cls.omega * arr.sum(axis=-1)
     return cls.omega * arr[..., :m].sum(axis=-1) + (cls.total - m * cls.omega) * arr[..., m]
 
-
-def greedy_weights(lam, cls: WeightClass) -> np.ndarray:
-    """A minimizing weight vector, aligned with the ascending eigenvalues.
-
-    Caps the first floor(total/omega) weights and puts the remainder on
-    the next one; feasible by construction and attains greedy_min.
-    """
-    arr = _ascending(lam)
-    N = arr.size
-    cls.require_admissible(N)
-    w = np.zeros(N)
-    m = floor(cls.total / cls.omega)
-    if m >= N:
-        w[:] = cls.omega
-        return w
-    w[:m] = cls.omega
-    w[m] = cls.total - m * cls.omega
-    return w
-
-
-def bound_for_m(lam, cls: WeightClass, m: int) -> float:
-    """Candidate lower bound  (total - m omega) lam_{m+1} + omega (lam_1+...+lam_m).
-
-    Valid (<= every weighted sum in the class) for any integer
-    1 <= m <= N - 1; m = N is allowed only when total = N * omega, where
-    the second term is absent.  The greedy choice m = floor(total/omega)
-    maximizes the bound over m.
-    """
-    arr = _ascending(lam)
-    N = arr.size
-    cls.require_admissible(N)
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise ValueError(f"m must be an integer, got {m!r}")
-    if not 1 <= m <= N:
-        raise ValueError(f"m must lie in [1, {N}], got {m}")
-    if m == N:
-        if abs(cls.total - N * cls.omega) > 1e-9 * max(1.0, cls.total):
-            raise ValueError(
-                "m = N requires total = N * omega (no lam_{N+1} exists)"
-            )
-        return float(cls.omega * arr.sum())
-    return float(
-        (cls.total - m * cls.omega) * arr[m] + cls.omega * arr[:m].sum()
-    )
-
-
-def class_scale(a: float, cls: WeightClass) -> WeightClass:
-    """Scale a class by a > 0: both the cap and the total multiply by a."""
-    if not (a > 0.0) or not np.isfinite(a):
-        raise ValueError(f"scale factor must be positive and finite, got {a!r}")
-    return WeightClass(omega=a * cls.omega, total=a * cls.total)
-
-
-def class_add(c1: WeightClass, c2: WeightClass) -> WeightClass:
-    """Termwise sum of two classes: caps add, totals add."""
-    return WeightClass(omega=c1.omega + c2.omega, total=c1.total + c2.total)
-
-
-@dataclass(frozen=True)
-class ImplicationReport:
-    """Check that k-nonnegativity forces a nonnegative greedy minimum.
-
-    With k = total/omega, the greedy identity makes the implication
-    exact; ``holds`` records it up to the tolerance, and ``vacuous``
-    marks spectra that are not k-nonnegative to begin with.
-    """
-
-    k: float
-    verdict: KVerdict
-    greedy: float
-    holds: bool
-    vacuous: bool
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "k_sum": self.verdict.value,
-            "greedy": self.greedy,
-            "holds": self.holds,
-            "vacuous": self.vacuous,
-        }
-
-
-def nonneg_implies_bound(lam, cls: WeightClass, tol: float = 1e-9) -> ImplicationReport:
-    """If lam is (total/omega)-nonnegative then greedy_min >= -tol."""
-    arr = _ascending(lam)
-    cls.require_admissible(arr.size)
-    k = cls.k
-    verdict = k_verdict(arr, k)
-    g = greedy_min(arr, cls)
-    vacuous = not verdict.nonnegative
-    holds = True if vacuous else g >= -tol
-    return ImplicationReport(k=k, verdict=verdict, greedy=g, holds=holds, vacuous=vacuous)
-
-
-def sample_weights(
-    rng: np.random.Generator | int,
-    cls: WeightClass,
-    N: int,
-    count: int,
-    extreme_fraction: float = 0.5,
-) -> np.ndarray:
-    """Random admissible weight vectors, shape (count, N).
-
-    Half the draws (by default) are vertices of the polytope: the cap on
-    floor(total/omega) randomly chosen coordinates and the remainder on
-    another.  The rest are interior points, built by scaling a Dirichlet
-    draw to the total and water-filling the excess over the cap back
-    onto coordinates with room.  Every row satisfies 0 <= w <= omega and
-    sum w = total up to roundoff.
-    """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    cls.require_admissible(N)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    omega, total = cls.omega, cls.total
-    n_ext = int(round(count * extreme_fraction))
-    rows = []
-
-    m = floor(total / omega)
-    rem = total - m * omega
-    for _ in range(n_ext):
-        w = np.zeros(N)
-        perm = rng.permutation(N)
-        w[perm[:m]] = omega
-        if m < N and rem > 0.0:
-            w[perm[m]] = rem
-        rows.append(w)
-
-    n_int = count - n_ext
-    if n_int > 0:
-        w = rng.dirichlet(np.ones(N), size=n_int) * total
-        for _ in range(200):
-            np.clip(w, 0.0, omega, out=w)
-            deficit = total - w.sum(axis=1)
-            if np.all(np.abs(deficit) <= 1e-12 * max(1.0, total)):
-                break
-            room = omega - w
-            room_total = room.sum(axis=1)
-            room_total[room_total == 0.0] = 1.0
-            w += deficit[:, None] * room / room_total[:, None]
-        np.clip(w, 0.0, omega, out=w)
-        rows.extend(w)
-
-    out = np.stack(rows)
-    sums = out.sum(axis=1)
-    if np.max(np.abs(sums - total)) > 1e-9 * max(1.0, total):
-        raise RuntimeError("weight sampler failed to hit the total within tolerance")
-    return out

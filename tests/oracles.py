@@ -1,11 +1,14 @@
 """Independent brute-force implementations used as test oracles.
 
-Everything here is written with explicit Python loops, a generic LP
+Most of this is written with explicit Python loops, a generic LP
 solver, or dense contractions over explicit basis stacks, deliberately
 avoiding the index-gather code paths under test.  Slow but unambiguous.
+The rest, from ``greedy_weights`` on, is paper arithmetic that only
+tests compare against.
 """
 
 from functools import lru_cache
+from math import floor
 
 import numpy as np
 from scipy.optimize import linprog
@@ -13,6 +16,8 @@ from scipy.optimize import linprog
 from curvop import (
     CurvatureTensor,
     SchemaError,
+    Sym2Tensor,
+    TracelessSym2,
     WeightClass,
     coordinates,
     greedy_min,
@@ -21,6 +26,7 @@ from curvop import (
     s2_traceless_dim,
     second_kind_matrix,
 )
+from curvop.weighted import _ascending
 
 
 def loop_symmetry_residuals(R):
@@ -316,7 +322,7 @@ def fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float) 
     matrix = second_kind_matrix(T).entries
     lam, eigvecs = np.linalg.eigh(matrix)
     ric = ricci(T)
-    ric_min = float(ric.eigenvalues()[0])
+    ric_min = float(np.linalg.eigvalsh(ric.components)[0])
     s = ric.trace()
     scale = max(1.0, T.norm_inf())
     tol = tol_base * scale
@@ -376,3 +382,183 @@ def fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float) 
 def fuzz_trials(seed: int, items, e_per_tensor: int, tol_base: float) -> list[dict]:
     """:func:`fuzz_trial` for each (idx, n) of ``items``, in order."""
     return [fuzz_trial(idx, n, seed, e_per_tensor, tol_base) for idx, n in items]
+
+
+def greedy_weights(lam, cls: WeightClass) -> np.ndarray:
+    """A minimizing weight vector, aligned with the ascending eigenvalues.
+
+    Caps the first floor(total/omega) weights and puts the remainder on
+    the next one; feasible by construction and attains greedy_min.
+    """
+    arr = _ascending(lam)
+    N = arr.size
+    cls.require_admissible(N)
+    w = np.zeros(N)
+    m = floor(cls.total / cls.omega)
+    if m >= N:
+        w[:] = cls.omega
+        return w
+    w[:m] = cls.omega
+    w[m] = cls.total - m * cls.omega
+    return w
+
+
+def bound_for_m(lam, cls: WeightClass, m: int) -> float:
+    """Candidate lower bound  (total - m omega) lam_{m+1} + omega (lam_1+...+lam_m).
+
+    Valid (<= every weighted sum in the class) for any integer
+    1 <= m <= N - 1; m = N is allowed only when total = N * omega, where
+    the second term is absent.  The greedy choice m = floor(total/omega)
+    maximizes the bound over m.
+    """
+    arr = _ascending(lam)
+    N = arr.size
+    cls.require_admissible(N)
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if not 1 <= m <= N:
+        raise ValueError(f"m must lie in [1, {N}], got {m}")
+    if m == N:
+        if abs(cls.total - N * cls.omega) > 1e-9 * max(1.0, cls.total):
+            raise ValueError(
+                "m = N requires total = N * omega (no lam_{N+1} exists)"
+            )
+        return float(cls.omega * arr.sum())
+    return float(
+        (cls.total - m * cls.omega) * arr[m] + cls.omega * arr[:m].sum()
+    )
+
+
+def class_scale(a: float, cls: WeightClass) -> WeightClass:
+    """Scale a class by a > 0: both the cap and the total multiply by a."""
+    if not (a > 0.0) or not np.isfinite(a):
+        raise ValueError(f"scale factor must be positive and finite, got {a!r}")
+    return WeightClass(omega=a * cls.omega, total=a * cls.total)
+
+
+def class_add(c1: WeightClass, c2: WeightClass) -> WeightClass:
+    """Termwise sum of two classes: caps add, totals add."""
+    return WeightClass(omega=c1.omega + c2.omega, total=c1.total + c2.total)
+
+
+def sample_weights(
+    rng: np.random.Generator | int,
+    cls: WeightClass,
+    N: int,
+    count: int,
+    extreme_fraction: float = 0.5,
+) -> np.ndarray:
+    """Random admissible weight vectors, shape (count, N).
+
+    Half the draws (by default) are vertices of the polytope: the cap on
+    floor(total/omega) randomly chosen coordinates and the remainder on
+    another.  The rest are interior points, built by scaling a Dirichlet
+    draw to the total and water-filling the excess over the cap back
+    onto coordinates with room.  Every row satisfies 0 <= w <= omega and
+    sum w = total up to roundoff.
+    """
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    cls.require_admissible(N)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    omega, total = cls.omega, cls.total
+    n_ext = int(round(count * extreme_fraction))
+    rows = []
+
+    m = floor(total / omega)
+    rem = total - m * omega
+    for _ in range(n_ext):
+        w = np.zeros(N)
+        perm = rng.permutation(N)
+        w[perm[:m]] = omega
+        if m < N and rem > 0.0:
+            w[perm[m]] = rem
+        rows.append(w)
+
+    n_int = count - n_ext
+    if n_int > 0:
+        w = rng.dirichlet(np.ones(N), size=n_int) * total
+        for _ in range(200):
+            np.clip(w, 0.0, omega, out=w)
+            deficit = total - w.sum(axis=1)
+            if np.all(np.abs(deficit) <= 1e-12 * max(1.0, total)):
+                break
+            room = omega - w
+            room_total = room.sum(axis=1)
+            room_total[room_total == 0.0] = 1.0
+            w += deficit[:, None] * room / room_total[:, None]
+        np.clip(w, 0.0, omega, out=w)
+        rows.extend(w)
+
+    out = np.stack(rows)
+    sums = out.sum(axis=1)
+    if np.max(np.abs(sums - total)) > 1e-9 * max(1.0, total):
+        raise RuntimeError("weight sampler failed to hit the total within tolerance")
+    return out
+
+
+def quad_form(T: CurvatureTensor, E) -> float:
+    """Quadratic form of the second-kind operator: sum R[k,i,j,l] E[k,l] E[i,j].
+
+    Computed directly by index contraction, no frame involved.  Agrees
+    with the matrix quadratic form coordinates(E) . M . coordinates(E) to 1e-10
+    relative; that identity is enforced by the test suite rather than
+    recomputed here.
+    """
+    T.require_valid()
+    if isinstance(E, Sym2Tensor):
+        E = E.components
+    arr = TracelessSym2(T.n, E).components
+    return float(
+        np.einsum("kijl,kl,ij->", T.components, arr, arr, optimize=True)
+    )
+
+
+def random_traceless(
+    n: int, rng: np.random.Generator | int, unit: bool = False
+) -> TracelessSym2:
+    """Random trace-free symmetric 2-tensor with normal entries.
+
+    ``rng`` may be a Generator or an integer seed.  With ``unit=True``
+    the result is scaled to Frobenius norm 1.
+    """
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    raw = rng.normal(size=(n, n))
+    sym = (raw + raw.T) / 2.0
+    E = sym - (np.trace(sym) / n) * np.eye(n)
+    if unit:
+        nrm = np.linalg.norm(E)
+        if nrm == 0.0:
+            raise ValueError("degenerate zero draw cannot be normalized")
+        E = E / nrm
+    return TracelessSym2(n, E)
+
+
+def _ricci_constant(params: dict) -> np.ndarray:
+    n, kappa = params["n"], params["kappa"]
+    return (n - 1) * kappa * np.eye(n)
+
+
+def _ricci_product(params: dict) -> np.ndarray:
+    p, q, r1, r2 = params["p"], params["q"], params["r1"], params["r2"]
+    diag = [(p - 1) / r1**2] * p + [(q - 1) / r2**2] * q
+    return np.diag(diag)
+
+
+def _ricci_fubini(params: dict) -> np.ndarray:
+    m = params["m"]
+    return (2 * m + 2) * np.eye(2 * m)
+
+
+_RICCI = {
+    "constant_curvature": _ricci_constant,
+    "product_spheres": _ricci_product,
+    "fubini_study": _ricci_fubini,
+}
+
+
+def expected_ricci(spec) -> np.ndarray:
+    """Closed-form Ricci tensor of a ``ModelSpec``, for cross-checks."""
+    return _RICCI[spec.kind](spec.params)

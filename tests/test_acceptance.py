@@ -18,22 +18,19 @@ import pytest
 from curvop import (
     WeightClass,
     all_checks,
-    bound_for_m,
     constant_curvature,
     first_kind_matrix,
     fuzz_campaign,
     greedy_min,
     k_sum,
     product_spheres,
-    random_traceless,
-    sample_weights,
     second_kind_matrix,
     spectrum,
     threshold_profile,
     traceless_ricci,
 )
 
-from oracles import grid_min
+from oracles import bound_for_m, grid_min, random_traceless, sample_weights
 
 
 def _announce(tag: str):

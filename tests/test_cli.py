@@ -258,6 +258,27 @@ def test_non_finite_input_or_result_leaves_stderr_clean(tmp_path, name):
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+def _unable_to_allocate(*args, **kwargs):
+    """Raise what numpy raises for an array larger than memory, allocating nothing."""
+    raise MemoryError(
+        "Unable to allocate 7.28 TiB for an array with shape (1000, 1000, 1000, 1000) "
+        "and data type float64"
+    )
+
+
+@pytest.mark.parametrize("target, args", [
+    ("curvop.models.constant_curvature",
+     ("spectrum", "--model", '{"model": "constant_curvature", "n": 1000, "kappa": 1.0}')),
+    ("curvop.verify._block_draws", ("fuzz", "--n", "1000", "--trials", "1")),
+], ids=["spectrum", "fuzz"])
+def test_input_too_large_to_allocate_exits_two(capsys, monkeypatch, target, args):
+    monkeypatch.setattr(target, _unable_to_allocate)
+    code, out, err = run_main(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Unable to allocate 7.28 TiB" in err and "Traceback" not in err
+
+
 def test_missing_source_is_a_usage_error():
     proc = run_cli("spectrum")
     assert proc.returncode == 2

@@ -18,7 +18,6 @@ from curvop import (
     constant_curvature,
     kulkarni_nomizu,
     random_curvature,
-    random_traceless,
     ricci,
     scalar,
     tensor_from_json,
@@ -35,6 +34,7 @@ from oracles import (
     loop_ricci,
     loop_scalar,
     loop_symmetry_residuals,
+    random_traceless,
     slice_ricci,
 )
 

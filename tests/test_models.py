@@ -19,7 +19,7 @@ from curvop import (
     traceless_ricci,
 )
 
-from oracles import loop_ricci
+from oracles import expected_ricci, loop_ricci
 
 
 # --- constant curvature -------------------------------------------------------
@@ -187,7 +187,7 @@ def test_model_spec_builds_and_matches_closed_form_ricci():
         T = spec.build()
         assert isinstance(T, CurvatureTensor)
         np.testing.assert_allclose(
-            ricci(T).components, spec.expected_ricci(), rtol=0, atol=1e-12
+            ricci(T).components, expected_ricci(spec), rtol=0, atol=1e-12
         )
 
 

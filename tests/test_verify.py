@@ -18,8 +18,6 @@ from curvop import (
     TracelessSym2,
     WeightClass,
     all_checks,
-    class_add,
-    class_scale,
     constant_curvature,
     einstein_certificate,
     fubini_study,
@@ -30,7 +28,6 @@ from curvop import (
     persist_violator,
     product_spheres,
     random_curvature,
-    random_traceless,
     second_kind_matrix,
     spectrum,
     tensor_from_json,
@@ -39,7 +36,7 @@ from curvop import (
     traceless_ricci,
 )
 
-from oracles import loop_basis_s2
+from oracles import class_add, class_scale, loop_basis_s2, random_traceless
 
 
 def _check(T, name, E=None, **kwargs):
@@ -232,6 +229,10 @@ def test_all_checks_validates_e():
         all_checks(T, E=np.eye(3))
     with pytest.raises(TraceError):
         all_checks(T, E=np.eye(4))
+    sphere = constant_curvature(3, 1.0)
+    with pytest.raises(ValueError, match="not symmetric"):
+        all_checks(sphere, E=np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0.0]]))
+    assert _check(sphere, "quadform_lower_bound", np.zeros((3, 3))).lhs == 0.0
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
