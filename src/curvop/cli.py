@@ -23,7 +23,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -85,6 +84,8 @@ def _envelope(command: str, args, payload: dict) -> dict:
 
 
 def _csv_text(rows: list[list]) -> str:
+    import csv  # only the CSV view needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -96,6 +97,9 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, list):
+        if {*map(type, value)} <= {float}:
+            # A list of plain floats, such as a matrix row, is one % format.
+            return "[" + ", ".join(["%.12g"] * len(value)) % tuple(value) + "]"
         return "[" + ", ".join(map(_cell, value)) + "]"
     if isinstance(value, str):
         return value

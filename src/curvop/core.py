@@ -115,7 +115,7 @@ class SymmetryReport:
     antisymmetry: float
     pair_symmetry: float
     first_bianchi: float
-    tol: float = TAU_SYM
+    tol: float
 
     @property
     def max_violation(self) -> float:
@@ -147,9 +147,15 @@ def _fingerprint(R: np.ndarray) -> str:
     return h.hexdigest()[:16]
 
 
+_AXES = (-4, -3, -2, -1)
+
+
 def _norm_inf(R: np.ndarray) -> np.ndarray:
-    """Largest absolute component of each tensor in a stack (..., n, n, n, n)."""
-    return np.max(np.abs(R), axis=(-4, -3, -2, -1))
+    """Largest absolute component of each tensor in a stack (..., n, n, n, n).
+
+    Taken as max(max R, -min R): two reductions and no temporary.
+    """
+    return np.maximum(np.max(R, axis=_AXES), -np.min(R, axis=_AXES))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,19 +274,32 @@ class TracelessSym2(Sym2Tensor):
             )
 
 
+#: Symmetry validation walks a stack in slabs of the tensors' first index of
+#: at most this many bytes (or one index), which bounds its temporaries.
+_SLAB_BYTES = 1 << 20
+
+
 def _symmetry_residuals(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(antisymmetry, pair symmetry, first Bianchi) maxima of each tensor in a stack.
 
-    ``R`` has shape (..., n, n, n, n); each residual has shape (...).
+    ``R`` has shape (..., n, n, n, n); each residual has shape (...).  The
+    four sums are formed one slab of the first index i at a time.
     """
-    def worst(X):
-        return np.max(np.abs(X), axis=(-4, -3, -2, -1))
+    def sums(s):
+        Ri = R[..., s, :, :, :]
+        yield Ri + np.swapaxes(R[..., :, s, :, :], -4, -3)  # + R[j,i,k,l]
+        yield Ri + np.swapaxes(Ri, -2, -1)  # + R[i,j,l,k]
+        yield Ri - np.moveaxis(R[..., :, :, s, :], (-4, -3), (-2, -1))  # - R[k,l,i,j]
+        # Cyclic sum over the last three slots: R[i,j,k,l] + R[i,k,l,j] + R[i,l,j,k].
+        yield Ri + np.moveaxis(Ri, -1, -3) + np.moveaxis(Ri, -3, -1)
 
-    anti_first = worst(R + np.swapaxes(R, -4, -3))
-    anti_last = worst(R + np.swapaxes(R, -2, -1))
-    pair = worst(R - np.swapaxes(np.swapaxes(R, -4, -2), -3, -1))
-    # Cyclic sum over the last three slots: R[i,j,k,l] + R[i,k,l,j] + R[i,l,j,k].
-    bianchi = worst(R + np.moveaxis(R, -1, -3) + np.moveaxis(R, -3, -1))
+    n = R.shape[-1]
+    step = max(1, _SLAB_BYTES // (R.nbytes // n))
+    worst = None
+    for start in range(0, n, step):
+        here = [np.max(np.abs(X, out=X), axis=_AXES) for X in sums(slice(start, start + step))]
+        worst = here if worst is None else list(map(np.maximum, worst, here))
+    anti_first, anti_last, pair, bianchi = worst
     return np.maximum(anti_first, anti_last), pair, bianchi
 
 
@@ -331,12 +350,17 @@ def scalar(T: CurvatureTensor) -> float:
 
 def traceless_ricci(T: CurvatureTensor) -> TracelessSym2:
     """Trace-free part of the Ricci tensor: Ric - (s/n) g."""
-    ric = ricci(T)
-    E = ric.components - (ric.trace() / T.n) * np.eye(T.n)
+    return _trace_free(ricci(T).components)
+
+
+def _trace_free(ric: np.ndarray) -> TracelessSym2:
+    """Trace-free part ric - (tr ric / n) g of a symmetric n x n matrix."""
+    n = ric.shape[-1]
+    E = ric - (np.trace(ric) / n) * np.eye(n)
     # One more exact projection step kills the O(eps * s) rounding residue
     # so the TracelessSym2 invariant holds even for large-scale tensors.
-    E = E - (np.trace(E) / T.n) * np.eye(T.n)
-    return TracelessSym2(T.n, E)
+    E = E - (np.trace(E) / n) * np.eye(n)
+    return TracelessSym2(n, E)
 
 
 def _kn(H: np.ndarray, K: np.ndarray) -> np.ndarray:

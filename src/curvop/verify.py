@@ -40,8 +40,8 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +58,9 @@ from .core import (
     _random_terms,
     _require_finite,
     _require_valid_stack,
+    _trace_free,
     random_curvature,
     tensor_to_json,
-    traceless_ricci,
 )
 from .operators import (
     _second_kind_entries,
@@ -193,6 +193,11 @@ class _Prep:
         self.s = np.trace(self.ric, axis1=-2, axis2=-1)
         self.scale = np.maximum(1.0, _norm_inf(R))
 
+    @cached_property
+    def traceless_ricci(self) -> TracelessSym2:
+        """The trace-free Ricci tensor of the one tensor of :func:`_prepare`."""
+        return _trace_free(self.ric[0])
+
 
 def _prepare(T: CurvatureTensor) -> _Prep:
     """The context of one validated tensor, a stack with B = 1."""
@@ -282,7 +287,7 @@ def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
     """The body of :func:`all_checks` on an already prepared tensor."""
     with np.errstate(over="ignore", invalid="ignore"):
         if E is None:
-            E = traceless_ricci(prep.T)
+            E = prep.traceless_ricci
         if isinstance(E, Sym2Tensor):
             E = E.components
         Eb = TracelessSym2(prep.n, E).components[None, None]
@@ -421,7 +426,7 @@ def _certificate(prep: _Prep) -> EinsteinCertificate:
     with np.errstate(over="ignore", invalid="ignore"):
         kv_e = k_verdict(prep.lam[0], profile.einstein_threshold)
         kv_c = k_verdict(prep.lam[0], profile.constant_curvature_threshold)
-        e_norm = traceless_ricci(prep.T).frobenius()
+        e_norm = prep.traceless_ricci.frobenius()
         ric_norm = float(np.linalg.norm(prep.ric[0]))
     _require_finite({
         "einstein threshold k-sum": kv_e.value,
@@ -695,8 +700,8 @@ def fuzz_campaign(
     for jobs=1 and jobs>1.  Violators (margin below -tol * scale) are
     persisted to ``regression_dir``, the CURVOP_REGRESSION_DIR
     environment variable, or ./regressions, in that order of
-    preference.  ``tol`` must be a finite number >= 0, and ``jobs`` is
-    capped at the CPU count and the number of blocks.
+    preference.  ``tol`` must be a finite number >= 0, and ``jobs`` an
+    integer >= 1, capped at the CPU count and the number of blocks.
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
@@ -704,6 +709,8 @@ def fuzz_campaign(
         raise ValueError("trials_per_n must be >= 1")
     if e_per_tensor < 1:
         raise ValueError("e_per_tensor must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     _check_tol(tol)
     ns = tuple(int(n) for n in ns)
     if any(n < 3 for n in ns):
@@ -717,6 +724,10 @@ def fuzz_campaign(
     if jobs <= 1:
         results = list(map(_fuzz_block, tasks))
     else:
+        # Imported only here: the pool pulls in multiprocessing, which every
+        # other command would otherwise load at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_fuzz_block, tasks))
 

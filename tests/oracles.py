@@ -50,6 +50,22 @@ def loop_symmetry_residuals(R):
     return anti, pair, bianchi
 
 
+def dense_symmetry_residuals(R):
+    """(antisymmetry, pair symmetry, first Bianchi) maxima of each tensor in a stack.
+
+    ``R`` has shape (..., n, n, n, n).  Each sum is one whole n^4 array,
+    with no slabs: the reference for ``core._symmetry_residuals``.
+    """
+    def worst(X):
+        return np.max(np.abs(X), axis=(-4, -3, -2, -1))
+
+    anti_first = worst(R + np.swapaxes(R, -4, -3))
+    anti_last = worst(R + np.swapaxes(R, -2, -1))
+    pair = worst(R - np.swapaxes(np.swapaxes(R, -4, -2), -3, -1))
+    bianchi = worst(R + np.moveaxis(R, -1, -3) + np.moveaxis(R, -3, -1))
+    return np.maximum(anti_first, anti_last), pair, bianchi
+
+
 def _loop_orbit(i, j, k, l, v):
     yield i, j, k, l, v
     yield j, i, k, l, -v

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import curvop.verify
-from curvop.cli import main
+from curvop.cli import _cell, main
 from curvop.core import _json_text
 
 SPHERE = '{"model": "constant_curvature", "n": 4, "kappa": 1.0}'
@@ -323,7 +323,9 @@ def test_fuzz_rejects_bad_arguments_with_exit_two():
                        (("--seed", "-1"), "seed"),
                        (("--trials", "0"), "trials_per_n"),
                        (("--tol", "-1"), "tol"),
-                       (("--tol", "nan"), "tol")):
+                       (("--tol", "nan"), "tol"),
+                       (("--jobs", "0"), "jobs"),
+                       (("--jobs", "-3"), "jobs")):
         proc = run_cli("fuzz", "--n", "3", *args)
         assert proc.returncode == 2, (args, proc.stderr)
         assert word in proc.stderr, (args, proc.stderr)
@@ -351,6 +353,29 @@ def test_bounds_assembles_and_eigensolves_once(capsys, monkeypatch):
     code, _, _ = run_main(capsys, "bounds", "--model", PRODUCT, "--format", "json")
     assert code == 0
     assert calls == {"second_kind_matrix": 1, "eigh": 1}
+
+
+def test_bounds_contracts_ricci_once(capsys, monkeypatch):
+    subscripts = []
+    einsum = np.einsum
+
+    def recording(*args, **kwargs):
+        subscripts.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    code, _, _ = run_main(capsys, "bounds", "--model", PRODUCT, "--format", "json")
+    assert code == 0
+    assert sum("kikj" in s for s in subscripts) == 1
+
+
+def test_cli_import_skips_the_process_pool():
+    """The pool's modules load only when ``fuzz --jobs`` > 1 runs one."""
+    probe = ("import sys, curvop.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'csv')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_repeated_runs_are_byte_identical():
@@ -398,6 +423,20 @@ GOLDEN_CALLS = {
     "bounds_s4": ("bounds", "--model", SPHERE),
     "spectrum_cp2_matrices": ("spectrum", "--model", CP2, "--matrices"),
 }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CALLS))
+def test_text_matches_golden_bytes(capsys, name):
+    """The default text view is pinned byte for byte too (floats as .12g)."""
+    code, out, _ = run_main(capsys, *GOLDEN_CALLS[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from([-0.0, 5e-324, 1e300, 1e-300]), max_size=8))
+def test_float_list_cell_is_each_float_as_12g(values):
+    assert _cell(values) == "[" + ", ".join(f"{v:.12g}" for v in values) + "]"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -25,9 +25,11 @@ from curvop import (
     traceless_ricci,
     validate_symmetries,
 )
+from curvop.core import _SLAB_BYTES, SymmetryReport, _require_valid_stack, _symmetry_residuals
 from curvop.operators import first_kind_matrix, spectrum
 
 from oracles import (
+    dense_symmetry_residuals,
     loop_kulkarni_nomizu,
     loop_tensor_from_json,
     loop_tensor_to_json,
@@ -58,6 +60,72 @@ def test_symmetry_report_matches_loop_oracle(n):
     assert rep.pair_symmetry == pytest.approx(pair, abs=1e-15)
     assert rep.first_bianchi == pytest.approx(bianchi, abs=1e-15)
     assert rep.valid
+
+
+def _perturbed(R, seed, eps):
+    """A copy of R with eps added to three random components."""
+    R = R.copy()
+    R.reshape(-1)[np.random.default_rng(seed).integers(R.size, size=3)] += eps
+    return R
+
+
+def _assert_bitwise(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+# At n = 23 and 40 the tensor spans several slabs of _SLAB_BYTES (10 and 2
+# first indices each), and at 23 the last slab is partial.
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 23, 40])
+def test_slab_residuals_are_bitwise_the_dense_reference(n):
+    assert 23**4 * 8 > _SLAB_BYTES
+    valid = random_curvature(n, n).components
+    garbage = np.random.default_rng(n).normal(size=(n,) * 4)
+    for seed, R in enumerate([valid, _perturbed(valid, n, 1e-3), garbage]):
+        want = dense_symmetry_residuals(R)
+        _assert_bitwise(_symmetry_residuals(R), want)
+        rep = validate_symmetries(CurvatureTensor(n, R))
+        expected = SymmetryReport(
+            *map(float, want), tol=TAU_SYM * max(1.0, float(np.max(np.abs(R))))
+        )
+        assert rep == expected
+        if not rep.valid:
+            with pytest.raises(InvalidTensorError) as info:
+                _require_valid_stack(R[None])
+            assert str(info.value) == str(InvalidTensorError(expected))
+
+
+# (5, 8) and (32, 6) are fuzz blocks, one slab each; (3, 20) spans four slabs.
+@pytest.mark.parametrize("B, n", [(5, 8), (32, 6), (3, 20)])
+def test_slab_residuals_of_stacks_are_bitwise_the_dense_reference(B, n):
+    R = np.stack([random_curvature(100 * n + b, n).components for b in range(B)])
+    _assert_bitwise(_symmetry_residuals(R), dense_symmetry_residuals(R))
+    bad = R.copy()
+    bad[B // 2] = _perturbed(R[B // 2], B, 1e-3)
+    bad[-1] = _perturbed(R[-1], n, 1e-2)
+    want = dense_symmetry_residuals(bad)
+    _assert_bitwise(_symmetry_residuals(bad), want)
+    with pytest.raises(InvalidTensorError) as info:
+        _require_valid_stack(bad)
+    b = B // 2
+    tol = TAU_SYM * max(1.0, float(np.max(np.abs(bad[b]))))
+    assert info.value.report == SymmetryReport(*(float(r[b]) for r in want), tol=tol)
+
+
+def test_validation_holds_no_full_size_temporary():
+    T = random_curvature(1, 40)
+    tracemalloc.start()
+    try:
+        assert validate_symmetries(T).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _SLAB_BYTES < T.components.nbytes / 4
+
+
+def test_symmetry_report_needs_its_tolerance():
+    with pytest.raises(TypeError):
+        SymmetryReport(0.0, 0.0, 0.0)
 
 
 def test_single_entry_perturbation_detected():

@@ -1,5 +1,6 @@
 """Spectral lower bounds, dimension thresholds, certificates, and fuzzing."""
 
+import concurrent.futures
 import json
 import math
 import warnings
@@ -385,6 +386,9 @@ def test_fuzz_input_validation():
         fuzz_campaign(seed=0, trials_per_n=5, ns=(2, 3))
     with pytest.raises(ValueError, match="e_per_tensor"):
         fuzz_campaign(seed=0, trials_per_n=5, e_per_tensor=0)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            fuzz_campaign(seed=0, trials_per_n=5, jobs=jobs)
     for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol"):
             fuzz_campaign(seed=0, trials_per_n=5, tol=tol)
@@ -409,7 +413,7 @@ def test_fuzz_jobs_clamped_to_cpus_and_blocks(monkeypatch):
         def map(self, fn, chunks):
             return map(fn, chunks)
 
-    monkeypatch.setattr(curvop.verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # Two blocks (one per n) of two trials each.
     serial = fuzz_campaign(seed=4, trials_per_n=2, ns=(3, 4), e_per_tensor=2).to_json()
     for cpus, expected in ((8, 2), (3, 2), (None, None)):
