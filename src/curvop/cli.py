@@ -97,9 +97,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, list):
-        if {*map(type, value)} <= {float}:
-            # A list of plain floats, such as a matrix row, is one % format.
-            return "[" + ", ".join(["%.12g"] * len(value)) % tuple(value) + "]"
         return "[" + ", ".join(map(_cell, value)) + "]"
     if isinstance(value, str):
         return value

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import curvop.verify
-from curvop.cli import _cell, main
+from curvop.cli import main
 from curvop.core import _json_text
 
 SPHERE = '{"model": "constant_curvature", "n": 4, "kappa": 1.0}'
@@ -431,12 +431,6 @@ def test_text_matches_golden_bytes(capsys, name):
     code, out, _ = run_main(capsys, *GOLDEN_CALLS[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats() | st.sampled_from([-0.0, 5e-324, 1e300, 1e-300]), max_size=8))
-def test_float_list_cell_is_each_float_as_12g(values):
-    assert _cell(values) == "[" + ", ".join(f"{v:.12g}" for v in values) + "]"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
