@@ -158,6 +158,14 @@ def _norm_inf(R: np.ndarray) -> np.ndarray:
     return np.maximum(np.max(R, axis=_AXES), -np.min(R, axis=_AXES))
 
 
+def _scale(R: np.ndarray) -> np.ndarray:
+    """max(1, largest absolute component) of each tensor in a stack: the tolerances' scale.
+
+    A NaN component gives 1, so an invalid report still states a number.
+    """
+    return np.fmax(1.0, _norm_inf(R))
+
+
 @dataclass(frozen=True, eq=False)
 class CurvatureTensor:
     """Dense curvature tensor with components R[i,j,k,l] in an orthonormal frame.
@@ -310,7 +318,7 @@ def _require_valid_stack(R: np.ndarray) -> None:
     tensor that fails.
     """
     residuals = _symmetry_residuals(R)
-    limit = TAU_SYM * np.maximum(1.0, _norm_inf(R))
+    limit = TAU_SYM * _scale(R)
     bad = np.flatnonzero(~(np.max(residuals, axis=0) <= limit))
     if bad.size:
         b = bad[0]
@@ -332,7 +340,7 @@ def validate_symmetries(T: CurvatureTensor) -> SymmetryReport:
         antisymmetry=float(anti),
         pair_symmetry=float(pair),
         first_bianchi=float(bianchi),
-        tol=TAU_SYM * max(1.0, T.norm_inf()),
+        tol=TAU_SYM * float(_scale(T.components)),
     )
 
 
@@ -441,9 +449,11 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
 # Schema: {"n": int, "entries": [{"i": int, "j": int, "k": int, "l": int,
 # "v": float}, ...]} with 0-based indices.  Only a generating set of
 # components needs to be listed; the loader completes the orbit of each
-# entry under the three linear symmetries and rejects inconsistent
-# duplicates.  (The first Bianchi identity is not implied by the schema;
-# validate after loading.)
+# entry under the three linear symmetries.  The first entry of an orbit
+# sets its components; every later entry of that orbit, and every entry
+# with i == j or k == l, must agree with them within 1e-12 * (1 + |v|), and
+# the first entry that disagrees is named in the error.  (The first Bianchi
+# identity is not implied by the schema; validate after loading.)
 # ---------------------------------------------------------------------------
 
 
@@ -576,76 +586,51 @@ def _columns(entries: list, n: int):
     return idx, np.array([r[4] for r in rows], dtype=float), fault
 
 
-def _conflict(idx, v: np.ndarray, members) -> SchemaError:
-    """The error of the last of ``members``, entries of one orbit class, replayed in order."""
-    seen = {}
-    for pos in members.tolist():
-        ijkl, value = [int(a[pos]) for a in idx], float(v[pos])
-        for slots, sign in _ORBIT:
-            at, w = tuple(ijkl[s] for s in slots), sign * value
-            if at not in seen:
-                seen[at] = w
-            elif abs(seen[at] - w) > 1e-12 * (1.0 + abs(w)):
-                return SchemaError(
-                    f"entry {pos} conflicts with an earlier entry at component "
-                    f"({','.join(map(str, at))}): {seen[at]!r} vs {w!r}"
-                )
-
-
-def _heads(idx, v: np.ndarray, n: int) -> np.ndarray:
-    """The first entry of each orbit class; raises SchemaError at the first conflict.
-
-    Each entry fills its orbit class, and the classes are disjoint.  The
-    first entry of a class (its head) writes it and every later entry is
-    compared with the head, as in an entry-by-entry fill.
-    """
-    # Key a class by its smallest flat index; c = sign * v carries each value
-    # to that component.  Temporaries go as soon as they are used, since
-    # this runs beside the dense tensor and the entry columns.
-    key = _flat(idx, _ORBIT[0][0], n)
-    c = v.copy()
-    for slots, s in _ORBIT[1:]:
-        f = _flat(idx, slots, n)
-        lower = f < key
-        key[lower] = f[lower]
-        c[lower] = s * v[lower]
-    del f, lower
-
-    order = np.argsort(key, kind="stable")
-    new = np.ones(v.size, dtype=bool)
-    new[1:] = np.diff(key[order]) != 0
-    heads = order[new]
-    first = np.empty(v.size, dtype=np.int64)
-    first[order] = heads[np.cumsum(new) - 1]
-    del order
-    c_first = c[first]
-    del first
-    # A class with i == j or k == l holds each component with both signs, so
-    # there every entry, the head included, meets both signs of the head's
-    # value: the worse gap is |c_head| + |c|.
-    degenerate = (idx[0] == idx[1]) | (idx[2] == idx[3])
-    with np.errstate(over="ignore"):
-        gap = np.where(degenerate, np.abs(c_first) + np.abs(c), np.abs(c_first - c))
-    bad = np.flatnonzero(gap > 1e-12 * (1.0 + np.abs(v)))
-    if bad.size:
-        pos = bad[0]
-        raise _conflict(idx, v, np.flatnonzero(key[: pos + 1] == key[pos]))
-    return heads
-
-
 def _fill(R: np.ndarray, entries: list) -> None:
     """Write the orbit of every entry into the zero array R, or raise at the first bad entry."""
     n = R.shape[0]
     idx, v, fault = _columns(entries, n)
-    heads = _heads(idx, v, n)  # a conflict comes before the malformed entry
-    if fault is not None:
-        raise fault
-    idx, v = [a[heads] for a in idx], v[heads]
-    # Writing the members last to first leaves each component with the value
-    # of its first write, as an entry-by-entry fill would.
+    # An orbit class is keyed by its two sorted index pairs; its head is its
+    # first entry.  Every head writes its whole class, members last to first,
+    # so each component keeps the value of its first write, as an
+    # entry-by-entry fill would.  Temporaries go as soon as they are used,
+    # since this runs beside the dense tensor and the entry columns.
+    i, j, k, l = idx
+    p = np.minimum(i, j) * n + np.maximum(i, j)
+    q = np.minimum(k, l) * n + np.maximum(k, l)
+    key = np.minimum(p, q) * (n * n) + np.maximum(p, q)
+    del p, q
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    heads = np.concatenate((order[:1], order[1:][key[1:] != key[:-1]]))
+    del key, order
     flat = R.reshape(-1)
     for slots, s in reversed(_ORBIT):
-        flat[_flat(idx, slots, n)] = s * v
+        flat[_flat(idx, slots, n)[heads]] = s * v[heads]
+    del heads
+
+    # Each entry's eight signed writes must agree with what its class head
+    # wrote; a head with i == j or k == l meets its own first write there.
+    bad = np.zeros(v.size, dtype=bool)
+    tol = 1e-12 * (1.0 + np.abs(v))
+    with np.errstate(over="ignore"):
+        for slots, s in _ORBIT:
+            gap = flat[_flat(idx, slots, n)] - s * v
+            bad |= np.abs(gap, out=gap) > tol
+    bad = np.flatnonzero(bad)
+    if bad.size:  # a conflict comes before the malformed entry
+        pos = int(bad[0])
+        ijkl, w = [int(a[pos]) for a in idx], float(v[pos])
+        for slots, s in _ORBIT:
+            at = tuple(ijkl[t] for t in slots)
+            stored = float(R[at])
+            if abs(stored - s * w) > 1e-12 * (1.0 + abs(w)):
+                raise SchemaError(
+                    f"entry {pos} conflicts with an earlier entry at component "
+                    f"({','.join(map(str, at))}): {stored!r} vs {s * w!r}"
+                )
+    if fault is not None:
+        raise fault
 
 
 def tensor_from_json(obj: dict) -> CurvatureTensor:
@@ -653,7 +638,7 @@ def tensor_from_json(obj: dict) -> CurvatureTensor:
 
     Raises :class:`SchemaError` on missing keys, out-of-range indices,
     values that are not finite numbers, or entries whose symmetry orbits
-    assign conflicting values (disagreement beyond 1e-12 relative).  The
+    assign conflicting values (disagreement beyond 1e-12 * (1 + |v|)).  The
     first offending entry is the one reported.
     """
     if not isinstance(obj, dict):

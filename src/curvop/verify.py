@@ -54,10 +54,10 @@ from .core import (
     _alternating_kn,
     _fingerprint,
     _json_text,
-    _norm_inf,
     _random_terms,
     _require_finite,
     _require_valid_stack,
+    _scale,
     _trace_free,
     random_curvature,
     tensor_to_json,
@@ -191,7 +191,7 @@ class _Prep:
         self.ric = (ric + np.swapaxes(ric, -1, -2)) / 2.0
         self.ric_eigs = np.linalg.eigvalsh(self.ric)
         self.s = np.trace(self.ric, axis1=-2, axis2=-1)
-        self.scale = np.maximum(1.0, _norm_inf(R))
+        self.scale = _scale(R)
 
     @cached_property
     def traceless_ricci(self) -> TracelessSym2:
@@ -700,8 +700,9 @@ def fuzz_campaign(
     for jobs=1 and jobs>1.  Violators (margin below -tol * scale) are
     persisted to ``regression_dir``, the CURVOP_REGRESSION_DIR
     environment variable, or ./regressions, in that order of
-    preference.  ``tol`` must be a finite number >= 0, and ``jobs`` an
-    integer >= 1, capped at the CPU count and the number of blocks.
+    preference.  ``ns`` must hold at least one n >= 3, ``tol`` must be a
+    finite number >= 0, and ``jobs`` an integer >= 1, capped at the CPU
+    count and the number of blocks.
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
@@ -713,8 +714,8 @@ def fuzz_campaign(
         raise ValueError("jobs must be >= 1")
     _check_tol(tol)
     ns = tuple(int(n) for n in ns)
-    if any(n < 3 for n in ns):
-        raise ValueError("fuzz dimensions must satisfy n >= 3")
+    if not ns or min(ns) < 3:
+        raise ValueError(f"fuzz dimensions must be one or more n >= 3, got {ns!r}")
     start = time.perf_counter()
 
     blocks = _blocks(ns, trials_per_n, e_per_tensor)
@@ -732,12 +733,11 @@ def fuzz_campaign(
             results = list(pool.map(_fuzz_block, tasks))
 
     min_scaled = {
-        name: float(min((np.min(r["margins"][name] / r["scale"]) for r in results),
-                        default=np.inf))
+        name: float(min(np.min(r["margins"][name] / r["scale"]) for r in results))
         for name in CHECK_NAMES
     }
-    max_quad_rel = float(max((np.max(r["quad_rel"]) for r in results), default=0.0))
-    max_eig_rel = float(max((np.max(r["eig_rel"]) for r in results), default=0.0))
+    max_quad_rel = float(max(np.max(r["quad_rel"]) for r in results))
+    max_eig_rel = float(max(np.max(r["eig_rel"]) for r in results))
     violations = [v for r in results for v in r["violations"]]
 
     if violations:

@@ -147,6 +147,7 @@ def test_symmetry_tolerance_scales_with_the_max_norm():
     rep = T.symmetry_report
     assert rep.max_violation > TAU_SYM
     assert rep.tol == TAU_SYM * T.norm_inf()
+    assert type(rep.tol) is float
     assert rep.valid
     assert T.require_valid() is T
     assert constant_curvature(3, 0.5).symmetry_report.tol == TAU_SYM
@@ -593,6 +594,34 @@ def test_json_loader_matches_the_loop_oracle(doc):
     assert _load(tensor_from_json, doc) == _load(loop_tensor_from_json, doc)
 
 
+def _partner(entry, slots, sign, scale=1.0):
+    ijkl = [entry[key] for key in "ijkl"]
+    return {**dict(zip("ijkl", (ijkl[s] for s in slots))), "v": sign * entry["v"] * scale}
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_json_loader_takes_partners_in_any_order_beyond_small_n(n):
+    """Each entry swapped for a random signed partner, with exact duplicates,
+    in shuffled order, loads bitwise to the same tensor; one partner off by
+    1e-11 relative raises the oracle's error."""
+    rng = np.random.default_rng(n)
+    doc = tensor_to_json(random_curvature(seed=n, n=n))
+    want = loop_tensor_from_json(doc).components.tobytes()
+    entries = [_partner(e, *_ORBIT_SLOTS[rng.integers(8)]) for e in doc["entries"]]
+    entries += [dict(entries[p]) for p in rng.integers(len(entries), size=len(entries) // 4)]
+    entries = [entries[p] for p in rng.permutation(len(entries))]
+    doc = {"n": n, "entries": entries}
+    assert tensor_from_json(doc).components.tobytes() == want
+
+    pos = int(rng.choice(np.flatnonzero([abs(e["v"]) >= 1.0 for e in entries])))
+    off = _partner(entries[pos], *_ORBIT_SLOTS[rng.integers(8)], scale=1.0 + 1e-11)
+    entries.insert(int(rng.integers(pos + 1, len(entries) + 1)), off)
+    error = _load(loop_tensor_from_json, doc)
+    assert re.fullmatch(r"entry \d+ conflicts with an earlier entry at component "
+                        r"\(\d+,\d+,\d+,\d+\): \S+ vs \S+", error)
+    assert _load(tensor_from_json, doc) == error
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 40])
 def test_tensor_to_json_matches_the_loop_oracle(n):
     T = random_curvature(seed=100 + n, n=n, terms=2)
@@ -603,14 +632,15 @@ def test_tensor_to_json_matches_the_loop_oracle(n):
 
 def test_json_loader_peak_memory_stays_near_the_tensor():
     """The loader adopts the array it fills and frees its temporaries early."""
-    doc = tensor_to_json(random_curvature(seed=3, n=24))
-    tracemalloc.start()
-    try:
-        T = tensor_from_json(doc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * T.components.nbytes
+    for n in (24, 40):
+        doc = tensor_to_json(random_curvature(seed=3, n=n))
+        tracemalloc.start()
+        try:
+            T = tensor_from_json(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * T.components.nbytes, n
 
 
 def test_json_zero_tensor():

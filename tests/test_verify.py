@@ -382,8 +382,9 @@ def test_fuzz_input_validation():
         fuzz_campaign(seed=-1, trials_per_n=5)
     with pytest.raises(ValueError):
         fuzz_campaign(seed=0, trials_per_n=0)
-    with pytest.raises(ValueError):
-        fuzz_campaign(seed=0, trials_per_n=5, ns=(2, 3))
+    for ns in ((2, 3), ()):
+        with pytest.raises(ValueError, match="dimensions"):
+            fuzz_campaign(seed=0, trials_per_n=5, ns=ns)
     with pytest.raises(ValueError, match="e_per_tensor"):
         fuzz_campaign(seed=0, trials_per_n=5, e_per_tensor=0)
     for jobs in (0, -3):
