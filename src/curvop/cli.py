@@ -221,10 +221,7 @@ def _cmd_threshold(args):
 
 
 def _cmd_models(args):
-    models = [
-        {"kind": e.kind, "doc": e.doc, "params": e.params, "example": e.example.to_json()}
-        for e in catalog()
-    ]
+    models = [e.to_json() for e in catalog()]
     rows = [["kind", "parameters", "example"]] + [
         [m["kind"], " ".join(f"{k}:{v}" for k, v in m["params"].items()),
          json.dumps(m["example"])]

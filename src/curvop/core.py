@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields
 from functools import cached_property
 from operator import itemgetter
 
@@ -103,8 +103,33 @@ def _require_finite(values: dict) -> None:
             )
 
 
+def _plain(value):
+    """A report value as JSON data: a record as its to_json, a tuple as a list, a dict copied."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return value
+
+
+class _Record:
+    """Base of the report dataclasses: a report's JSON is its fields in declaration order.
+
+    A field with ``metadata={"json": False}`` is left out, and the
+    properties named in ``_json_properties`` follow the fields.
+    """
+
+    _json_properties: tuple[str, ...] = ()
+
+    def to_json(self) -> dict:
+        names = [f.name for f in fields(self) if f.metadata.get("json", True)]
+        return {name: _plain(getattr(self, name)) for name in [*names, *self._json_properties]}
+
+
 @dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(_Record):
     """Maximum-entry residuals of the four curvature symmetries.
 
     ``antisymmetry`` is the worse of the first-pair and last-pair
@@ -116,6 +141,7 @@ class SymmetryReport:
     pair_symmetry: float
     first_bianchi: float
     tol: float
+    _json_properties = ("verdict",)
 
     @property
     def max_violation(self) -> float:
@@ -128,15 +154,6 @@ class SymmetryReport:
     @property
     def verdict(self) -> str:
         return "valid" if self.valid else "invalid"
-
-    def to_json(self) -> dict:
-        return {
-            "antisymmetry": self.antisymmetry,
-            "pair_symmetry": self.pair_symmetry,
-            "first_bianchi": self.first_bianchi,
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
 
 
 def _fingerprint(R: np.ndarray) -> str:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CurvatureTensor, SchemaError, kulkarni_nomizu
+from .core import CurvatureTensor, SchemaError, _Record, kulkarni_nomizu
 
 __all__ = [
     "constant_curvature",
@@ -184,7 +184,7 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """Catalog row: family name, one-line description, parameter schema, example."""
 
     kind: str

@@ -51,6 +51,7 @@ from .core import (
     CurvopError,
     Sym2Tensor,
     TracelessSym2,
+    _Record,
     _alternating_kn,
     _fingerprint,
     _json_text,
@@ -70,7 +71,7 @@ from .operators import (
     s2_traceless_dim,
     second_kind_matrix,
 )
-from .weighted import WeightClass, KVerdict, _greedy_min, k_verdict
+from .weighted import BOUNDARY_TOL, WeightClass, KVerdict, _greedy_min, k_verdict
 
 __all__ = [
     "TOL_INEQ",
@@ -112,7 +113,7 @@ class ConsistencyError(CurvopError):
 
 
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(_Record):
     """Outcome of one lower-bound check.
 
     ``margin`` is lhs - rhs.  The verdict is a trichotomy against the
@@ -122,31 +123,18 @@ class InequalityReport:
     """
 
     name: str
-    n: int
     lhs: float
     rhs: float
     margin: float
     verdict: str
-    tol: float
+    n: int
     fingerprint: str
-    seed: int | None = None
+    seed: int | None
+    tol: float
 
     @property
     def ok(self) -> bool:
         return self.verdict != "violated"
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "verdict": self.verdict,
-            "n": self.n,
-            "fingerprint": self.fingerprint,
-            "seed": self.seed,
-            "tol": self.tol,
-        }
 
 
 def _verdict(margin: float, tol: float) -> str:
@@ -328,7 +316,7 @@ def all_checks(T, E=None, tol=None, seed=None) -> tuple[InequalityReport, ...]:
 
 
 @dataclass(frozen=True)
-class ThresholdProfile:
+class ThresholdProfile(_Record):
     """Dimension-dependent k-nonnegativity thresholds.
 
     ``branch`` records which regime the constant-curvature threshold came
@@ -340,14 +328,6 @@ class ThresholdProfile:
     einstein_threshold: float
     constant_curvature_threshold: float
     branch: str
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "einstein_threshold": self.einstein_threshold,
-            "constant_curvature_threshold": self.constant_curvature_threshold,
-            "branch": self.branch,
-        }
 
 
 def threshold_profile(n: int) -> ThresholdProfile:
@@ -375,7 +355,7 @@ def threshold_profile(n: int) -> ThresholdProfile:
 
 
 @dataclass(frozen=True)
-class EinsteinCertificate:
+class EinsteinCertificate(_Record):
     """Spectral thresholds evaluated on one tensor, with conclusions.
 
     ``impossible`` flags the contradictory combination of a spectrum
@@ -386,26 +366,13 @@ class EinsteinCertificate:
 
     n: int
     fingerprint: str
-    profile: ThresholdProfile
+    thresholds: ThresholdProfile
     einstein_verdict: KVerdict
     constant_curvature_verdict: KVerdict
     traceless_ricci_norm: float
     is_einstein: bool
     impossible: bool
     conclusions: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "fingerprint": self.fingerprint,
-            "thresholds": self.profile.to_json(),
-            "einstein_verdict": self.einstein_verdict.to_json(),
-            "constant_curvature_verdict": self.constant_curvature_verdict.to_json(),
-            "traceless_ricci_norm": self.traceless_ricci_norm,
-            "is_einstein": self.is_einstein,
-            "impossible": self.impossible,
-            "conclusions": list(self.conclusions),
-        }
 
 
 def einstein_certificate(T) -> EinsteinCertificate:
@@ -463,13 +430,13 @@ def _certificate(prep: _Prep) -> EinsteinCertificate:
         )
     if kv_e.boundary or kv_c.boundary:
         conclusions.append(
-            "a threshold sum sits within 1e-12 of zero; strict positivity "
+            f"a threshold sum sits within {BOUNDARY_TOL:g} of zero; strict positivity "
             "statements are not numerically decidable here"
         )
     return EinsteinCertificate(
         n=prep.n,
         fingerprint=prep.T.fingerprint,
-        profile=profile,
+        thresholds=profile,
         einstein_verdict=kv_e,
         constant_curvature_verdict=kv_c,
         traceless_ricci_norm=e_norm,
@@ -483,7 +450,7 @@ def _certificate(prep: _Prep) -> EinsteinCertificate:
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One failed inequality found by fuzzing, with replay provenance."""
 
     check: str
@@ -496,22 +463,9 @@ class Violation:
     fingerprint: str
     path: str | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n,
-            "trial_index": self.trial_index,
-            "trial_seed": self.trial_seed,
-            "terms": self.terms,
-            "margin": self.margin,
-            "tol": self.tol,
-            "fingerprint": self.fingerprint,
-            "path": self.path,
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class FuzzSummary:
+class FuzzSummary(_Record):
     """Aggregate outcome of a fuzz campaign.
 
     ``min_scaled_margins`` maps check name to the worst margin divided
@@ -533,26 +487,12 @@ class FuzzSummary:
     max_quad_dual_rel: float
     max_eig_dual_rel: float
     violations: tuple[Violation, ...]
-    elapsed: float
+    elapsed: float = dataclasses.field(metadata={"json": False})
+    _json_properties = ("ok",)
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials_per_n": self.trials_per_n,
-            "ns": list(self.ns),
-            "e_per_tensor": self.e_per_tensor,
-            "tensors": self.tensors,
-            "tol": self.tol,
-            "min_scaled_margins": dict(self.min_scaled_margins),
-            "max_quad_dual_rel": self.max_quad_dual_rel,
-            "max_eig_dual_rel": self.max_eig_dual_rel,
-            "violations": [v.to_json() for v in self.violations],
-            "ok": self.ok,
-        }
 
 
 #: A fuzz block holds at most this many trials, all of one dimension n ...
@@ -700,10 +640,18 @@ def fuzz_campaign(
     for jobs=1 and jobs>1.  Violators (margin below -tol * scale) are
     persisted to ``regression_dir``, the CURVOP_REGRESSION_DIR
     environment variable, or ./regressions, in that order of
-    preference.  ``ns`` must hold at least one n >= 3, ``tol`` must be a
-    finite number >= 0, and ``jobs`` an integer >= 1, capped at the CPU
-    count and the number of blocks.
+    preference.  ``seed``, ``trials_per_n``, ``e_per_tensor``, ``jobs``
+    and each n must be integers (not bools); ``ns`` must hold at least
+    one n >= 3, ``tol`` must be a finite number >= 0, and ``jobs`` must
+    be >= 1, capped at the CPU count and the number of blocks.
     """
+    ns = tuple(ns)
+    named = dict(seed=seed, trials_per_n=trials_per_n, e_per_tensor=e_per_tensor, jobs=jobs)
+    for name, value in [*named.items(), *(("fuzz dimension", n) for n in ns)]:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    seed, trials_per_n, e_per_tensor, jobs = map(int, named.values())
+    ns = tuple(map(int, ns))
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     if trials_per_n < 1:
@@ -712,8 +660,7 @@ def fuzz_campaign(
         raise ValueError("e_per_tensor must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    _check_tol(tol)
-    ns = tuple(int(n) for n in ns)
+    tol = _check_tol(tol)
     if not ns or min(ns) < 3:
         raise ValueError(f"fuzz dimensions must be one or more n >= 3, got {ns!r}")
     start = time.perf_counter()

@@ -34,7 +34,7 @@ from math import floor
 
 import numpy as np
 
-from .core import AdmissibilityError
+from .core import AdmissibilityError, _Record
 from .operators import Spectrum
 
 __all__ = [
@@ -111,7 +111,7 @@ def k_sum(lam, k: float) -> float:
 
 
 @dataclass(frozen=True)
-class KVerdict:
+class KVerdict(_Record):
     """Outcome of a k-positivity test, carrying the witness value.
 
     ``boundary`` flags values within +/- 1e-12 of zero, where the
@@ -123,15 +123,6 @@ class KVerdict:
     nonnegative: bool
     positive: bool
     boundary: bool
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "value": self.value,
-            "nonnegative": self.nonnegative,
-            "positive": self.positive,
-            "boundary": self.boundary,
-        }
 
 
 def k_verdict(lam, k: float) -> KVerdict:

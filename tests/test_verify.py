@@ -1,6 +1,7 @@
 """Spectral lower bounds, dimension thresholds, certificates, and fuzzing."""
 
 import concurrent.futures
+import dataclasses
 import json
 import math
 import warnings
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import curvop.cli
 import curvop.verify
 from curvop import (
     CHECK_NAMES,
@@ -19,6 +21,7 @@ from curvop import (
     TracelessSym2,
     WeightClass,
     all_checks,
+    catalog,
     constant_curvature,
     einstein_certificate,
     fubini_study,
@@ -353,6 +356,94 @@ def test_certificate_json_round_trips_through_json_module():
     }
 
 
+#: Each report's JSON keys in order, with the exact type of each value.
+_REPORT_SCHEMAS = {
+    "SymmetryReport": [
+        ("antisymmetry", float), ("pair_symmetry", float), ("first_bianchi", float),
+        ("tol", float), ("verdict", str),
+    ],
+    "KVerdict": [
+        ("k", float), ("value", float), ("nonnegative", bool), ("positive", bool),
+        ("boundary", bool),
+    ],
+    "InequalityReport": [
+        ("name", str), ("lhs", float), ("rhs", float), ("margin", float), ("verdict", str),
+        ("n", int), ("fingerprint", str), ("seed", int), ("tol", float),
+    ],
+    "ThresholdProfile": [
+        ("n", int), ("einstein_threshold", float), ("constant_curvature_threshold", float),
+        ("branch", str),
+    ],
+    "EinsteinCertificate": [
+        ("n", int), ("fingerprint", str), ("thresholds", dict), ("einstein_verdict", dict),
+        ("constant_curvature_verdict", dict), ("traceless_ricci_norm", float),
+        ("is_einstein", bool), ("impossible", bool), ("conclusions", list),
+    ],
+    "Violation": [
+        ("check", str), ("n", int), ("trial_index", int), ("trial_seed", int), ("terms", int),
+        ("margin", float), ("tol", float), ("fingerprint", str), ("path", str),
+    ],
+    "FuzzSummary": [
+        ("seed", int), ("trials_per_n", int), ("ns", list), ("e_per_tensor", int),
+        ("tensors", int), ("tol", float), ("min_scaled_margins", dict),
+        ("max_quad_dual_rel", float), ("max_eig_dual_rel", float), ("violations", list),
+        ("ok", bool),
+    ],
+    "CatalogEntry": [("kind", str), ("doc", str), ("params", dict), ("example", dict)],
+}
+
+
+def _assert_schema(doc: dict, kind: str):
+    schema = _REPORT_SCHEMAS[kind]
+    assert list(doc) == [key for key, _ in schema], kind
+    for key, want in schema:
+        assert type(doc[key]) is want, (kind, key, type(doc[key]))
+
+
+def test_report_json_keys_follow_a_fixed_order_and_types():
+    """The key order and value types of every report's JSON, nested records included.
+
+    Only orders and types are pinned, not float values, so this holds on
+    any BLAS build.  Catalog entries are read from the ``models`` payload.
+    """
+    T = product_spheres(2, 3, 1.0, 1.0)
+    cert = einstein_certificate(T)
+    violation = curvop.verify.Violation(
+        check="ricci_lower_bound", n=3, trial_index=2, trial_seed=12345, terms=3,
+        margin=-1.5, tol=1e-9, fingerprint="0123456789abcdef", path="violator.json",
+    )
+    summary = fuzz_campaign(seed=4, trials_per_n=2, ns=(3, 4), e_per_tensor=2)
+    faulty = dataclasses.replace(summary, violations=(violation,))
+    docs = {
+        "SymmetryReport": T.symmetry_report.to_json(),
+        "KVerdict": cert.einstein_verdict.to_json(),
+        "InequalityReport": _check(T, "ricci_lower_bound", seed=11).to_json(),
+        "ThresholdProfile": threshold_profile(5).to_json(),
+        "EinsteinCertificate": cert.to_json(),
+        "Violation": violation.to_json(),
+        "FuzzSummary": faulty.to_json(),
+        "CatalogEntry": curvop.cli._cmd_models(None)[1]["models"][0],
+    }
+    for kind, doc in docs.items():
+        _assert_schema(doc, kind)
+    cert_doc = docs["EinsteinCertificate"]
+    _assert_schema(cert_doc["thresholds"], "ThresholdProfile")
+    _assert_schema(cert_doc["einstein_verdict"], "KVerdict")
+    _assert_schema(cert_doc["constant_curvature_verdict"], "KVerdict")
+    assert all(type(c) is str for c in cert_doc["conclusions"]) and cert_doc["conclusions"]
+    fuzz_doc = docs["FuzzSummary"]
+    assert fuzz_doc["ns"] == [3, 4] and all(type(n) is int for n in fuzz_doc["ns"])
+    assert list(fuzz_doc["min_scaled_margins"]) == list(CHECK_NAMES)
+    assert all(type(v) is float for v in fuzz_doc["min_scaled_margins"].values())
+    assert fuzz_doc["violations"] == [docs["Violation"]] and fuzz_doc["ok"] is False
+    assert summary.to_json()["violations"] == [] and summary.to_json()["ok"] is True
+    assert docs["CatalogEntry"]["example"] == catalog()[0].example.to_json()
+    assert [m["kind"] for m in curvop.cli._cmd_models(None)[1]["models"]] == [
+        e.kind for e in catalog()
+    ]
+    assert json.loads(json.dumps(docs)) == docs
+
+
 # --- fuzz campaign ---------------------------------------------------------------
 
 
@@ -393,6 +484,20 @@ def test_fuzz_input_validation():
     for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol"):
             fuzz_campaign(seed=0, trials_per_n=5, tol=tol)
+    for bad in ({"ns": (3.9,)}, {"ns": (3, True)}, {"trials_per_n": 2.5},
+                {"e_per_tensor": 2.5}, {"jobs": 1.5}, {"jobs": True}, {"seed": 1.0}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            fuzz_campaign(**{"seed": 0, "trials_per_n": 2, "ns": (3,), **bad})
+
+
+def test_fuzz_report_does_not_take_the_argument_types():
+    """numpy integers and an int tol give the same JSON as Python ints and a float tol."""
+    args = dict(seed=4, trials_per_n=2, ns=(3,), e_per_tensor=2, jobs=1, tol=1.0)
+    want = json.dumps(fuzz_campaign(**args).to_json())
+    numpy_args = {k: (tuple(map(np.int64, v)) if k == "ns" else np.int64(v))
+                  for k, v in args.items()}
+    assert json.dumps(fuzz_campaign(**numpy_args).to_json()) == want
+    assert json.dumps(fuzz_campaign(**{**args, "tol": 1}).to_json()) == want
 
 
 def test_fuzz_jobs_clamped_to_cpus_and_blocks(monkeypatch):
