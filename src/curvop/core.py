@@ -421,27 +421,45 @@ def kulkarni_nomizu(h: np.ndarray | Sym2Tensor, k: np.ndarray | Sym2Tensor) -> C
     return CurvatureTensor(H.shape[0], _kn(H, K), _owned=True)
 
 
-def _random_terms(rng: np.random.Generator, n: int, terms: int) -> np.ndarray:
-    """The ``terms`` symmetric matrices h_a of :func:`random_curvature`, as (terms, n, n)."""
-    raw = rng.normal(size=(terms, n, n))
+def _mirror_upper(raw: np.ndarray) -> np.ndarray:
+    """Symmetric matrices from the upper triangles of a stack ``raw`` (..., n, n)."""
     return np.triu(raw) + np.swapaxes(np.triu(raw, 1), -1, -2)
 
 
-def _alternating_kn(h: np.ndarray) -> np.ndarray:
-    """sum_a eps_a (h_a ^ h_a), eps = +1, -1, +1, ..., over axis -3 of ``h``.
+def _kn_square(h: np.ndarray) -> np.ndarray:
+    """h ^ h for a stack of symmetric matrices (..., n, n), as (..., n, n, n, n).
 
-    ``h`` has shape (..., terms, n, n).  A zero h_a adds only signed
-    zeros, so stacks of different term counts pad with zeros and keep
-    every tensor bitwise equal to its unpadded sum.
+    The same bits as ``_kn(h, h)``: its four products are a = h_ik h_jl
+    and c = h_il h_jk twice over, since floating-point multiplication
+    commutes exactly, so ((a + a) - c) - c is its sum in its order.
     """
-    n = h.shape[-1]
-    total = np.zeros(h.shape[:-3] + (n,) * 4)
-    for a in range(h.shape[-3]):
-        square = _kn(h[..., a, :, :], h[..., a, :, :])
+    a = h[..., :, None, :, None] * h[..., None, :, None, :]
+    c = h[..., :, None, None, :] * h[..., None, :, :, None]
+    a += a
+    a -= c
+    a -= c
+    return a
+
+
+def _alternating_kn(h: np.ndarray, terms) -> np.ndarray:
+    """sum_a eps_a (h_ba ^ h_ba) over a < terms[b], eps = +1, -1, +1, ..., for each b.
+
+    ``h`` has shape (B, T, n, n) and ``terms`` holds B counts in 1 .. T.
+    The terms h_ba with a >= terms[b] are zero padding and are skipped,
+    not multiplied.  Skipping a zero term, and starting each sum at its
+    first square rather than at +0.0, can only turn a zero entry into
+    -0.0, so once ``+= 0.0`` canonicalizes -0.0 every tensor of a stack
+    of mixed term counts is bitwise the one drawn alone.
+    """
+    terms = np.asarray(terms)
+    total = _kn_square(h[:, 0])
+    for a in range(1, h.shape[1]):
+        rows = np.flatnonzero(terms > a)
+        square = _kn_square(h[rows, a])
         if a % 2 == 0:
-            total += square
+            total[rows] += square
         else:
-            total -= square
+            total[rows] -= square
     return total
 
 
@@ -456,8 +474,8 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    h = _random_terms(np.random.default_rng(seed), n, terms)
-    return CurvatureTensor(n, _alternating_kn(h), _owned=True)
+    h = _mirror_upper(np.random.default_rng(seed).normal(size=(1, terms, n, n)))
+    return CurvatureTensor(n, _alternating_kn(h, [terms])[0], _owned=True)
 
 
 # ---------------------------------------------------------------------------

@@ -181,13 +181,17 @@ def _second_kind_entries(R: np.ndarray) -> np.ndarray:
     f = _frame(R.shape[-1])
     d = np.arange(R.shape[-1])
     I, J = f.I[:, None], f.J[:, None]
+    p = f.I.size
+    M = np.empty(R.shape[:-4] + (p + f.w.size,) * 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        off = R[..., I, f.I, f.J, J] + R[..., J, f.I, f.J, I]
-        cross = (R[..., I, d, d, J] + R[..., J, d, d, I]) @ f.H.T / np.sqrt(2.0)
+        np.add(R[..., I, f.I, f.J, J], R[..., J, f.I, f.J, I], out=M[..., :p, :p])
+        cross = (R[..., I, d, d, J] + R[..., J, d, d, I]) @ f.H.T
+        np.divide(cross, np.sqrt(2.0), out=M[..., :p, p:])
+        M[..., p:, :p] = np.swapaxes(M[..., :p, p:], -1, -2)
         K = R[..., d[:, None], d, d, d[:, None]]
         # H K H^T, dividing by the Helmert norms last keeps a space form exact.
-        diag = f.U @ K @ f.U.T / np.sqrt(np.outer(f.w, f.w))
-        return np.block([[off, cross], [np.swapaxes(cross, -1, -2), diag]])
+        np.divide(f.U @ K @ f.U.T, np.sqrt(np.outer(f.w, f.w)), out=M[..., p:, p:])
+    return M
 
 
 def second_kind_matrix(T: CurvatureTensor) -> OperatorMatrix:

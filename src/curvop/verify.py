@@ -55,7 +55,7 @@ from .core import (
     _alternating_kn,
     _fingerprint,
     _json_text,
-    _random_terms,
+    _mirror_upper,
     _require_finite,
     _require_valid_stack,
     _scale,
@@ -536,19 +536,23 @@ def _block_draws(seed: int, n: int, start: int, count: int, e_per_tensor: int):
     n, n, n) and Eb of shape (count, e_per_tensor, n, n).  Trial t draws
     its tensor as ``random_curvature(trial_seed, n, terms)`` does, with
     1 + t % 3 terms, and its probes from the stream [trial_seed, 1].
+    The terms of all trials are mirrored together in one zero-padded
+    (count, 3, n, n) stack; :func:`_alternating_kn` skips the padding,
+    and ``R += 0.0`` canonicalizes -0.0, which keeps every R[b] bitwise
+    equal to the trial's own ``random_curvature`` tensor.
     """
     idx = range(start, start + count)
     trial_seeds = [_trial_seed(seed, t) for t in idx]
     terms = [1 + t % 3 for t in idx]
-    h = np.zeros((count, 3, n, n))
+    raw = np.zeros((count, 3, n, n))
     # Each probe is raw + raw^T with its trace removed, scaled to unit norm.
     # (That is twice the symmetric part, a factor that cancels exactly.)
     Eb = np.empty((count, e_per_tensor, n, n))
     for b, (trial_seed, m) in enumerate(zip(trial_seeds, terms)):
-        h[b, :m] = _random_terms(np.random.default_rng(trial_seed), n, m)
-        raw = np.random.default_rng([trial_seed, 1]).normal(size=(e_per_tensor, n, n))
-        np.add(raw, np.swapaxes(raw, -1, -2), out=Eb[b])
-    R = _alternating_kn(h)
+        raw[b, :m] = np.random.default_rng(trial_seed).normal(size=(m, n, n))
+        probes = np.random.default_rng([trial_seed, 1]).normal(size=(e_per_tensor, n, n))
+        np.add(probes, np.swapaxes(probes, -1, -2), out=Eb[b])
+    R = _alternating_kn(_mirror_upper(raw), terms)
     R += 0.0  # canonicalize -0.0, as CurvatureTensor does
 
     diag = Eb.reshape(count, e_per_tensor, n * n)[..., :: n + 1]
@@ -575,9 +579,8 @@ def _fuzz_block(args) -> dict:
     for name, (lhs, rhs, tol) in checks.items():
         margin = lhs - rhs
         if margin.ndim == 2:
-            worst = margin.argmin(axis=1)[:, None]
-            margin = np.take_along_axis(margin, worst, axis=1)[:, 0]
-            tol = np.take_along_axis(tol, worst, axis=1)[:, 0]
+            worst = (np.arange(count), margin.argmin(axis=1))
+            margin, tol = margin[worst], tol[worst]
         margins[name], tols[name] = margin, tol
 
     violations = []

@@ -422,6 +422,8 @@ GOLDEN_CALLS = {
     "check_s4_k2": ("check", "--model", SPHERE, "--k", "2.0"),
     "bounds_s4": ("bounds", "--model", SPHERE),
     "spectrum_cp2_matrices": ("spectrum", "--model", CP2, "--matrices"),
+    "fuzz_s5": ("fuzz", "--seed", "5", "--trials", "40", "--n", "3", "--n", "8",
+                "--e-per-tensor", "200"),
 }
 
 

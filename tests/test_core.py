@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curvop import (
     TAU_SYM,
@@ -25,7 +26,14 @@ from curvop import (
     traceless_ricci,
     validate_symmetries,
 )
-from curvop.core import _SLAB_BYTES, SymmetryReport, _require_valid_stack, _symmetry_residuals
+from curvop.core import (
+    _SLAB_BYTES,
+    SymmetryReport,
+    _kn,
+    _kn_square,
+    _require_valid_stack,
+    _symmetry_residuals,
+)
 from curvop.operators import first_kind_matrix, spectrum
 
 from oracles import (
@@ -342,6 +350,19 @@ def test_random_curvature_deterministic_and_valid():
             assert T.symmetry_report.valid
     with pytest.raises(ValueError):
         random_curvature(seed=0, n=3, terms=0)
+
+
+_KN_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e100, 1e100))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: arrays(np.float64, st.tuples(st.integers(0, 3), st.just(n), st.just(n)),
+                     elements=_KN_ENTRIES)
+))
+def test_kn_square_is_bitwise_the_general_product(h):
+    """((a + a) - c) - c from two products is _kn(h, h) to the bit, zero signs included."""
+    assert _kn_square(h).tobytes() == _kn(h, h).tobytes()
 
 
 def test_kn_square_of_psd_matrix_gives_psd_first_kind():

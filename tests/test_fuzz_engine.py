@@ -16,8 +16,13 @@ from curvop import (
     tensor_from_json,
     validate_symmetries,
 )
-from curvop.core import _fingerprint, _require_valid_stack
-from curvop.operators import _spectra, _symmetric
+from curvop.core import _fingerprint, _kn, _require_valid_stack
+from curvop.operators import (
+    _second_kind_entries,
+    _spectra,
+    _symmetric,
+    second_kind_matrix,
+)
 from curvop.verify import _block_draws, _blocks, _fuzz_block, _trial_seed
 
 from oracles import fuzz_trial_seed, fuzz_trials
@@ -49,6 +54,36 @@ def test_campaign_seeds_draw_independent_streams():
         prints[seed] = {_fingerprint(r) for r in R}
     assert not prints[0] & prints[3]
     assert len(set().union(*prints.values())) == 8 * 30
+
+
+def _padded_alternating_sum(trial_seed, n, terms):
+    """A trial's tensor as drawn before the two-product square: three general
+    KN products per term, zero-padded to three terms, summed from +0.0."""
+    raw = np.zeros((3, n, n))
+    raw[:terms] = np.random.default_rng(trial_seed).normal(size=(terms, n, n))
+    total = np.zeros((n,) * 4)
+    for a, h in enumerate(np.triu(m) + np.triu(m, 1).T for m in raw):
+        total += (-1) ** a * _kn(h, h)
+    return total + 0.0
+
+
+@pytest.mark.parametrize("n, start, count", [(3, 0, 32), (3, 4, 1), (5, 7, 13), (8, 2, 5)])
+def test_block_tensors_are_bitwise_the_trials_drawn_alone(n, start, count):
+    """A block mixes 1, 2 and 3 terms (or has one trial); its padding changes no bit."""
+    trial_seeds, terms, R, _ = _block_draws(17, n, start, count, 2)
+    for b, (trial_seed, m) in enumerate(zip(trial_seeds, terms)):
+        alone = random_curvature(trial_seed, n, m).components
+        assert R[b].tobytes() == alone.tobytes(), (b, m)
+        assert alone.tobytes() == _padded_alternating_sum(trial_seed, n, m).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 8, 40])
+def test_stacked_second_kind_matrices_are_bitwise_the_single_ones(n):
+    tensors = [random_curvature(seed, n, 1 + seed % 3) for seed in range(2 if n == 40 else 6)]
+    stacked = _symmetric(_second_kind_entries(np.stack([T.components for T in tensors])),
+                         stacked=True)
+    for T, M in zip(tensors, stacked):
+        assert M.tobytes() == second_kind_matrix(T).entries.tobytes()
 
 
 @settings(max_examples=6, deadline=None)
