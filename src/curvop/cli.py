@@ -18,6 +18,10 @@ property fails (negative k-sum, violated bound), 2 malformed input,
 out-of-domain parameters, or an input too large to allocate.  With
 ``--no-timestamp`` any subcommand run twice on identical inputs emits
 byte-identical output.
+
+The parser and the ``threshold`` and ``models`` commands need no array,
+so each command imports the modules it runs inside its ``_cmd_*``
+function, and those two never load numpy.
 """
 
 from __future__ import annotations
@@ -25,16 +29,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .core import CurvatureTensor, CurvopError, _json_text, tensor_from_json
-from .models import catalog, model_from_json
-from .operators import first_kind_matrix, operator_to_json, second_kind_matrix, spectrum
-from .verify import TOL_INEQ, _certificate, _checks, _prepare, fuzz_campaign, threshold_profile
-from .weighted import k_verdict
+from .base import TOL_INEQ, CurvopError, _json_text, threshold_profile
 
 __all__ = ["main", "entrypoint"]
 
@@ -56,8 +57,11 @@ def _parse_json(text: str, where: str) -> dict:
     return obj
 
 
-def _load_tensor(args) -> CurvatureTensor:
-    """Tensor from --input FILE (tensor or model doc) or --model JSON."""
+def _load_tensor(args):
+    """Validated tensor from --input FILE (tensor or model doc) or --model JSON."""
+    from .core import tensor_from_json
+    from .models import model_from_json
+
     if getattr(args, "input", None):
         try:
             text = Path(args.input).read_text()
@@ -144,6 +148,8 @@ def _text(payload: dict, pad: str = "") -> str:
 
 
 def _cmd_spectrum(args):
+    from .operators import first_kind_matrix, operator_to_json, second_kind_matrix, spectrum
+
     T = _load_tensor(args)
     payload = {"n": T.n, "fingerprint": T.fingerprint}
     matrices = {"first_kind": first_kind_matrix(T), "second_kind": second_kind_matrix(T)}
@@ -164,6 +170,9 @@ def _cmd_spectrum(args):
 
 
 def _cmd_check(args):
+    from .operators import second_kind_matrix, spectrum
+    from .weighted import k_verdict
+
     T = _load_tensor(args)
     spec = spectrum(second_kind_matrix(T))
     verdict = k_verdict(spec, args.k)
@@ -177,6 +186,8 @@ def _cmd_check(args):
 
 
 def _cmd_bounds(args):
+    from .verify import _certificate, _checks, _prepare
+
     prep = _prepare(_load_tensor(args))
     reports = _checks(prep, None, args.tol, None)
     all_ok = all(r.ok for r in reports)
@@ -194,6 +205,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_fuzz(args):
+    from .verify import fuzz_campaign
+
     summary = fuzz_campaign(
         seed=args.seed,
         trials_per_n=args.trials,
@@ -221,6 +234,8 @@ def _cmd_threshold(args):
 
 
 def _cmd_models(args):
+    from .models import catalog
+
     models = [e.to_json() for e in catalog()]
     rows = [["kind", "parameters", "example"]] + [
         [m["kind"], " ".join(f"{k}:{v}" for k, v in m["params"].items()),
@@ -335,7 +350,14 @@ def main(argv=None) -> int:
         output, ext = _csv_text(rows), "csv"
     else:
         output, ext = _text(payload), "txt"
-    print(output)
+    try:
+        print(output, flush=True)
+    except OSError as bad:  # a closed pipe, as in `curvop ... | head`
+        # Python flushes stdout again at exit; point it at devnull so that
+        # the line below stays the one report of the failure.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write report: {bad}", file=sys.stderr)
+        return 2
     if args.out:
         try:
             directory = Path(args.out)

@@ -25,22 +25,18 @@ spaces) is pinned to this convention.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
 
+from .base import CurvopError, InvalidTensorError, SchemaError, TraceError, _Record
+
 __all__ = [
     "TAU_SYM",
     "TAU_TRACE",
-    "CurvopError",
-    "InvalidTensorError",
-    "TraceError",
-    "SchemaError",
-    "AdmissibilityError",
     "SymmetryReport",
     "CurvatureTensor",
     "Sym2Tensor",
@@ -62,36 +58,6 @@ TAU_SYM = 1e-9
 TAU_TRACE = 1e-12
 
 
-class CurvopError(Exception):
-    """Base class for errors raised by this package."""
-
-
-class InvalidTensorError(CurvopError):
-    """A curvature tensor failed its symmetry validation."""
-
-    def __init__(self, report: "SymmetryReport"):
-        self.report = report
-        super().__init__(
-            "curvature tensor violates its defining symmetries: "
-            f"antisymmetry {report.antisymmetry:.3e}, "
-            f"pair symmetry {report.pair_symmetry:.3e}, "
-            f"first Bianchi {report.first_bianchi:.3e} "
-            f"(tolerance {report.tol:.1e})"
-        )
-
-
-class TraceError(CurvopError):
-    """A tensor that must be trace-free is not."""
-
-
-class SchemaError(CurvopError):
-    """Malformed or inconsistent serialized input."""
-
-
-class AdmissibilityError(CurvopError):
-    """A weight class is not admissible for the given spectrum length."""
-
-
 def _require_finite(values: dict) -> None:
     """Raise :class:`CurvopError` at the first of ``values`` (numbers or arrays) not finite."""
     for what, value in values.items():
@@ -101,31 +67,6 @@ def _require_finite(values: dict) -> None:
                 f"{what} is {float(bad[0])!r}: the tensor is too large to evaluate in "
                 "double precision"
             )
-
-
-def _plain(value):
-    """A report value as JSON data: a record as its to_json, a tuple as a list, a dict copied."""
-    if hasattr(value, "to_json"):
-        return value.to_json()
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {key: _plain(v) for key, v in value.items()}
-    return value
-
-
-class _Record:
-    """Base of the report dataclasses: a report's JSON is its fields in declaration order.
-
-    A field with ``metadata={"json": False}`` is left out, and the
-    properties named in ``_json_properties`` follow the fields.
-    """
-
-    _json_properties: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        names = [f.name for f in fields(self) if f.metadata.get("json", True)]
-        return {name: _plain(getattr(self, name)) for name in [*names, *self._json_properties]}
 
 
 @dataclass(frozen=True)
@@ -534,30 +475,6 @@ def tensor_to_json(T: CurvatureTensor) -> dict:
             for k, l, v in zip(K[keep].tolist(), L[keep].tolist(), row[keep].tolist())
         ]
     return {"n": T.n, "entries": entries}
-
-
-def _json_text(obj, pad: str = "\n") -> str:
-    """Exactly what ``json.dumps`` writes with an indent of 2, flat number lists in C.
-
-    Any indent sends json to its pure-Python encoder, one call per value.
-    Here only the nesting is Python: a list of plain ints and floats is
-    one ``json.dumps`` whose ``", "`` separators (which no number holds)
-    become the indented line breaks, and every other scalar and key is
-    one ``json.dumps`` too.  ``pad`` is the line break plus the
-    indentation of ``obj``'s own level.
-    """
-    inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        # json.dumps({key: 0}) is '{KEY: 0}': KEY as json converts it, str or not.
-        ends, items = "{}", (f"{json.dumps({key: 0})[1:-4]}: {_json_text(value, inner)}"
-                             for key, value in obj.items())
-    elif isinstance(obj, (list, tuple)) and obj:
-        if {*map(type, obj)} <= {int, float}:
-            return f"[{inner}{json.dumps(obj)[1:-1].replace(', ', ',' + inner)}{pad}]"
-        ends, items = "[]", (_json_text(item, inner) for item in obj)
-    else:
-        return json.dumps(obj)
-    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
 
 
 #: The entry fields as columns: key, the exact types accepted, array dtype.

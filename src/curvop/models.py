@@ -18,15 +18,16 @@ on the contraction code.  Model descriptions round-trip through a small
 JSON schema, e.g.
 
     {"model": "product_spheres", "p": 2, "q": 3, "r1": 1.0, "r2": 1.0}
+
+The schema and the catalog are plain Python: only the three builders
+import numpy and ``core``, so ``curvop models`` runs without numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import CurvatureTensor, SchemaError, _Record, kulkarni_nomizu
+from .base import SchemaError, _Record
 
 __all__ = [
     "constant_curvature",
@@ -41,6 +42,10 @@ __all__ = [
 
 def constant_curvature(n: int, kappa: float) -> CurvatureTensor:
     """Space form of sectional curvature kappa: R[i,j,i,j] = kappa for i != j."""
+    import numpy as np
+
+    from .core import kulkarni_nomizu
+
     if n < 2:
         raise ValueError("n must be >= 2")
     if not np.isfinite(kappa):
@@ -56,6 +61,10 @@ def product_spheres(p: int, q: int, r1: float, r2: float) -> CurvatureTensor:
     component with indices from both factors vanishes.  Ricci is
     diagonal with entries (p-1)/r1^2 (p times) and (q-1)/r2^2 (q times).
     """
+    import numpy as np
+
+    from .core import CurvatureTensor
+
     for name, val in (("p", p), ("q", q)):
         if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < 2:
             raise ValueError(f"{name} must be an integer >= 2, got {val!r}")
@@ -81,6 +90,10 @@ def fubini_study(m: int) -> CurvatureTensor:
     Einstein with Ric = (2m + 2) g; for m = 1 this is the round 2-sphere
     of curvature 4.
     """
+    import numpy as np
+
+    from .core import CurvatureTensor
+
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     n = 2 * m

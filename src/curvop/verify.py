@@ -22,12 +22,8 @@ stack of tensors of one dimension, each with a stack of probes E, so
 each weight class and each bound formula is written down once;
 ``all_checks`` is its one-tensor case.
 
-The Einstein certificate evaluates the spectrum against two thresholds:
-
-* einstein_threshold      k = n(n+2)/(2(n+1)): k-nonnegativity forces a
-  compact manifold with harmonic curvature to be Einstein;
-* constant_curvature_threshold  min(einstein, max(4, floor((n+2)/4))):
-  k-nonnegativity at this level forces constant sectional curvature.
+The Einstein certificate evaluates the spectrum against the two
+dimension thresholds of ``base.threshold_profile``.
 
 A fuzz campaign hammers the five bounds with seeded random tensors and
 batches of random unit trace-free tensors, run through the kernel in
@@ -46,15 +42,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .base import TOL_INEQ, CurvopError, ThresholdProfile, _json_text, _Record, threshold_profile
 from .core import (
     CurvatureTensor,
-    CurvopError,
     Sym2Tensor,
     TracelessSym2,
-    _Record,
     _alternating_kn,
     _fingerprint,
-    _json_text,
     _mirror_upper,
     _require_finite,
     _require_valid_stack,
@@ -74,13 +68,10 @@ from .operators import (
 from .weighted import BOUNDARY_TOL, WeightClass, KVerdict, _greedy_min, k_verdict
 
 __all__ = [
-    "TOL_INEQ",
     "CHECK_NAMES",
     "ConsistencyError",
     "InequalityReport",
     "all_checks",
-    "ThresholdProfile",
-    "threshold_profile",
     "EinsteinCertificate",
     "einstein_certificate",
     "Violation",
@@ -89,9 +80,6 @@ __all__ = [
     "persist_violator",
     "REGRESSION_DIR_ENV",
 ]
-
-#: Base absolute tolerance for inequality margins, before input scaling.
-TOL_INEQ = 1e-9
 
 #: Relative tolerance of the Einstein test in the certificate.
 _EINSTEIN_TOL = 1e-9
@@ -312,46 +300,7 @@ def all_checks(T, E=None, tol=None, seed=None) -> tuple[InequalityReport, ...]:
     return _checks(_prepare(T), E, tol, seed)
 
 
-# --- thresholds and certificates --------------------------------------------
-
-
-@dataclass(frozen=True)
-class ThresholdProfile(_Record):
-    """Dimension-dependent k-nonnegativity thresholds.
-
-    ``branch`` records which regime the constant-curvature threshold came
-    from: "i" (n <= 7, equals the Einstein threshold), "ii" (8 <= n <= 13,
-    equals 4), "iii" (n >= 14, equals floor((n+2)/4)).
-    """
-
-    n: int
-    einstein_threshold: float
-    constant_curvature_threshold: float
-    branch: str
-
-
-def threshold_profile(n: int) -> ThresholdProfile:
-    """Evaluate both thresholds at dimension n >= 3.
-
-    The constant-curvature threshold is min(einstein, max(4, floor((n+2)/4)));
-    the three branches of the piecewise form are labelled by n-range.
-    """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 3:
-        raise ValueError(f"thresholds are defined for integer n >= 3, got {n!r}")
-    n = int(n)
-    einstein = n * (n + 2.0) / (2.0 * (n + 1.0))
-    if n <= 7:
-        cc, branch = einstein, "i"
-    elif n <= 13:
-        cc, branch = 4.0, "ii"
-    else:
-        cc, branch = float((n + 2) // 4), "iii"
-    return ThresholdProfile(
-        n=n,
-        einstein_threshold=einstein,
-        constant_curvature_threshold=cc,
-        branch=branch,
-    )
+# --- certificates -----------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from math import floor
 
 import numpy as np
 
-from .core import AdmissibilityError, _Record
+from .base import AdmissibilityError, _Record
 from .operators import Spectrum
 
 __all__ = [

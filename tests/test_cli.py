@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import curvop.verify
 from curvop.cli import main
-from curvop.core import _json_text
+from curvop.base import _json_text
 
 SPHERE = '{"model": "constant_curvature", "n": 4, "kappa": 1.0}'
 PRODUCT = '{"model": "product_spheres", "p": 2, "q": 3, "r1": 1.0, "r2": 1.0}'
@@ -369,13 +370,64 @@ def test_bounds_contracts_ricci_once(capsys, monkeypatch):
     assert sum("kikj" in s for s in subscripts) == 1
 
 
+def _main_in(argv) -> str:
+    """Source that runs ``main(argv)`` with its output and its exit swallowed."""
+    return ("import contextlib, io\nfrom curvop.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            f"    main({list(argv)!r})")
+
+
+CURVOP_MODULES = tuple(f"curvop.{m}" for m in
+                       ("base", "core", "operators", "weighted", "models", "verify", "cli"))
+
+# (source, packages and modules it must not load)
+IMPORT_CASES = [
+    ("import curvop.cli", ("concurrent", "multiprocessing", "csv")),
+    ("import curvop", ("numpy", *CURVOP_MODULES)),
+    (_main_in(["threshold", "--n", "5", "--format", "json"]), ("numpy",)),
+    (_main_in(["models", "--format", "text"]), ("numpy",)),
+    (_main_in(["--help"]), ("numpy",)),
+    (_main_in(["--version"]), ("numpy",)),
+    (_main_in(["spectrum", "--model", SPHERE]), ("curvop.verify",)),
+    (_main_in(["check", "--model", SPHERE, "--k", "2"]), ("curvop.verify",)),
+]
+
+
 def test_cli_import_skips_the_process_pool():
-    """The pool's modules load only when ``fuzz --jobs`` > 1 runs one."""
-    probe = ("import sys, curvop.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'csv')))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout == "[]\n"
+    """Each command loads only what it runs, each case in a fresh interpreter.
+
+    The pool's modules load only when ``fuzz --jobs`` > 1 runs one;
+    ``import curvop`` loads no submodule; ``threshold``, ``models``,
+    ``--help`` and ``--version`` never load numpy; ``spectrum`` and
+    ``check`` never load ``verify``.
+    """
+    for source, banned in IMPORT_CASES:
+        probe = source + "\nimport sys; print(*sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True)
+        loaded = [m for m in proc.stdout.split()
+                  if any(m == b or m.startswith(b + ".") for b in banned)]
+        assert loaded == [], source
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_two_with_one_line(buffered):
+    """A reader that has gone (``curvop ... | head -c 10``) is a failed write, not a traceback."""
+    env = dict(os.environ)
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    # About 0.4 MB: more than a pipe holds, so the write fails even if it came first.
+    args = ("spectrum", "--model", '{"model": "fubini_study", "m": 8}', "--matrices",
+            "--format", "json")
+    proc = subprocess.Popen([sys.executable, "-m", "curvop", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err.startswith("error: cannot write report: ") and len(err.splitlines()) == 1
 
 
 def test_repeated_runs_are_byte_identical():
