@@ -411,7 +411,7 @@ def test_cli_import_skips_the_process_pool():
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-def test_closed_stdout_exits_two_with_one_line(buffered):
+def test_closed_stdout_exits_two_with_one_line(tmp_path, buffered):
     """A reader that has gone (``curvop ... | head -c 10``) is a failed write, not a traceback."""
     env = dict(os.environ)
     if buffered:
@@ -421,12 +421,12 @@ def test_closed_stdout_exits_two_with_one_line(buffered):
     # About 0.4 MB: more than a pipe holds, so the write fails even if it came first.
     args = ("spectrum", "--model", '{"model": "fubini_study", "m": 8}', "--matrices",
             "--format", "json")
-    proc = subprocess.Popen([sys.executable, "-m", "curvop", *args], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == 2
+    with open(tmp_path / "stderr", "w") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "curvop", *args], env=env,
+                                stdout=subprocess.PIPE, stderr=stderr)
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 2
+    err = (tmp_path / "stderr").read_text()
     assert err.startswith("error: cannot write report: ") and len(err.splitlines()) == 1
 
 
