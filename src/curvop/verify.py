@@ -19,8 +19,11 @@ weights to the cap), which the test suite uses as a calibration.
 ``all_checks`` is the one entry point for the five bounds.  It and the
 fuzz campaign share a single kernel that evaluates all five over a
 stack of tensors of one dimension, each with a stack of probes E, so
-each weight class and each bound formula is written down once;
-``all_checks`` is its one-tensor case.
+each weight class and each bound formula is written down once.  The
+kernel has two stages: a tensor stage that eigensolves the stack and
+runs the three E-free checks, and a probe stage that runs the two
+E-dependent checks on any run of the stack's tensors.  ``all_checks``
+is its one-tensor, one-run case.
 
 The Einstein certificate evaluates the spectrum against the two
 dimension thresholds of ``base.threshold_profile``.
@@ -28,7 +31,8 @@ dimension thresholds of ``base.threshold_profile``.
 A fuzz campaign hammers the five bounds with seeded random tensors and
 batches of random unit trace-free tensors, run through the kernel in
 blocks of one dimension, recording worst margins and persisting any
-violator for regression replay.
+violator for regression replay.  A block passes through the tensor
+stage once and through the probe stage in slices of bounded size.
 """
 
 from __future__ import annotations
@@ -200,42 +204,18 @@ def _weight_classes(n: int) -> dict[str, WeightClass]:
     }
 
 
-def _evaluate(prep: _Prep, Eb: np.ndarray, tol_base: float):
-    """All five checks over a stack Eb of shape (B, P, n, n): P trace-free probes per tensor.
+def _tensor_checks(prep: _Prep, tol_base: float):
+    """The tensor stage of the five checks, over the stack of ``prep``.
 
-    Returns ``(checks, quad_rel, eig_rel)``.  ``checks`` maps each name
-    in CHECK_NAMES to (lhs, rhs, tol): shape (B,) for the three E-free
-    checks, (B, P) for the two E-dependent ones.  The quadratic form is
-    computed three ways, by index contraction, through the matrix, and
-    through the eigen decomposition; ``quad_rel`` and ``eig_rel``, of
-    shape (B,), are the worst relative disagreements of the last two
-    with the first.
+    Returns ``(checks, g, tol)``, each array of shape (B,).  ``checks``
+    maps the three E-free checks to (lhs, rhs, tol); ``g`` maps every
+    check name to its greedy minimum over the spectra; ``tol`` is the
+    tolerance of each tensor.  :func:`_probe_checks` takes the last two.
     """
     n, lam, s = prep.n, prep.lam, prep.s
     g = {name: _greedy_min(lam, cls) for name, cls in _weight_classes(n).items()}
     ric_min = prep.ric_eigs[:, 0]
     tol = tol_base * prep.scale
-
-    # The index contraction sum R[k,i,j,l] E[k,l] E[i,j] as e^T S e, with
-    # e = E flattened and S[(k,l),(i,j)] = R[k,i,j,l].
-    B, P = Eb.shape[:2]
-    e = Eb.reshape(B, P, n * n)
-    S = np.transpose(prep.R, (0, 1, 4, 2, 3)).reshape(B, n * n, n * n)
-    q_idx = np.einsum("...i,...i->...", e @ S, e)
-    nsq = np.sum(Eb * Eb, axis=(-2, -1))
-    nsq_floor = np.maximum(1.0, nsq)
-    # sum Ric[i,j] E[i,t] E[j,t]
-    ric_term = np.einsum("...ij,...ij->...", prep.ric[:, None] @ Eb, Eb)
-    C = coordinates(Eb)
-    q_mat = np.einsum("...i,...i->...", C @ prep.matrix, C)
-    W = C @ prep.eigvecs
-    W *= W
-    q_eig = (W @ lam[:, :, None])[..., 0]
-    denom = np.maximum(np.maximum(1.0, np.abs(q_idx)), prep.scale[:, None] * nsq_floor)
-    quad_rel = np.max(np.abs(q_idx - q_mat) / denom, axis=-1)
-    eig_rel = np.max(np.abs(q_idx - q_eig) / denom, axis=-1)
-
-    tol_e = tol[:, None] * nsq_floor
     checks = {
         "scalar_lower_bound": (s, (2.0 * n / (n + 2.0)) * g["scalar_lower_bound"], tol),
         "ricci_lower_bound": (
@@ -244,9 +224,54 @@ def _evaluate(prep: _Prep, Eb: np.ndarray, tol_base: float):
             tol,
         ),
         "ricci_combined_bound": (ric_min, g["ricci_combined_bound"], tol),
-        "quadform_lower_bound": (q_idx, g["quadform_lower_bound"][:, None] * nsq, tol_e),
+    }
+    return checks, g, tol
+
+
+def _probe_checks(prep: _Prep, rows: slice, Eb: np.ndarray, g: dict, tol: np.ndarray):
+    """The probe stage: the two E-dependent checks on the tensors ``rows`` of ``prep``.
+
+    ``Eb`` has shape (b, P, n, n): P trace-free probes for each of the b
+    tensors in ``rows``; ``g`` and ``tol`` come from :func:`_tensor_checks`.
+    Every array is cut to ``rows`` before use, so each per-tensor product
+    has the shape, and so the bits, it has in a stack of one.
+
+    Returns ``(checks, quad_rel, eig_rel)``.  ``checks`` maps the two
+    E-dependent checks to (lhs, rhs, tol) of shape (b, P).  The quadratic
+    form is computed three ways, by index contraction, through the
+    matrix, and through the eigen decomposition; ``quad_rel`` and
+    ``eig_rel``, of shape (b,), are the worst relative disagreements of
+    the last two with the first.
+    """
+    n = prep.n
+    R, ric, matrix, eigvecs, lam, scale = (
+        x[rows] for x in (prep.R, prep.ric, prep.matrix, prep.eigvecs, prep.lam, prep.scale)
+    )
+
+    # The index contraction sum R[k,i,j,l] E[k,l] E[i,j] as e^T S e, with
+    # e = E flattened and S[(k,l),(i,j)] = R[k,i,j,l].
+    B, P = Eb.shape[:2]
+    e = Eb.reshape(B, P, n * n)
+    S = np.transpose(R, (0, 1, 4, 2, 3)).reshape(B, n * n, n * n)
+    q_idx = np.einsum("...i,...i->...", e @ S, e)
+    nsq = np.sum(Eb * Eb, axis=(-2, -1))
+    nsq_floor = np.maximum(1.0, nsq)
+    # sum Ric[i,j] E[i,t] E[j,t]
+    ric_term = np.einsum("...ij,...ij->...", ric[:, None] @ Eb, Eb)
+    C = coordinates(Eb)
+    q_mat = np.einsum("...i,...i->...", C @ matrix, C)
+    W = C @ eigvecs
+    W *= W
+    q_eig = (W @ lam[:, :, None])[..., 0]
+    denom = np.maximum(np.maximum(1.0, np.abs(q_idx)), scale[:, None] * nsq_floor)
+    quad_rel = np.max(np.abs(q_idx - q_mat) / denom, axis=-1)
+    eig_rel = np.max(np.abs(q_idx - q_eig) / denom, axis=-1)
+
+    tol_e = tol[rows, None] * nsq_floor
+    checks = {
+        "quadform_lower_bound": (q_idx, g["quadform_lower_bound"][rows, None] * nsq, tol_e),
         "bochner_lower_bound": (
-            q_idx + ric_term, g["bochner_lower_bound"][:, None] * nsq, tol_e,
+            q_idx + ric_term, g["bochner_lower_bound"][rows, None] * nsq, tol_e,
         ),
     }
     return checks, quad_rel, eig_rel
@@ -268,7 +293,9 @@ def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
             E = E.components
         Eb = TracelessSym2(prep.n, E).components[None, None]
         tol_base = _check_tol(TOL_INEQ if tol is None else tol)
-        checks, quad_rel, eig_rel = _evaluate(prep, Eb, tol_base)
+        checks, g, tol = _tensor_checks(prep, tol_base)
+        probe_checks, quad_rel, eig_rel = _probe_checks(prep, slice(None), Eb, g, tol)
+        checks.update(probe_checks)
         reports = []
         for name in CHECK_NAMES:
             lhs, rhs, eff = (np.ravel(x)[0] for x in checks[name])
@@ -444,29 +471,40 @@ class FuzzSummary(_Record):
         return not self.violations
 
 
-#: A fuzz block holds at most this many trials, all of one dimension n ...
+#: A fuzz block holds at most this many trials, all of one dimension n.  Its
+#: tensors are drawn, validated, assembled and eigensolved together.
 _BLOCK_TRIALS = 32
 
-#: ... and at most this many bytes of probe entries, B * P * n^2 * 8, though
-#: always one trial.  The kernel's temporaries come to about three times
-#: this, so it bounds the memory a campaign adds to the process.
+#: A probe slice of a block holds at most this many bytes of probe entries,
+#: trials * P * n^2 * 8, though always one trial.  The probe stage's
+#: temporaries come to about three times this, so it bounds the memory a
+#: campaign adds to the process.
 _BLOCK_PROBE_BYTES = 1 << 19
 
 
-def _blocks(ns, trials_per_n: int, e_per_tensor: int) -> list[tuple[int, int, int]]:
+def _blocks(ns, trials_per_n: int) -> list[tuple[int, int, int]]:
     """(n, first trial index, trial count) of each block, in trial order.
 
-    The boundaries depend on nothing but the arguments, so a campaign
-    runs the same blocks whatever the number of jobs.
+    A block holds at most ``_BLOCK_TRIALS`` trials of one n.  The
+    boundaries depend on nothing but the arguments, so a campaign runs
+    the same blocks whatever the number of jobs.
     """
     blocks, start = [], 0
     for n in ns:
-        size = _BLOCK_PROBE_BYTES // (e_per_tensor * n * n * 8)
-        size = max(1, min(_BLOCK_TRIALS, size))
-        for offset in range(0, trials_per_n, size):
-            blocks.append((n, start + offset, min(size, trials_per_n - offset)))
+        for offset in range(0, trials_per_n, _BLOCK_TRIALS):
+            blocks.append((n, start + offset, min(_BLOCK_TRIALS, trials_per_n - offset)))
         start += trials_per_n
     return blocks
+
+
+def _probe_slices(n: int, count: int, e_per_tensor: int) -> list[slice]:
+    """The runs of consecutive trials of a block of ``count`` whose probes go through together.
+
+    A slice holds at most ``_BLOCK_PROBE_BYTES`` of probe entries, though
+    always one trial.
+    """
+    size = max(1, _BLOCK_PROBE_BYTES // (e_per_tensor * n * n * 8))
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def _trial_seed(seed: int, idx: int) -> int:
@@ -478,59 +516,77 @@ def _trial_seed(seed: int, idx: int) -> int:
     return int(np.random.SeedSequence([seed, idx]).generate_state(1, np.uint64)[0])
 
 
-def _block_draws(seed: int, n: int, start: int, count: int, e_per_tensor: int):
-    """The tensors and unit probes of trials start .. start + count - 1.
+def _tensor_draws(seed: int, n: int, start: int, count: int):
+    """The tensors of trials start .. start + count - 1.
 
-    Returns ``(trial_seeds, terms, R, Eb)``, with R of shape (count, n,
-    n, n, n) and Eb of shape (count, e_per_tensor, n, n).  Trial t draws
-    its tensor as ``random_curvature(trial_seed, n, terms)`` does, with
-    1 + t % 3 terms, and its probes from the stream [trial_seed, 1].
-    The terms of all trials are mirrored together in one zero-padded
-    (count, 3, n, n) stack; :func:`_alternating_kn` skips the padding,
-    and ``R += 0.0`` canonicalizes -0.0, which keeps every R[b] bitwise
-    equal to the trial's own ``random_curvature`` tensor.
+    Returns ``(trial_seeds, terms, R)``, with R of shape (count, n, n,
+    n, n).  Trial t draws its tensor as ``random_curvature(trial_seed,
+    n, terms)`` does, with 1 + t % 3 terms.  The terms of all trials are
+    mirrored together in one zero-padded (count, 3, n, n) stack;
+    :func:`_alternating_kn` skips the padding, and ``R += 0.0``
+    canonicalizes -0.0, which keeps every R[b] bitwise equal to the
+    trial's own ``random_curvature`` tensor.
     """
     idx = range(start, start + count)
     trial_seeds = [_trial_seed(seed, t) for t in idx]
     terms = [1 + t % 3 for t in idx]
     raw = np.zeros((count, 3, n, n))
+    for b, (trial_seed, m) in enumerate(zip(trial_seeds, terms)):
+        raw[b, :m] = np.random.default_rng(trial_seed).normal(size=(m, n, n))
+    R = _alternating_kn(_mirror_upper(raw), terms)
+    R += 0.0  # canonicalize -0.0, as CurvatureTensor does
+    return trial_seeds, terms, R
+
+
+def _probe_draws(trial_seeds, n: int, e_per_tensor: int) -> np.ndarray:
+    """The unit trace-free probes of the given trials, shape (trials, e_per_tensor, n, n).
+
+    Each trial draws its probes from its own stream [trial_seed, 1].
+    """
+    count = len(trial_seeds)
     # Each probe is raw + raw^T with its trace removed, scaled to unit norm.
     # (That is twice the symmetric part, a factor that cancels exactly.)
     Eb = np.empty((count, e_per_tensor, n, n))
-    for b, (trial_seed, m) in enumerate(zip(trial_seeds, terms)):
-        raw[b, :m] = np.random.default_rng(trial_seed).normal(size=(m, n, n))
+    for b, trial_seed in enumerate(trial_seeds):
         probes = np.random.default_rng([trial_seed, 1]).normal(size=(e_per_tensor, n, n))
         np.add(probes, np.swapaxes(probes, -1, -2), out=Eb[b])
-    R = _alternating_kn(_mirror_upper(raw), terms)
-    R += 0.0  # canonicalize -0.0, as CurvatureTensor does
-
     diag = Eb.reshape(count, e_per_tensor, n * n)[..., :: n + 1]
     diag -= diag.sum(axis=-1, keepdims=True) * (1.0 / n)
     Eb /= np.sqrt(np.einsum("...ij,...ij->...", Eb, Eb))[..., None, None]
-    return trial_seeds, terms, R, Eb
+    return Eb
 
 
 def _fuzz_block(args) -> dict:
-    """Run one block of trials through all five checks in one kernel call.
+    """Run one block of trials through all five checks, in two stages.
 
     ``args`` is (seed, block, e_per_tensor, tol_base), with a block from
-    :func:`_blocks`.
+    :func:`_blocks`.  The tensor stage draws, validates, assembles and
+    eigensolves the block's tensors once and runs the three E-free
+    checks.  The probe stage then draws the probes and runs the two
+    E-dependent checks one slice of :func:`_probe_slices` at a time, so
+    only one slice's probes are held at once.
 
     Returns per-trial arrays: for each check the worst margin over the
     probes and the tolerance at that probe, the scale, both dual-path
     disagreements; and the block's violations, in trial order.
     """
     seed, (n, start, count), e_per_tensor, tol_base = args
-    trial_seeds, terms, R, Eb = _block_draws(seed, n, start, count, e_per_tensor)
+    trial_seeds, terms, R = _tensor_draws(seed, n, start, count)
     prep = _prepare_stack(R)
-    checks, quad_rel, eig_rel = _evaluate(prep, Eb, tol_base)
-    margins, tols = {}, {}
-    for name, (lhs, rhs, tol) in checks.items():
-        margin = lhs - rhs
-        if margin.ndim == 2:
-            worst = (np.arange(count), margin.argmin(axis=1))
-            margin, tol = margin[worst], tol[worst]
-        margins[name], tols[name] = margin, tol
+    checks, g, tol = _tensor_checks(prep, tol_base)
+    margins = {name: lhs - rhs for name, (lhs, rhs, _) in checks.items()}
+    tols = dict.fromkeys(checks, tol)
+    for name in CHECK_NAMES:
+        if name not in checks:
+            margins[name], tols[name] = np.empty(count), np.empty(count)
+    quad_rel, eig_rel = np.empty(count), np.empty(count)
+    for rows in _probe_slices(n, count, e_per_tensor):
+        Eb = _probe_draws(trial_seeds[rows], n, e_per_tensor)
+        probe_checks, quad_rel[rows], eig_rel[rows] = _probe_checks(prep, rows, Eb, g, tol)
+        for name, (lhs, rhs, eff) in probe_checks.items():
+            margin = lhs - rhs
+            worst = (np.arange(len(margin)), margin.argmin(axis=1))
+            margins[name][rows], tols[name][rows] = margin[worst], eff[worst]
 
     violations = []
     failed = np.array([margins[name] < -tols[name] for name in CHECK_NAMES])
@@ -586,16 +642,19 @@ def fuzz_campaign(
     Trial t (counted across ``ns`` in order) draws its tensor and probes
     from its own RNG stream, seeded by SeedSequence([seed, t]); its
     ``trial_seed`` replays the tensor through ``random_curvature``.  The
-    trials of each n run in blocks of at most 32 through one batched
-    kernel, and ``jobs`` > 1 hands whole blocks to worker processes.
-    The blocks do not depend on ``jobs``, so the report is identical
-    for jobs=1 and jobs>1.  Violators (margin below -tol * scale) are
-    persisted to ``regression_dir``, the CURVOP_REGRESSION_DIR
-    environment variable, or ./regressions, in that order of
-    preference.  ``seed``, ``trials_per_n``, ``e_per_tensor``, ``jobs``
-    and each n must be integers (not bools); ``ns`` must hold at least
-    one n >= 3, ``tol`` must be a finite number >= 0, and ``jobs`` must
-    be >= 1, capped at the CPU count and the number of blocks.
+    trials of each n run in blocks of at most 32: a block's tensors are
+    validated, assembled and eigensolved together, and its probes go
+    through in slices of at most 512 KiB of probe entries (always at
+    least one trial).  ``jobs`` > 1 hands whole blocks to worker
+    processes.  Neither blocks nor slices depend on ``jobs``, so the
+    report is identical for jobs=1 and jobs>1.  Violators (margin below
+    -tol * scale) are persisted to ``regression_dir``, the
+    CURVOP_REGRESSION_DIR environment variable, or ./regressions, in
+    that order of preference.  ``seed``, ``trials_per_n``,
+    ``e_per_tensor``, ``jobs`` and each n must be integers (not bools);
+    ``ns`` must hold at least one n >= 3, ``tol`` must be a finite
+    number >= 0, and ``jobs`` must be >= 1, capped at the CPU count and
+    the number of blocks.
     """
     ns = tuple(ns)
     named = dict(seed=seed, trials_per_n=trials_per_n, e_per_tensor=e_per_tensor, jobs=jobs)
@@ -617,7 +676,7 @@ def fuzz_campaign(
         raise ValueError(f"fuzz dimensions must be one or more n >= 3, got {ns!r}")
     start = time.perf_counter()
 
-    blocks = _blocks(ns, trials_per_n, e_per_tensor)
+    blocks = _blocks(ns, trials_per_n)
     # A fork-started pool starts every worker at once, even for empty chunks.
     jobs = min(jobs, os.cpu_count() or 1, len(blocks))
     tasks = [(seed, block, e_per_tensor, tol) for block in blocks]

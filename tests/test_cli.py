@@ -270,7 +270,7 @@ def _unable_to_allocate(*args, **kwargs):
 @pytest.mark.parametrize("target, args", [
     ("curvop.models.constant_curvature",
      ("spectrum", "--model", '{"model": "constant_curvature", "n": 1000, "kappa": 1.0}')),
-    ("curvop.verify._block_draws", ("fuzz", "--n", "1000", "--trials", "1")),
+    ("curvop.verify._tensor_draws", ("fuzz", "--n", "1000", "--trials", "1")),
 ], ids=["spectrum", "fuzz"])
 def test_input_too_large_to_allocate_exits_two(capsys, monkeypatch, target, args):
     monkeypatch.setattr(target, _unable_to_allocate)

@@ -1,6 +1,7 @@
 """The batched fuzz engine: blocks, seed streams, stacked checks, and the per-trial oracle."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from curvop.operators import (
     _symmetric,
     second_kind_matrix,
 )
-from curvop.verify import _block_draws, _blocks, _fuzz_block, _trial_seed
+from curvop.verify import (
+    _BLOCK_PROBE_BYTES,
+    _blocks,
+    _fuzz_block,
+    _probe_slices,
+    _tensor_draws,
+    _trial_seed,
+)
 
 from oracles import fuzz_trial_seed, fuzz_trials
 
@@ -31,13 +39,16 @@ NS = (3, 4, 5, 6, 7, 8)
 
 
 def test_blocks_cover_each_n_in_order_within_both_caps():
-    assert _blocks((3, 4), 70, 20) == [
+    # A block holds at most 32 trials of one n, whatever their probes ...
+    assert _blocks((3, 4), 70) == [
         (3, 0, 32), (3, 32, 32), (3, 64, 6), (4, 70, 32), (4, 102, 32), (4, 134, 6),
     ]
-    # 512 KiB of probe entries hold five trials of 200 probes at n = 8 ...
-    assert _blocks((8,), 12, 200) == [(8, 0, 5), (8, 5, 5), (8, 10, 2)]
-    # ... and a block keeps one trial however large its probes are.
-    assert _blocks((8,), 2, 10**6) == [(8, 0, 1), (8, 1, 1)]
+    assert _blocks((8,), 12) == [(8, 0, 12)]
+    # ... and 512 KiB of probe entries hold five trials of 200 probes at n = 8 ...
+    assert _probe_slices(8, 12, 200) == [slice(0, 5), slice(5, 10), slice(10, 12)]
+    assert [s.stop - s.start for s in _probe_slices(8, 32, 200)] == [5] * 6 + [2]
+    # ... and a probe slice keeps one trial however large its probes are.
+    assert _probe_slices(8, 2, 10**6) == [slice(0, 1), slice(1, 2)]
 
 
 def test_trial_seed_is_the_seed_sequence_of_seed_and_index():
@@ -50,7 +61,7 @@ def test_campaign_seeds_draw_independent_streams():
     """Campaigns 0 and 3 shared 14 of their first 30 tensors at n = 3 under seed XOR index."""
     prints = {}
     for seed in range(8):
-        _, _, R, _ = _block_draws(seed, 3, 0, 30, 1)
+        _, _, R = _tensor_draws(seed, 3, 0, 30)
         prints[seed] = {_fingerprint(r) for r in R}
     assert not prints[0] & prints[3]
     assert len(set().union(*prints.values())) == 8 * 30
@@ -70,7 +81,7 @@ def _padded_alternating_sum(trial_seed, n, terms):
 @pytest.mark.parametrize("n, start, count", [(3, 0, 32), (3, 4, 1), (5, 7, 13), (8, 2, 5)])
 def test_block_tensors_are_bitwise_the_trials_drawn_alone(n, start, count):
     """A block mixes 1, 2 and 3 terms (or has one trial); its padding changes no bit."""
-    trial_seeds, terms, R, _ = _block_draws(17, n, start, count, 2)
+    trial_seeds, terms, R = _tensor_draws(17, n, start, count)
     for b, (trial_seed, m) in enumerate(zip(trial_seeds, terms)):
         alone = random_curvature(trial_seed, n, m).components
         assert R[b].tobytes() == alone.tobytes(), (b, m)
@@ -101,9 +112,9 @@ def test_blocks_match_the_per_trial_oracle(seed, trials_per_n, e_per_tensor):
     items = [(i * trials_per_n + t, n) for i, n in enumerate(NS) for t in range(trials_per_n)]
     expected = fuzz_trials(seed, items, e_per_tensor, tol_base)
     got = []
-    for block in _blocks(NS, trials_per_n, e_per_tensor):
+    for block in _blocks(NS, trials_per_n):
         n, start, count = block
-        trial_seeds, terms, R, _ = _block_draws(seed, n, start, count, e_per_tensor)
+        trial_seeds, terms, R = _tensor_draws(seed, n, start, count)
         res = _fuzz_block((seed, block, e_per_tensor, tol_base))
         assert res["violations"] == []
         for b in range(count):
@@ -135,6 +146,42 @@ def test_blocks_match_the_per_trial_oracle(seed, trials_per_n, e_per_tensor):
         assert abs(summary.min_scaled_margins[name] - worst) <= 1e-14
 
 
+@pytest.mark.parametrize("n, count, e_per_tensor, sizes", [
+    (8, 12, 200, [5, 5, 2]),
+    (8, 3, 1100, [1, 1, 1]),  # 1100 probes at n = 8 exceed 512 KiB
+])
+def test_probe_slices_leave_each_trial_bitwise_its_block_of_one(n, count, e_per_tensor, sizes):
+    """Slices split the block's probes; no margin, tol, scale or dual-path error moves a bit."""
+    seed, start, tol_base = 29, 40, 1e-9
+    assert [s.stop - s.start for s in _probe_slices(n, count, e_per_tensor)] == sizes
+    block = _fuzz_block((seed, (n, start, count), e_per_tensor, tol_base))
+    for b in range(count):
+        alone = _fuzz_block((seed, (n, start + b, 1), e_per_tensor, tol_base))
+        for key in ("scale", "quad_rel", "eig_rel"):
+            assert block[key][b].tobytes() == alone[key][0].tobytes(), (b, key)
+        for key in ("margins", "tols"):
+            for name in CHECK_NAMES:
+                assert block[key][name][b].tobytes() == alone[key][name][0].tobytes(), (b, name)
+
+
+def test_a_block_holds_one_probe_slice_at_a_time():
+    """n = 8, 32 trials, 200 probes: the block's probes alone would take 3.3 MB.
+
+    Drawn one slice at a time, the block peaks at about 3.2 MB, most of it
+    the tensor stage; drawn all at once it peaks at about 5.9 MB, and
+    run through the kernel all at once at about 10 MB.
+    """
+    args = (5, (8, 0, 32), 200, 1e-9)
+    _fuzz_block(args)  # builds the frame of n = 8 outside the measurement
+    tracemalloc.start()
+    try:
+        _fuzz_block(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * _BLOCK_PROBE_BYTES, peak
+
+
 def test_report_is_identical_for_one_and_two_jobs_across_a_mid_n_block(tmp_path):
     """Blocks of 32 split each n; with tol = 0 rounding-level margins persist violators too."""
     a = fuzz_campaign(11, 40, ns=(3, 4), e_per_tensor=4, tol=0.0, regression_dir=tmp_path)
@@ -148,7 +195,7 @@ def test_violations_are_the_failed_margins_in_trial_order_and_replay(tmp_path):
     seed, trials = 3, 33
     s = fuzz_campaign(seed, trials, ns=(3, 4), e_per_tensor=3, tol=0.0, regression_dir=tmp_path)
     failed = []
-    for block in _blocks((3, 4), trials, 3):
+    for block in _blocks((3, 4), trials):
         res = _fuzz_block((seed, block, 3, 0.0))
         failed += [(v.trial_index, v.check) for v in res["violations"]]
         for name in CHECK_NAMES:
