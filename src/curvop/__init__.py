@@ -19,7 +19,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-#: Each submodule and the public names it defines, in its own ``__all__``.
+#: Each submodule's public names: the one list, which each submodule reads as ``__all__``.
 _EXPORTS = {
     "base": (
         "CurvopError",
@@ -41,7 +41,6 @@ _EXPORTS = {
         "validate_symmetries",
         "ricci",
         "scalar",
-        "traceless_ricci",
         "kulkarni_nomizu",
         "random_curvature",
         "tensor_to_json",

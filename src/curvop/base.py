@@ -19,16 +19,9 @@ import json
 import numbers
 from dataclasses import dataclass, fields
 
-__all__ = [
-    "CurvopError",
-    "InvalidTensorError",
-    "TraceError",
-    "SchemaError",
-    "AdmissibilityError",
-    "TOL_INEQ",
-    "ThresholdProfile",
-    "threshold_profile",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["base"])
 
 #: Base absolute tolerance for inequality margins, before input scaling.
 TOL_INEQ = 1e-9

@@ -194,7 +194,7 @@ def _cmd_bounds(args):
     payload = {
         "n": prep.n,
         "fingerprint": prep.T.fingerprint,
-        "tol_base": TOL_INEQ if args.tol is None else args.tol,
+        "tol_base": args.tol,
         "checks": [r.to_json() for r in reports],
         "all_ok": all_ok,
         "certificate": _certificate(prep).to_json(),
@@ -212,7 +212,7 @@ def _cmd_fuzz(args):
         trials_per_n=args.trials,
         ns=tuple(args.n) if args.n else (3, 4, 5, 6),
         e_per_tensor=args.e_per_tensor,
-        tol=TOL_INEQ if args.tol is None else args.tol,
+        tol=args.tol,
         jobs=args.jobs,
         regression_dir=args.regression_dir,
     )
@@ -279,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"curvop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = dict(type=float, default=TOL_INEQ, help=f"base margin tolerance (default {TOL_INEQ})")
 
     p = sub.add_parser("spectrum", help="eigenvalues of both curvature operators")
     _add_source_options(p)
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="the five spectral lower-bound checks")
     _add_source_options(p)
-    p.add_argument("--tol", type=float, help=f"base margin tolerance (default {TOL_INEQ})")
+    p.add_argument("--tol", **tol)
     _add_output_options(p)
     p.set_defaults(func=_cmd_bounds)
 
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="random trace-free tensors per curvature tensor (default 8)",
     )
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    p.add_argument("--tol", type=float, help=f"base margin tolerance (default {TOL_INEQ})")
+    p.add_argument("--tol", **tol)
     p.add_argument(
         "--regression-dir", metavar="DIR",
         help="where to save violators (default $CURVOP_REGRESSION_DIR or ./regressions)",

@@ -32,24 +32,10 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import _EXPORTS
 from .base import CurvopError, InvalidTensorError, SchemaError, TraceError, _Record
 
-__all__ = [
-    "TAU_SYM",
-    "TAU_TRACE",
-    "SymmetryReport",
-    "CurvatureTensor",
-    "Sym2Tensor",
-    "TracelessSym2",
-    "validate_symmetries",
-    "ricci",
-    "scalar",
-    "traceless_ricci",
-    "kulkarni_nomizu",
-    "random_curvature",
-    "tensor_to_json",
-    "tensor_from_json",
-]
+__all__ = list(_EXPORTS["core"])
 
 #: Tolerance for the four symmetry residuals, relative to max(1, max-norm).
 TAU_SYM = 1e-9
@@ -302,21 +288,21 @@ def validate_symmetries(T: CurvatureTensor) -> SymmetryReport:
     )
 
 
+def _ricci(R: np.ndarray) -> np.ndarray:
+    """Ricci tensors of a stack (..., n, n, n, n), each made exactly symmetric."""
+    ric = np.einsum("...kikj->...ij", R)
+    return (ric + np.swapaxes(ric, -1, -2)) / 2.0
+
+
 def ricci(T: CurvatureTensor) -> Sym2Tensor:
     """Ricci tensor Ric[i,j] = sum_k R[k,i,k,j] of a valid curvature tensor."""
     T.require_valid()
-    ric = np.einsum("kikj->ij", T.components)
-    return Sym2Tensor(T.n, ric)
+    return Sym2Tensor(T.n, _ricci(T.components))
 
 
 def scalar(T: CurvatureTensor) -> float:
     """Scalar curvature, the trace of the Ricci tensor."""
     return ricci(T).trace()
-
-
-def traceless_ricci(T: CurvatureTensor) -> TracelessSym2:
-    """Trace-free part of the Ricci tensor: Ric - (s/n) g."""
-    return _trace_free(ricci(T).components)
 
 
 def _trace_free(ric: np.ndarray) -> TracelessSym2:
@@ -404,6 +390,20 @@ def _alternating_kn(h: np.ndarray, terms) -> np.ndarray:
     return total
 
 
+def _random_stack(seeds, n: int, terms) -> np.ndarray:
+    """A stack of ``random_curvature(seed, n, m)`` for (seed, m) in zip(seeds, terms).
+
+    The terms are mirrored in one stack zero-padded to max(terms), and each
+    tensor is bitwise the one drawn alone (see :func:`_alternating_kn`).
+    """
+    raw = np.zeros((len(seeds), max(terms), n, n))
+    for b, (seed, m) in enumerate(zip(seeds, terms)):
+        raw[b, :m] = np.random.default_rng(seed).normal(size=(m, n, n))
+    R = _alternating_kn(_mirror_upper(raw), terms)
+    R += 0.0  # canonicalize -0.0, as CurvatureTensor does
+    return R
+
+
 def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
     """Seeded random curvature tensor: an alternating sum of KN squares.
 
@@ -415,8 +415,7 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    h = _mirror_upper(np.random.default_rng(seed).normal(size=(1, terms, n, n)))
-    return CurvatureTensor(n, _alternating_kn(h, [terms])[0], _owned=True)
+    return CurvatureTensor(n, _random_stack([seed], n, [terms])[0], _owned=True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,17 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from .base import SchemaError, _Record
 
-__all__ = [
-    "constant_curvature",
-    "product_spheres",
-    "fubini_study",
-    "ModelSpec",
-    "CatalogEntry",
-    "catalog",
-    "model_from_json",
-]
+__all__ = list(_EXPORTS["models"])
 
 
 def constant_curvature(n: int, kappa: float) -> CurvatureTensor:
@@ -68,13 +61,20 @@ def product_spheres(p: int, q: int, r1: float, r2: float) -> CurvatureTensor:
     for name, val in (("p", p), ("q", q)):
         if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < 2:
             raise ValueError(f"{name} must be an integer >= 2, got {val!r}")
+    kappas = []
     for name, val in (("r1", r1), ("r2", r2)):
         if not (val > 0.0) or not np.isfinite(val):
             raise ValueError(f"{name} must be a positive radius, got {val!r}")
+        try:
+            kappas.append(1.0 / float(val) ** 2)
+        except (OverflowError, ZeroDivisionError):
+            kappas.append(np.inf)
+        if not 0.0 < kappas[-1] < np.inf:
+            raise ValueError(f"{name} = {val!r} puts the curvature 1/{name}^2 out of range")
     n = p + q
     R = np.zeros((n, n, n, n))
-    R[:p, :p, :p, :p] = constant_curvature(p, 1.0 / r1**2).components
-    R[p:, p:, p:, p:] = constant_curvature(q, 1.0 / r2**2).components
+    R[:p, :p, :p, :p] = constant_curvature(p, kappas[0]).components
+    R[p:, p:, p:, p:] = constant_curvature(q, kappas[1]).components
     return CurvatureTensor(n, R, _owned=True)
 
 
@@ -121,19 +121,19 @@ _REGISTRY: dict[str, dict] = {
     "constant_curvature": {
         "doc": "Round space form of sectional curvature kappa in dimension n.",
         "params": {"n": _INT, "kappa": _FLOAT},
-        "build": lambda p: constant_curvature(p["n"], p["kappa"]),
+        "build": constant_curvature,
         "example": {"n": 4, "kappa": 1.0},
     },
     "product_spheres": {
         "doc": "Product S^p(r1) x S^q(r2) of round spheres, dimension p + q.",
         "params": {"p": _INT, "q": _INT, "r1": _FLOAT, "r2": _FLOAT},
-        "build": lambda p: product_spheres(p["p"], p["q"], p["r1"], p["r2"]),
+        "build": product_spheres,
         "example": {"p": 2, "q": 3, "r1": 1.0, "r2": 1.0},
     },
     "fubini_study": {
         "doc": "Complex projective space CP^m, holomorphic sectional curvature 4.",
         "params": {"m": _INT},
-        "build": lambda p: fubini_study(p["m"]),
+        "build": fubini_study,
         "example": {"m": 2},
     },
 }
@@ -160,20 +160,17 @@ class ModelSpec:
             if name not in self.params:
                 raise SchemaError(f"model {self.kind!r} is missing parameter {name!r}")
             val = self.params[name]
-            if typ == _INT:
-                if not isinstance(val, int) or isinstance(val, bool):
-                    raise SchemaError(
-                        f"parameter {name!r} of {self.kind!r} must be an integer, "
-                        f"got {val!r}"
-                    )
-                clean[name] = int(val)
-            else:
-                if isinstance(val, bool) or not isinstance(val, (int, float)):
-                    raise SchemaError(
-                        f"parameter {name!r} of {self.kind!r} must be a number, "
-                        f"got {val!r}"
-                    )
-                clean[name] = float(val)
+            types, what = ((int,), "an integer") if typ == _INT else ((int, float), "a number")
+            if isinstance(val, bool) or not isinstance(val, types):
+                raise SchemaError(
+                    f"parameter {name!r} of {self.kind!r} must be {what}, got {val!r}"
+                )
+            try:
+                clean[name] = int(val) if typ == _INT else float(val)
+            except OverflowError:  # an integer too large for a float
+                raise SchemaError(
+                    f"parameter {name!r} of {self.kind!r} is out of double precision range"
+                ) from None
         extra = set(self.params) - set(schema)
         if extra:
             raise SchemaError(
@@ -188,7 +185,7 @@ class ModelSpec:
     def build(self) -> CurvatureTensor:
         """Construct the curvature tensor (parameter errors surface here)."""
         try:
-            return _REGISTRY[self.kind]["build"](self.params)
+            return _REGISTRY[self.kind]["build"](**self.params)
         except ValueError as bad:
             raise SchemaError(f"model {self.kind!r}: {bad}") from bad
 

@@ -33,22 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .core import CurvatureTensor, Sym2Tensor, _require_finite
 
-__all__ = [
-    "LAMBDA2",
-    "S2_TRACELESS",
-    "lambda2_dim",
-    "s2_traceless_dim",
-    "OperatorMatrix",
-    "first_kind_matrix",
-    "second_kind_matrix",
-    "Spectrum",
-    "spectrum",
-    "coordinates",
-    "reconstruct",
-    "operator_to_json",
-]
+__all__ = list(_EXPORTS["operators"])
 
 LAMBDA2 = "lambda2"
 S2_TRACELESS = "s02"

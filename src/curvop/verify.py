@@ -46,16 +46,17 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _EXPORTS
 from .base import TOL_INEQ, CurvopError, ThresholdProfile, _json_text, _Record, threshold_profile
 from .core import (
     CurvatureTensor,
     Sym2Tensor,
     TracelessSym2,
-    _alternating_kn,
     _fingerprint,
-    _mirror_upper,
+    _random_stack,
     _require_finite,
     _require_valid_stack,
+    _ricci,
     _scale,
     _trace_free,
     random_curvature,
@@ -71,19 +72,7 @@ from .operators import (
 )
 from .weighted import BOUNDARY_TOL, WeightClass, KVerdict, _greedy_min, k_verdict
 
-__all__ = [
-    "CHECK_NAMES",
-    "ConsistencyError",
-    "InequalityReport",
-    "all_checks",
-    "EinsteinCertificate",
-    "einstein_certificate",
-    "Violation",
-    "FuzzSummary",
-    "fuzz_campaign",
-    "persist_violator",
-    "REGRESSION_DIR_ENV",
-]
+__all__ = list(_EXPORTS["verify"])
 
 #: Relative tolerance of the Einstein test in the certificate.
 _EINSTEIN_TOL = 1e-9
@@ -167,8 +156,7 @@ class _Prep:
         self.matrix = matrix
         eigvals, self.eigvecs = np.linalg.eigh(matrix)
         self.lam = _spectra(eigvals)
-        ric = np.einsum("...kikj->...ij", R)
-        self.ric = (ric + np.swapaxes(ric, -1, -2)) / 2.0
+        self.ric = _ricci(R)
         self.ric_eigs = np.linalg.eigvalsh(self.ric)
         self.s = np.trace(self.ric, axis1=-2, axis2=-1)
         self.scale = _scale(R)
@@ -517,25 +505,15 @@ def _trial_seed(seed: int, idx: int) -> int:
 
 
 def _tensor_draws(seed: int, n: int, start: int, count: int):
-    """The tensors of trials start .. start + count - 1.
+    """``(trial_seeds, terms, R)`` of trials start .. start + count - 1.
 
-    Returns ``(trial_seeds, terms, R)``, with R of shape (count, n, n,
-    n, n).  Trial t draws its tensor as ``random_curvature(trial_seed,
-    n, terms)`` does, with 1 + t % 3 terms.  The terms of all trials are
-    mirrored together in one zero-padded (count, 3, n, n) stack;
-    :func:`_alternating_kn` skips the padding, and ``R += 0.0``
-    canonicalizes -0.0, which keeps every R[b] bitwise equal to the
-    trial's own ``random_curvature`` tensor.
+    Trial t has 1 + t % 3 terms, and R[b] of the stack R (count, n, n, n, n)
+    is bitwise the trial's ``random_curvature(trial_seed, n, terms)``.
     """
     idx = range(start, start + count)
     trial_seeds = [_trial_seed(seed, t) for t in idx]
     terms = [1 + t % 3 for t in idx]
-    raw = np.zeros((count, 3, n, n))
-    for b, (trial_seed, m) in enumerate(zip(trial_seeds, terms)):
-        raw[b, :m] = np.random.default_rng(trial_seed).normal(size=(m, n, n))
-    R = _alternating_kn(_mirror_upper(raw), terms)
-    R += 0.0  # canonicalize -0.0, as CurvatureTensor does
-    return trial_seeds, terms, R
+    return trial_seeds, terms, _random_stack(trial_seeds, n, terms)
 
 
 def _probe_draws(trial_seeds, n: int, e_per_tensor: int) -> np.ndarray:

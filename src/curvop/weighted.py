@@ -34,16 +34,11 @@ from math import floor
 
 import numpy as np
 
+from . import _EXPORTS
 from .base import AdmissibilityError, _Record
 from .operators import Spectrum
 
-__all__ = [
-    "WeightClass",
-    "KVerdict",
-    "k_sum",
-    "k_verdict",
-    "greedy_min",
-]
+__all__ = list(_EXPORTS["weighted"])
 
 #: Absolute half-width of the boundary band around zero for k-verdicts.
 BOUNDARY_TOL = 1e-12

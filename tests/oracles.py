@@ -26,6 +26,7 @@ from curvop import (
     s2_traceless_dim,
     second_kind_matrix,
 )
+from curvop.core import _trace_free
 from curvop.weighted import _ascending
 
 
@@ -529,6 +530,11 @@ def quad_form(T: CurvatureTensor, E) -> float:
     return float(
         np.einsum("kijl,kl,ij->", T.components, arr, arr, optimize=True)
     )
+
+
+def traceless_ricci(T: CurvatureTensor) -> TracelessSym2:
+    """Trace-free part of the Ricci tensor: Ric - (s/n) g."""
+    return _trace_free(ricci(T).components)
 
 
 def random_traceless(

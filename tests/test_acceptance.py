@@ -27,10 +27,9 @@ from curvop import (
     second_kind_matrix,
     spectrum,
     threshold_profile,
-    traceless_ricci,
 )
 
-from oracles import bound_for_m, grid_min, random_traceless, sample_weights
+from oracles import bound_for_m, grid_min, random_traceless, sample_weights, traceless_ricci
 
 
 def _announce(tag: str):

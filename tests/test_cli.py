@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import curvop.verify
+from curvop import SchemaError, model_from_json
 from curvop.cli import main
 from curvop.base import _json_text
 
@@ -289,6 +290,26 @@ def test_unknown_model_kind_exits_two():
     proc = run_cli("spectrum", "--model", '{"model": "torus", "n": 3}')
     assert proc.returncode == 2
     assert "torus" in proc.stderr
+
+
+#: Model documents whose parameters a double cannot hold, and the parameter at fault.
+_OUT_OF_RANGE_MODELS = {
+    "tiny radius": ({"model": "product_spheres", "p": 2, "q": 2, "r1": 1e-200, "r2": 1}, "r1"),
+    "huge radius": ({"model": "product_spheres", "p": 2, "q": 2, "r1": 1e200, "r2": 1}, "r1"),
+    "401-digit kappa": ({"model": "constant_curvature", "n": 3, "kappa": 10**400}, "kappa"),
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "spectrum"])
+@pytest.mark.parametrize("name", sorted(_OUT_OF_RANGE_MODELS))
+def test_model_parameter_out_of_double_range_exits_two(capsys, name, command):
+    doc, param = _OUT_OF_RANGE_MODELS[name]
+    code, out, err = run_main(capsys, command, "--model", json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert doc["model"] in err and param in err
+    with pytest.raises(SchemaError, match=param):
+        model_from_json(doc).build()
 
 
 def test_threshold_text_and_branches():

@@ -23,7 +23,6 @@ from curvop import (
     scalar,
     tensor_from_json,
     tensor_to_json,
-    traceless_ricci,
     validate_symmetries,
 )
 from curvop.core import (
@@ -31,6 +30,7 @@ from curvop.core import (
     SymmetryReport,
     _kn,
     _kn_square,
+    _random_stack,
     _require_valid_stack,
     _symmetry_residuals,
 )
@@ -46,6 +46,7 @@ from oracles import (
     loop_symmetry_residuals,
     random_traceless,
     slice_ricci,
+    traceless_ricci,
 )
 
 
@@ -350,6 +351,22 @@ def test_random_curvature_deterministic_and_valid():
             assert T.symmetry_report.valid
     with pytest.raises(ValueError):
         random_curvature(seed=0, n=3, terms=0)
+
+
+def test_a_stack_of_mixed_term_counts_is_bitwise_each_tensor_drawn_alone():
+    draws = [(11, 5), (12, 1), (13, 7)]
+    R = _random_stack([seed for seed, _ in draws], 4, [terms for _, terms in draws])
+    for b, (seed, terms) in enumerate(draws):
+        assert R[b].tobytes() == random_curvature(seed, 4, terms).components.tobytes()
+
+
+@pytest.mark.parametrize("seed, n, terms, fingerprint", [
+    (1, 4, 5, "d34a55693ba53203"),
+    (2, 6, 7, "8b0c4255cf5bfc3d"),
+    (3, 3, 4, "3be4f702d291d3c6"),
+])
+def test_random_curvature_keeps_its_bits_beyond_three_terms(seed, n, terms, fingerprint):
+    assert random_curvature(seed, n, terms).fingerprint == fingerprint
 
 
 _KN_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e100, 1e100))

@@ -1,5 +1,7 @@
 """Closed-form model families and their JSON parameter schemas."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,9 @@ from curvop import (
     scalar,
     second_kind_matrix,
     spectrum,
-    traceless_ricci,
 )
 
-from oracles import expected_ricci, loop_ricci
+from oracles import expected_ricci, loop_ricci, traceless_ricci
 
 
 # --- constant curvature -------------------------------------------------------
@@ -135,6 +136,15 @@ def test_product_parameter_validation():
         product_spheres(2, 2, -1.0, 1.0)
     with pytest.raises(ValueError):
         product_spheres(2, 2, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("r2", [1e-200, 1e-160, 1e200, np.float64(1e-200), np.float64(1e200)])
+def test_product_radius_whose_curvature_a_double_cannot_hold(r2):
+    """1/r^2 underflows, overflows or divides by zero: a ValueError naming r2, no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="r2"):
+            product_spheres(2, 2, 1.0, r2)
 
 
 # --- complex projective space --------------------------------------------------

@@ -37,10 +37,9 @@ from curvop import (
     tensor_from_json,
     tensor_to_json,
     threshold_profile,
-    traceless_ricci,
 )
 
-from oracles import class_add, class_scale, loop_basis_s2, random_traceless
+from oracles import class_add, class_scale, loop_basis_s2, random_traceless, traceless_ricci
 
 
 def _check(T, name, E=None, **kwargs):
