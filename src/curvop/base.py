@@ -11,11 +11,18 @@ The two dimension thresholds of the paper are closed-form:
   compact manifold with harmonic curvature to be Einstein;
 * constant_curvature_threshold  min(einstein, max(4, floor((n+2)/4))):
   k-nonnegativity at this level forces constant sectional curvature.
+
+The floor is a deliberate, conservative reading of the abstract's
+max{4, (n+2)/4}.  The two differ for n >= 15 with n not 2 mod 4 (4
+against 4.25 at n = 15, 5 against 5.5 at n = 20); since 4-nonnegativity
+implies 4.25-nonnegativity, the floor never certifies more than the
+theorem states.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -112,7 +119,8 @@ class ThresholdProfile(_Record):
 
     ``branch`` records which regime the constant-curvature threshold came
     from: "i" (n <= 7, equals the Einstein threshold), "ii" (8 <= n <= 13,
-    equals 4), "iii" (n >= 14, equals floor((n+2)/4)).
+    equals 4), "iii" (n >= 14, equals floor((n+2)/4), a deliberate,
+    conservative reading of the paper's (n+2)/4; see the module docstring).
     """
 
     n: int
@@ -125,14 +133,21 @@ def threshold_profile(n: int) -> ThresholdProfile:
     """Evaluate both thresholds at dimension n >= 3.
 
     The constant-curvature threshold is min(einstein, max(4, floor((n+2)/4)));
-    the three branches of the piecewise form are labelled by n-range.  A
+    the three branches of the piecewise form are labelled by n-range, and
+    the floor is the conservative reading of the abstract's (n+2)/4.  A
     numpy integer is accepted (numpy registers its integers as
-    ``numbers.Integral``); a bool is not.
+    ``numbers.Integral``); a bool is not.  Raises :class:`ValueError`
+    when a threshold is not a finite double (from about n = 1.3e154).
     """
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 3:
         raise ValueError(f"thresholds are defined for integer n >= 3, got {n!r}")
     n = int(n)
-    einstein = n * (n + 2.0) / (2.0 * (n + 1.0))
+    try:
+        einstein = n * (n + 2.0) / (2.0 * (n + 1.0))
+    except OverflowError:  # n itself is beyond the double range
+        einstein = math.inf
+    if not math.isfinite(einstein):
+        raise ValueError(f"the thresholds at n = {n} are out of double precision range")
     if n <= 7:
         cc, branch = einstein, "i"
     elif n <= 13:

@@ -19,11 +19,11 @@ weights to the cap), which the test suite uses as a calibration.
 ``all_checks`` is the one entry point for the five bounds.  It and the
 fuzz campaign share a single kernel that evaluates all five over a
 stack of tensors of one dimension, each with a stack of probes E, so
-each weight class and each bound formula is written down once.  The
-kernel has two stages: a tensor stage that eigensolves the stack and
-runs the three E-free checks, and a probe stage that runs the two
-E-dependent checks on any run of the stack's tensors.  ``all_checks``
-is its one-tensor, one-run case.
+each weight class and each bound formula is written down once.  A
+stack is prepared once: validated, assembled and eigensolved, with
+every per-tensor quantity of the checks worked out.  Then one kernel
+pass runs the five checks on any run of the stack's tensors with their
+probes.  ``all_checks`` is its one-tensor, one-probe case.
 
 The Einstein certificate evaluates the spectrum against the two
 dimension thresholds of ``base.threshold_profile``.
@@ -31,8 +31,8 @@ dimension thresholds of ``base.threshold_profile``.
 A fuzz campaign hammers the five bounds with seeded random tensors and
 batches of random unit trace-free tensors, run through the kernel in
 blocks of one dimension, recording worst margins and persisting any
-violator for regression replay.  A block passes through the tensor
-stage once and through the probe stage in slices of bounded size.
+violator for regression replay.  A block's stack is prepared once, and
+then one kernel pass runs per probe slice of bounded size.
 """
 
 from __future__ import annotations
@@ -144,9 +144,12 @@ def _report(name, n, lhs, rhs, tol, fingerprint, seed) -> InequalityReport:
 class _Prep:
     """Shared context of a stack of B tensors of one dimension n.
 
-    A batch of checks assembles and eigensolves once.  Every array has
-    the leading axis B; ``T`` is the tensor when the stack is the one
-    tensor of :func:`_prepare`.
+    A batch of checks assembles and eigensolves once, and works out once
+    every per-tensor quantity the checks read: the greedy minimum ``g``
+    of each check's weight class (shape (5, B), in CHECK_NAMES order),
+    the smallest Ricci eigenvalue, the scalar curvature and the scale.
+    Every other array has the leading axis B; ``T`` is the tensor when
+    the stack is the one tensor of :func:`_prepare`.
     """
 
     def __init__(self, R: np.ndarray, matrix: np.ndarray, T: CurvatureTensor | None = None):
@@ -157,9 +160,10 @@ class _Prep:
         eigvals, self.eigvecs = np.linalg.eigh(matrix)
         self.lam = _spectra(eigvals)
         self.ric = _ricci(R)
-        self.ric_eigs = np.linalg.eigvalsh(self.ric)
+        self.ric_min = np.linalg.eigvalsh(self.ric)[:, 0]
         self.s = np.trace(self.ric, axis1=-2, axis2=-1)
         self.scale = _scale(R)
+        self.g = np.array([_greedy_min(self.lam, cls) for cls in _weight_classes(self.n)])
 
     @cached_property
     def traceless_ricci(self) -> TracelessSym2:
@@ -181,60 +185,39 @@ def _prepare_stack(R: np.ndarray) -> _Prep:
     return _Prep(R, _symmetric(_second_kind_entries(R), stacked=True))
 
 
-def _weight_classes(n: int) -> dict[str, WeightClass]:
-    """The weight class [cap, total] of each check, keyed by check name."""
-    return {
-        "scalar_lower_bound": WeightClass(1.0, float(s2_traceless_dim(n))),
-        "ricci_lower_bound": WeightClass(1.0, float(n)),
-        "ricci_combined_bound": WeightClass(n / (n + 2.0), n - 1.0),
-        "quadform_lower_bound": WeightClass(1.0, 1.0),
-        "bochner_lower_bound": WeightClass(2.0 * (n + 1.0) / (n + 2.0), float(n)),
-    }
+def _weight_classes(n: int) -> tuple[WeightClass, ...]:
+    """The weight class [cap, total] of each check, in CHECK_NAMES order."""
+    return (
+        WeightClass(1.0, float(s2_traceless_dim(n))),
+        WeightClass(1.0, float(n)),
+        WeightClass(n / (n + 2.0), n - 1.0),
+        WeightClass(1.0, 1.0),
+        WeightClass(2.0 * (n + 1.0) / (n + 2.0), float(n)),
+    )
 
 
-def _tensor_checks(prep: _Prep, tol_base: float):
-    """The tensor stage of the five checks, over the stack of ``prep``.
-
-    Returns ``(checks, g, tol)``, each array of shape (B,).  ``checks``
-    maps the three E-free checks to (lhs, rhs, tol); ``g`` maps every
-    check name to its greedy minimum over the spectra; ``tol`` is the
-    tolerance of each tensor.  :func:`_probe_checks` takes the last two.
-    """
-    n, lam, s = prep.n, prep.lam, prep.s
-    g = {name: _greedy_min(lam, cls) for name, cls in _weight_classes(n).items()}
-    ric_min = prep.ric_eigs[:, 0]
-    tol = tol_base * prep.scale
-    checks = {
-        "scalar_lower_bound": (s, (2.0 * n / (n + 2.0)) * g["scalar_lower_bound"], tol),
-        "ricci_lower_bound": (
-            ric_min,
-            ((n - 1.0) / (n + 1.0)) * g["ricci_lower_bound"] + s / (n * (n + 1.0)),
-            tol,
-        ),
-        "ricci_combined_bound": (ric_min, g["ricci_combined_bound"], tol),
-    }
-    return checks, g, tol
-
-
-def _probe_checks(prep: _Prep, rows: slice, Eb: np.ndarray, g: dict, tol: np.ndarray):
-    """The probe stage: the two E-dependent checks on the tensors ``rows`` of ``prep``.
+def _kernel(prep: _Prep, rows: slice, Eb: np.ndarray, tol_base: float):
+    """The five checks on the tensors ``rows`` of ``prep``, each with its probes.
 
     ``Eb`` has shape (b, P, n, n): P trace-free probes for each of the b
-    tensors in ``rows``; ``g`` and ``tol`` come from :func:`_tensor_checks`.
-    Every array is cut to ``rows`` before use, so each per-tensor product
-    has the shape, and so the bits, it has in a stack of one.
+    tensors in ``rows``.  Every array is cut to ``rows`` before use, so
+    each per-tensor product has the shape, and so the bits, it has in a
+    stack of one.
 
-    Returns ``(checks, quad_rel, eig_rel)``.  ``checks`` maps the two
-    E-dependent checks to (lhs, rhs, tol) of shape (b, P).  The quadratic
-    form is computed three ways, by index contraction, through the
-    matrix, and through the eigen decomposition; ``quad_rel`` and
-    ``eig_rel``, of shape (b,), are the worst relative disagreements of
-    the last two with the first.
+    Returns ``((lhs, rhs, tol), quad_rel, eig_rel)``.  ``lhs``, ``rhs``
+    and ``tol`` have shape (5, b, P), one row per check in CHECK_NAMES
+    order; the three E-free checks repeat along P.  The quadratic form
+    is computed three ways, by index contraction, through the matrix,
+    and through the eigen decomposition; ``quad_rel`` and ``eig_rel``,
+    of shape (b,), are the worst relative disagreements of the last two
+    with the first.
     """
     n = prep.n
-    R, ric, matrix, eigvecs, lam, scale = (
-        x[rows] for x in (prep.R, prep.ric, prep.matrix, prep.eigvecs, prep.lam, prep.scale)
+    R, ric, matrix, eigvecs, lam = (
+        x[rows] for x in (prep.R, prep.ric, prep.matrix, prep.eigvecs, prep.lam)
     )
+    s, ric_min, scale = (x[rows, None] for x in (prep.s, prep.ric_min, prep.scale))
+    g = prep.g[:, rows, None]
 
     # The index contraction sum R[k,i,j,l] E[k,l] E[i,j] as e^T S e, with
     # e = E flattened and S[(k,l),(i,j)] = R[k,i,j,l].
@@ -251,17 +234,22 @@ def _probe_checks(prep: _Prep, rows: slice, Eb: np.ndarray, g: dict, tol: np.nda
     W = C @ eigvecs
     W *= W
     q_eig = (W @ lam[:, :, None])[..., 0]
-    denom = np.maximum(np.maximum(1.0, np.abs(q_idx)), scale[:, None] * nsq_floor)
+    denom = np.maximum(np.maximum(1.0, np.abs(q_idx)), scale * nsq_floor)
     quad_rel = np.max(np.abs(q_idx - q_mat) / denom, axis=-1)
     eig_rel = np.max(np.abs(q_idx - q_eig) / denom, axis=-1)
 
-    tol_e = tol[rows, None] * nsq_floor
-    checks = {
-        "quadform_lower_bound": (q_idx, g["quadform_lower_bound"][rows, None] * nsq, tol_e),
-        "bochner_lower_bound": (
-            q_idx + ric_term, g["bochner_lower_bound"][rows, None] * nsq, tol_e,
-        ),
-    }
+    # Filled in place: broadcasting the E-free rows into one stack costs more.
+    lhs, rhs, tol = checks = np.empty((3, len(CHECK_NAMES), B, P))
+    lhs[0] = s
+    lhs[1:3] = ric_min
+    lhs[3] = q_idx
+    lhs[4] = q_idx + ric_term
+    rhs[0] = (2.0 * n / (n + 2.0)) * g[0]
+    rhs[1] = ((n - 1.0) / (n + 1.0)) * g[1] + s / (n * (n + 1.0))
+    rhs[2] = g[2]
+    rhs[3:] = g[3:] * nsq
+    tol[:3] = tol_base * scale
+    tol[3:] = tol[0] * nsq_floor
     return checks, quad_rel, eig_rel
 
 
@@ -281,13 +269,11 @@ def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
             E = E.components
         Eb = TracelessSym2(prep.n, E).components[None, None]
         tol_base = _check_tol(TOL_INEQ if tol is None else tol)
-        checks, g, tol = _tensor_checks(prep, tol_base)
-        probe_checks, quad_rel, eig_rel = _probe_checks(prep, slice(None), Eb, g, tol)
-        checks.update(probe_checks)
-        reports = []
-        for name in CHECK_NAMES:
-            lhs, rhs, eff = (np.ravel(x)[0] for x in checks[name])
-            reports.append(_report(name, prep.n, lhs, rhs, eff, prep.T.fingerprint, seed))
+        checks, quad_rel, eig_rel = _kernel(prep, slice(None), Eb, tol_base)
+        reports = [
+            _report(name, prep.n, lhs, rhs, eff, prep.T.fingerprint, seed)
+            for name, (lhs, rhs, eff) in zip(CHECK_NAMES, checks[:, :, 0, 0].T)
+        ]
     rels = {"matrix": float(quad_rel[0]), "eigen": float(eig_rel[0])}
     _require_finite({
         **{f"{r.name} {field}": getattr(r, field)
@@ -464,7 +450,7 @@ class FuzzSummary(_Record):
 _BLOCK_TRIALS = 32
 
 #: A probe slice of a block holds at most this many bytes of probe entries,
-#: trials * P * n^2 * 8, though always one trial.  The probe stage's
+#: trials * P * n^2 * 8, though always one trial.  A kernel pass's
 #: temporaries come to about three times this, so it bounds the memory a
 #: campaign adds to the process.
 _BLOCK_PROBE_BYTES = 1 << 19
@@ -535,14 +521,14 @@ def _probe_draws(trial_seeds, n: int, e_per_tensor: int) -> np.ndarray:
 
 
 def _fuzz_block(args) -> dict:
-    """Run one block of trials through all five checks, in two stages.
+    """Run one block of trials through all five checks.
 
     ``args`` is (seed, block, e_per_tensor, tol_base), with a block from
-    :func:`_blocks`.  The tensor stage draws, validates, assembles and
-    eigensolves the block's tensors once and runs the three E-free
-    checks.  The probe stage then draws the probes and runs the two
-    E-dependent checks one slice of :func:`_probe_slices` at a time, so
-    only one slice's probes are held at once.
+    :func:`_blocks`.  The block's tensors are drawn and their stack is
+    prepared once: validated, assembled and eigensolved.  Then, one slice
+    of :func:`_probe_slices` at a time, the slice's probes are drawn and
+    one kernel pass runs all five checks on them, so only one slice's
+    probes are held at once.
 
     Returns per-trial arrays: for each check the worst margin over the
     probes and the tolerance at that probe, the scale, both dual-path
@@ -551,39 +537,32 @@ def _fuzz_block(args) -> dict:
     seed, (n, start, count), e_per_tensor, tol_base = args
     trial_seeds, terms, R = _tensor_draws(seed, n, start, count)
     prep = _prepare_stack(R)
-    checks, g, tol = _tensor_checks(prep, tol_base)
-    margins = {name: lhs - rhs for name, (lhs, rhs, _) in checks.items()}
-    tols = dict.fromkeys(checks, tol)
-    for name in CHECK_NAMES:
-        if name not in checks:
-            margins[name], tols[name] = np.empty(count), np.empty(count)
-    quad_rel, eig_rel = np.empty(count), np.empty(count)
+    margins, tols = np.empty((2, len(CHECK_NAMES), count))
+    quad_rel, eig_rel = np.empty((2, count))
     for rows in _probe_slices(n, count, e_per_tensor):
         Eb = _probe_draws(trial_seeds[rows], n, e_per_tensor)
-        probe_checks, quad_rel[rows], eig_rel[rows] = _probe_checks(prep, rows, Eb, g, tol)
-        for name, (lhs, rhs, eff) in probe_checks.items():
-            margin = lhs - rhs
-            worst = (np.arange(len(margin)), margin.argmin(axis=1))
-            margins[name][rows], tols[name][rows] = margin[worst], eff[worst]
+        (lhs, rhs, tol), quad_rel[rows], eig_rel[rows] = _kernel(prep, rows, Eb, tol_base)
+        margin = lhs - rhs
+        worst = margin.argmin(axis=-1)[..., None]
+        margins[:, rows] = np.take_along_axis(margin, worst, axis=-1)[..., 0]
+        tols[:, rows] = np.take_along_axis(tol, worst, axis=-1)[..., 0]
 
     violations = []
-    failed = np.array([margins[name] < -tols[name] for name in CHECK_NAMES])
-    for b, c in np.argwhere(failed.T).tolist():
-        name = CHECK_NAMES[c]
+    for b, c in np.argwhere((margins < -tols).T).tolist():
         violations.append(Violation(
-            check=name,
+            check=CHECK_NAMES[c],
             n=n,
             trial_index=start + b,
             trial_seed=trial_seeds[b],
             terms=terms[b],
-            margin=float(margins[name][b]),
-            tol=float(tols[name][b]),
+            margin=float(margins[c, b]),
+            tol=float(tols[c, b]),
             fingerprint=_fingerprint(R[b]),
         ))
     return {
         "scale": prep.scale,
-        "margins": margins,
-        "tols": tols,
+        "margins": dict(zip(CHECK_NAMES, margins)),
+        "tols": dict(zip(CHECK_NAMES, tols)),
         "quad_rel": quad_rel,
         "eig_rel": eig_rel,
         "violations": violations,
@@ -620,15 +599,15 @@ def fuzz_campaign(
     Trial t (counted across ``ns`` in order) draws its tensor and probes
     from its own RNG stream, seeded by SeedSequence([seed, t]); its
     ``trial_seed`` replays the tensor through ``random_curvature``.  The
-    trials of each n run in blocks of at most 32: a block's tensors are
-    validated, assembled and eigensolved together, and its probes go
-    through in slices of at most 512 KiB of probe entries (always at
-    least one trial).  ``jobs`` > 1 hands whole blocks to worker
-    processes.  Neither blocks nor slices depend on ``jobs``, so the
-    report is identical for jobs=1 and jobs>1.  Violators (margin below
-    -tol * scale) are persisted to ``regression_dir``, the
-    CURVOP_REGRESSION_DIR environment variable, or ./regressions, in
-    that order of preference.  ``seed``, ``trials_per_n``,
+    trials of each n run in blocks of at most 32: a block's stack of
+    tensors is prepared once (validated, assembled and eigensolved), and
+    then one kernel pass runs all five checks per slice of at most
+    512 KiB of probe entries (always at least one trial).  ``jobs`` > 1
+    hands whole blocks to worker processes.  Neither blocks nor slices
+    depend on ``jobs``, so the report is identical for jobs=1 and
+    jobs>1.  Violators (margin below -tol * scale) are persisted to
+    ``regression_dir``, the CURVOP_REGRESSION_DIR environment variable,
+    or ./regressions, in that order of preference.  ``seed``, ``trials_per_n``,
     ``e_per_tensor``, ``jobs`` and each n must be integers (not bools);
     ``ns`` must hold at least one n >= 3, ``tol`` must be a finite
     number >= 0, and ``jobs`` must be >= 1, capped at the CPU count and

@@ -322,6 +322,17 @@ def test_threshold_text_and_branches():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("n, fmt", [(10**200, "json"), (10**400, "text")],
+                         ids=["10**200-json", "10**400-text"])
+def test_threshold_out_of_double_range_exits_two(n, fmt):
+    """Once exit 0 with "Infinity" in the JSON, and exit 1 with an OverflowError."""
+    proc = run_cli("threshold", "--n", str(n), "--format", fmt)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "out of double precision range" in proc.stderr and str(n) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_models_catalog_lists_all_kinds():
     proc = run_cli("models", check=True)
     for kind in ("constant_curvature", "product_spheres", "fubini_study"):

@@ -84,7 +84,8 @@ def test_threshold_piecewise_formula_agrees_with_min_max_form():
 
 
 def test_threshold_profile_input_validation():
-    for bad in (2, 0, -3, True, 3.5, "4"):
+    # 10**155 once gave an infinite threshold, 10**400 an OverflowError.
+    for bad in (2, 0, -3, True, 3.5, "4", 10**155, 10**400):
         with pytest.raises(ValueError):
             threshold_profile(bad)
 
@@ -465,6 +466,21 @@ def test_fuzz_deterministic_and_job_invariant():
     assert a.to_json() == b.to_json()
     c = fuzz_campaign(seed=321, trials_per_n=12, ns=(3, 5), e_per_tensor=4, jobs=2)
     assert a.to_json() == c.to_json()
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_fuzz_blocks_and_all_checks_share_the_e_free_checks(seed):
+    """A trial's tensor replayed through all_checks keeps every bit of its E-free margins and tols."""
+    v = curvop.verify
+    for block in v._blocks((3, 4, 5, 8), 40):
+        n, start, count = block
+        trial_seeds, terms, _ = v._tensor_draws(seed, n, start, count)
+        res = v._fuzz_block((seed, block, 2, 1e-9))
+        for b, (trial_seed, m) in enumerate(zip(trial_seeds, terms)):
+            for r in all_checks(random_curvature(trial_seed, n, m), tol=1e-9)[:3]:
+                for key, got in (("margins", r.margin), ("tols", r.tol)):
+                    assert np.float64(got).tobytes() == res[key][r.name][b].tobytes(), (
+                        start + b, r.name, key)
 
 
 def test_fuzz_input_validation():
