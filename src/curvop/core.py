@@ -37,7 +37,7 @@ from .base import CurvopError, InvalidTensorError, SchemaError, TraceError, _Rec
 
 __all__ = list(_EXPORTS["core"])
 
-#: Tolerance for the four symmetry residuals, relative to max(1, max-norm).
+#: Tolerance for the four symmetry residuals, relative to the largest absolute component.
 TAU_SYM = 1e-9
 
 #: Relative tolerance for trace-free checks: |tr E| <= TAU_TRACE * (||E||_F + 1).
@@ -97,17 +97,10 @@ _AXES = (-4, -3, -2, -1)
 def _norm_inf(R: np.ndarray) -> np.ndarray:
     """Largest absolute component of each tensor in a stack (..., n, n, n, n).
 
-    Taken as max(max R, -min R): two reductions and no temporary.
+    The one scale of every tolerance that judges a tensor, and +0.0 for the
+    zero tensor.  Taken as max(max R, -min R): two reductions and no temporary.
     """
-    return np.maximum(np.max(R, axis=_AXES), -np.min(R, axis=_AXES))
-
-
-def _scale(R: np.ndarray) -> np.ndarray:
-    """max(1, largest absolute component) of each tensor in a stack: the tolerances' scale.
-
-    A NaN component gives 1, so an invalid report still states a number.
-    """
-    return np.fmax(1.0, _norm_inf(R))
+    return np.maximum(np.max(R, axis=_AXES), -np.min(R, axis=_AXES)) + 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +148,7 @@ class CurvatureTensor:
         return _fingerprint(self.components)
 
     def norm_inf(self) -> float:
-        """Largest absolute component, used to scale inequality tolerances."""
+        """Largest absolute component, the scale of every tolerance that judges the tensor."""
         return float(_norm_inf(self.components))
 
     def __add__(self, other: "CurvatureTensor") -> "CurvatureTensor":
@@ -262,7 +255,7 @@ def _require_valid_stack(R: np.ndarray) -> None:
     tensor that fails.
     """
     residuals = _symmetry_residuals(R)
-    limit = TAU_SYM * _scale(R)
+    limit = TAU_SYM * _norm_inf(R)
     bad = np.flatnonzero(~(np.max(residuals, axis=0) <= limit))
     if bad.size:
         b = bad[0]
@@ -275,16 +268,16 @@ def validate_symmetries(T: CurvatureTensor) -> SymmetryReport:
     """Measure the residuals of the four defining symmetries of ``T``.
 
     Returns a :class:`SymmetryReport`; ``report.valid`` is True when all
-    residuals are within ``TAU_SYM * max(1, T.norm_inf())``, the same
-    scale as the bound checks use.  The report stores that effective
-    tolerance.
+    residuals are within ``TAU_SYM * T.norm_inf()``, the same scale as the
+    bound checks use, so validity does not change under T -> cT.  The
+    report stores that effective tolerance.
     """
     anti, pair, bianchi = _symmetry_residuals(T.components)
     return SymmetryReport(
         antisymmetry=float(anti),
         pair_symmetry=float(pair),
         first_bianchi=float(bianchi),
-        tol=TAU_SYM * float(_scale(T.components)),
+        tol=TAU_SYM * T.norm_inf(),
     )
 
 

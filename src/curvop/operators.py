@@ -83,8 +83,9 @@ def _symmetric(M, stacked: bool = False) -> np.ndarray:
 
     With ``stacked``, M is a stack (B, N, N) and each matrix is checked
     against its own scale.  Rejects a non-square shape and asymmetry
-    beyond 1e-12 relative with :class:`ValueError`, and entries that are
-    (or overflow to) infinity or NaN with :class:`CurvopError`.
+    beyond 1e-12 times the largest absolute entry with :class:`ValueError`,
+    and entries that are (or overflow to) infinity or NaN with
+    :class:`CurvopError`.
     """
     arr = np.array(M, dtype=float)
     if arr.ndim != 2 + stacked or arr.shape[-1] != arr.shape[-2]:
@@ -94,7 +95,7 @@ def _symmetric(M, stacked: bool = False) -> np.ndarray:
         sym = (arr + arr_t) / 2.0
         skew = np.max(np.abs(arr - arr_t), axis=(-2, -1))
     _require_finite({"matrix entry": sym})
-    limit = 1e-12 * np.maximum(1.0, np.max(np.abs(arr), axis=(-2, -1)))
+    limit = 1e-12 * np.max(np.abs(arr), axis=(-2, -1))
     bad = np.ravel(skew)[np.ravel(skew > limit)]
     if bad.size:
         raise ValueError(f"matrix is asymmetric beyond tolerance: {bad[0]:.3e}")

@@ -11,7 +11,9 @@ operator, written [O, S] for the class with cap O and total S:
 * bochner_lower_bound:   <op(E), E> + Ric_ij E_it E_jt  >=  [2(n+1)/(n+2), n] * |E|^2
 
 for trace-free symmetric E.  Margins are lhs - rhs; a check "holds"
-when the margin clears a tolerance scaled to the size of the inputs.
+when the margin clears a tolerance of tol_base times the largest
+absolute component of T, times |E|^2 for the two E-dependent checks,
+so no verdict changes under T -> cT.
 The round sphere saturates all five with margin zero, and the scalar
 bound is in fact an identity for every tensor (its class pins all
 weights to the cap), which the test suite uses as a calibration.
@@ -53,11 +55,11 @@ from .core import (
     Sym2Tensor,
     TracelessSym2,
     _fingerprint,
+    _norm_inf,
     _random_stack,
     _require_finite,
     _require_valid_stack,
     _ricci,
-    _scale,
     _trace_free,
     random_curvature,
     tensor_to_json,
@@ -74,7 +76,7 @@ from .weighted import BOUNDARY_TOL, WeightClass, KVerdict, _greedy_min, k_verdic
 
 __all__ = list(_EXPORTS["verify"])
 
-#: Relative tolerance of the Einstein test in the certificate.
+#: Tolerance of the Einstein test, relative to the tensor's largest absolute component.
 _EINSTEIN_TOL = 1e-9
 
 #: Environment variable naming the directory for persisted violators.
@@ -162,7 +164,7 @@ class _Prep:
         self.ric = _ricci(R)
         self.ric_min = np.linalg.eigvalsh(self.ric)[:, 0]
         self.s = np.trace(self.ric, axis1=-2, axis2=-1)
-        self.scale = _scale(R)
+        self.scale = _norm_inf(R)
         self.g = np.array([_greedy_min(self.lam, cls) for cls in _weight_classes(self.n)])
 
     @cached_property
@@ -226,7 +228,6 @@ def _kernel(prep: _Prep, rows: slice, Eb: np.ndarray, tol_base: float):
     S = np.transpose(R, (0, 1, 4, 2, 3)).reshape(B, n * n, n * n)
     q_idx = np.einsum("...i,...i->...", e @ S, e)
     nsq = np.sum(Eb * Eb, axis=(-2, -1))
-    nsq_floor = np.maximum(1.0, nsq)
     # sum Ric[i,j] E[i,t] E[j,t]
     ric_term = np.einsum("...ij,...ij->...", ric[:, None] @ Eb, Eb)
     C = coordinates(Eb)
@@ -234,9 +235,10 @@ def _kernel(prep: _Prep, rows: slice, Eb: np.ndarray, tol_base: float):
     W = C @ eigvecs
     W *= W
     q_eig = (W @ lam[:, :, None])[..., 0]
-    denom = np.maximum(np.maximum(1.0, np.abs(q_idx)), scale * nsq_floor)
-    quad_rel = np.max(np.abs(q_idx - q_mat) / denom, axis=-1)
-    eig_rel = np.max(np.abs(q_idx - q_eig) / denom, axis=-1)
+    # The denominator is 0 only when all three paths are exactly 0.
+    denom = np.maximum(np.abs(q_idx), scale * nsq)
+    gaps = np.abs(q_idx - np.stack([q_mat, q_eig]))
+    quad_rel, eig_rel = np.max(np.divide(gaps, denom, out=gaps, where=denom > 0), axis=-1)
 
     # Filled in place: broadcasting the E-free rows into one stack costs more.
     lhs, rhs, tol = checks = np.empty((3, len(CHECK_NAMES), B, P))
@@ -249,7 +251,7 @@ def _kernel(prep: _Prep, rows: slice, Eb: np.ndarray, tol_base: float):
     rhs[2] = g[2]
     rhs[3:] = g[3:] * nsq
     tol[:3] = tol_base * scale
-    tol[3:] = tol[0] * nsq_floor
+    tol[3:] = tol[0] * nsq
     return checks, quad_rel, eig_rel
 
 
@@ -328,10 +330,10 @@ class EinsteinCertificate(_Record):
 def einstein_certificate(T) -> EinsteinCertificate:
     """Test a tensor's second-kind spectrum against both thresholds.
 
-    ``is_einstein`` means the trace-free Ricci norm is below
-    1e-9 * (1 + |Ric|_F).  Conclusions are plain-language statements of
-    what the verdicts imply for a compact manifold with harmonic
-    curvature whose curvature tensor equals T at every point.  Raises
+    ``is_einstein`` means the trace-free Ricci norm is at most 1e-9 times
+    the largest absolute component of T.  Conclusions are plain-language
+    statements of what the verdicts imply for a compact manifold with
+    harmonic curvature whose curvature tensor equals T at every point.  Raises
     :class:`CurvopError` when a k-sum or a norm is not finite.
     """
     return _certificate(_prepare(T))
@@ -344,14 +346,12 @@ def _certificate(prep: _Prep) -> EinsteinCertificate:
         kv_e = k_verdict(prep.lam[0], profile.einstein_threshold)
         kv_c = k_verdict(prep.lam[0], profile.constant_curvature_threshold)
         e_norm = prep.traceless_ricci.frobenius()
-        ric_norm = float(np.linalg.norm(prep.ric[0]))
     _require_finite({
         "einstein threshold k-sum": kv_e.value,
         "constant curvature threshold k-sum": kv_c.value,
         "traceless Ricci norm": e_norm,
-        "Ricci norm": ric_norm,
     })
-    is_einstein = e_norm <= _EINSTEIN_TOL * (1.0 + ric_norm)
+    is_einstein = e_norm <= _EINSTEIN_TOL * float(prep.scale[0])
 
     conclusions = []
     if kv_e.nonnegative:
@@ -380,8 +380,8 @@ def _certificate(prep: _Prep) -> EinsteinCertificate:
         )
     if kv_e.boundary or kv_c.boundary:
         conclusions.append(
-            f"a threshold sum sits within {BOUNDARY_TOL:g} of zero; strict positivity "
-            "statements are not numerically decidable here"
+            f"a threshold sum sits within {BOUNDARY_TOL:g} times the largest |eigenvalue| "
+            "of zero; strict positivity statements are not numerically decidable here"
         )
     return EinsteinCertificate(
         n=prep.n,
@@ -419,8 +419,9 @@ class FuzzSummary(_Record):
     """Aggregate outcome of a fuzz campaign.
 
     ``min_scaled_margins`` maps check name to the worst margin divided
-    by its tensor's scale factor, directly comparable to the -tol
-    threshold.  ``max_quad_dual_rel`` / ``max_eig_dual_rel`` are the
+    by its tensor's largest absolute component, directly comparable to
+    -tol, the base tolerance (for the unit probes of the E-dependent
+    checks as well).  ``max_quad_dual_rel`` / ``max_eig_dual_rel`` are the
     worst relative disagreements between the index-contraction
     quadratic form and the matrix / eigen-decomposition paths.
     ``elapsed`` (seconds) is informational and excluded from to_json so

@@ -40,7 +40,8 @@ from .operators import Spectrum
 
 __all__ = list(_EXPORTS["weighted"])
 
-#: Absolute half-width of the boundary band around zero for k-verdicts.
+#: Half-width of the boundary band around zero for k-verdicts, relative to the
+#: largest absolute eigenvalue of the spectrum judged.
 BOUNDARY_TOL = 1e-12
 
 
@@ -109,8 +110,9 @@ def k_sum(lam, k: float) -> float:
 class KVerdict(_Record):
     """Outcome of a k-positivity test, carrying the witness value.
 
-    ``boundary`` flags values within +/- 1e-12 of zero, where the
-    strict/non-strict distinction is numerically meaningless.
+    ``boundary`` flags values within +/- 1e-12 times the largest absolute
+    eigenvalue of zero, where the strict/non-strict distinction is
+    numerically meaningless.
     """
 
     k: float
@@ -121,19 +123,20 @@ class KVerdict(_Record):
 
 
 def k_verdict(lam, k: float) -> KVerdict:
-    """Evaluate k_sum and classify its sign.
+    """Evaluate k_sum and classify its sign against the band of :class:`KVerdict`.
 
     A non-finite eigenvalue raises :class:`CurvopError`: it is an error,
     never a failed property.
     """
-    value = k_sum(lam, k)
-    boundary = abs(value) <= BOUNDARY_TOL
+    arr = _ascending(lam)
+    value = k_sum(arr, k)
+    band = BOUNDARY_TOL * max(-float(arr[0]), float(arr[-1]))
     return KVerdict(
         k=float(k),
         value=value,
-        nonnegative=value >= -BOUNDARY_TOL,
-        positive=value > BOUNDARY_TOL,
-        boundary=boundary,
+        nonnegative=value >= -band,
+        positive=value > band,
+        boundary=abs(value) <= band,
     )
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -258,6 +259,28 @@ def test_non_finite_input_or_result_leaves_stderr_clean(tmp_path, name):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_tiny_tensor_that_breaks_bianchi_exits_two(capsys, tmp_path):
+    """A 1e-11 defect is 100% of a 1e-11 tensor: judged at its own size, not at 1."""
+    path = tmp_path / "tensor.json"
+    path.write_text('{"n": 4, "entries": [{"i": 0, "j": 1, "k": 2, "l": 3, "v": 1e-11}]}')
+    code, out, err = run_main(capsys, "bounds", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: curvature tensor violates its defining symmetries: antisymmetry 0.000e+00, "
+        "pair symmetry 0.000e+00, first Bianchi 1.000e-11 (tolerance 1.0e-20)\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_zero_tensor_report_has_no_negative_zero(capsys, tmp_path, fmt):
+    path = tmp_path / "tensor.json"
+    path.write_text('{"n": 4, "entries": []}')
+    code, out, _ = run_main(capsys, "bounds", "--input", str(path), "--format", fmt,
+                            "--no-timestamp")
+    assert code == 0
+    assert not re.findall(r"(?<![\w.])-0(\.0*)?(?![\w.])", out)
 
 
 def _unable_to_allocate(*args, **kwargs):

@@ -95,7 +95,7 @@ def test_slab_residuals_are_bitwise_the_dense_reference(n):
         _assert_bitwise(_symmetry_residuals(R), want)
         rep = validate_symmetries(CurvatureTensor(n, R))
         expected = SymmetryReport(
-            *map(float, want), tol=TAU_SYM * max(1.0, float(np.max(np.abs(R))))
+            *map(float, want), tol=TAU_SYM * float(np.max(np.abs(R)))
         )
         assert rep == expected
         if not rep.valid:
@@ -117,7 +117,7 @@ def test_slab_residuals_of_stacks_are_bitwise_the_dense_reference(B, n):
     with pytest.raises(InvalidTensorError) as info:
         _require_valid_stack(bad)
     b = B // 2
-    tol = TAU_SYM * max(1.0, float(np.max(np.abs(bad[b]))))
+    tol = TAU_SYM * float(np.max(np.abs(bad[b])))
     assert info.value.report == SymmetryReport(*(float(r[b]) for r in want), tol=tol)
 
 
@@ -151,7 +151,7 @@ def test_single_entry_perturbation_detected():
 
 def test_symmetry_tolerance_scales_with_the_max_norm():
     # Scaling a valid tensor scales its rounding residue (~2e-9 here, above
-    # the unscaled 1e-9), so the tolerance scales with max(1, max-norm).
+    # the unscaled 1e-9), so the tolerance scales with the max-norm, below 1 too.
     T = 1e6 * random_curvature(5, 5)
     rep = T.symmetry_report
     assert rep.max_violation > TAU_SYM
@@ -159,7 +159,7 @@ def test_symmetry_tolerance_scales_with_the_max_norm():
     assert type(rep.tol) is float
     assert rep.valid
     assert T.require_valid() is T
-    assert constant_curvature(3, 0.5).symmetry_report.tol == TAU_SYM
+    assert constant_curvature(3, 0.5).symmetry_report.tol == TAU_SYM * 0.5
 
 
 def test_scaled_tensor_with_relative_bianchi_defect_is_rejected():

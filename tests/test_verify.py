@@ -8,15 +8,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import curvop.cli
 import curvop.verify
 from curvop import (
     CHECK_NAMES,
     ConsistencyError,
+    CurvatureTensor,
     CurvopError,
+    InvalidTensorError,
     OperatorMatrix,
     Spectrum,
+    TAU_SYM,
     TraceError,
     TracelessSym2,
     WeightClass,
@@ -39,7 +43,14 @@ from curvop import (
     threshold_profile,
 )
 
-from oracles import class_add, class_scale, loop_basis_s2, random_traceless, traceless_ricci
+from oracles import (
+    class_add,
+    class_scale,
+    cylinder_n3,
+    loop_basis_s2,
+    random_traceless,
+    traceless_ricci,
+)
 
 
 def _check(T, name, E=None, **kwargs):
@@ -268,10 +279,69 @@ def test_non_finite_results_raise_instead_of_passing():
 
 
 def test_zero_tensor_reports_boundary_everywhere():
-    T = 0.0 * constant_curvature(4, 1.0)
-    E = random_traceless(4, 3, unit=True)
-    for r in all_checks(T, E=E):
-        assert r.verdict == "boundary"
+    """The zero tensor has scale +0.0, so every tolerance is +0.0 and it compares exactly."""
+    for T in (0.0 * constant_curvature(4, 1.0), CurvatureTensor(4, np.zeros((4,) * 4))):
+        assert math.copysign(1.0, T.norm_inf()) == 1.0
+        for E in (None, random_traceless(4, 3, unit=True)):
+            for r in all_checks(T, E=E):
+                assert r.verdict == "boundary"
+                assert math.copysign(1.0, r.tol) == 1.0 and r.tol == 0.0
+
+
+def test_tiny_garbage_fails_validation_not_the_matrix_check():
+    """A 1e-11-sized tensor with no curvature symmetry is judged at its own size."""
+    T = CurvatureTensor(4, 1e-11 * np.random.default_rng(0).normal(size=(4,) * 4))
+    assert not T.symmetry_report.valid
+    assert T.symmetry_report.tol == TAU_SYM * T.norm_inf()
+    for call in (all_checks, einstein_certificate, second_kind_matrix):
+        with pytest.raises(InvalidTensorError):
+            call(T)
+
+
+# --- scale invariance -------------------------------------------------------------
+
+
+def _decisions(T):
+    """Every tolerance decision about T: validity, the five verdicts, the k-verdict
+    flags of both thresholds, is_einstein and impossible."""
+    if not T.symmetry_report.valid:
+        return (False,)
+    cert = einstein_certificate(T)
+    flags = [(kv.nonnegative, kv.positive, kv.boundary)
+             for kv in (cert.einstein_verdict, cert.constant_curvature_verdict)]
+    return (True, *(r.verdict for r in all_checks(T)), *flags, cert.is_einstein, cert.impossible)
+
+
+_SIGNED = st.tuples(st.floats(1e-3, 1e3), st.sampled_from([1.0, -1.0])).map(
+    lambda pair: pair[0] * pair[1])
+
+_SCALED_INPUTS = st.one_of(
+    st.builds(random_curvature, st.integers(0, 2**32 - 1), st.integers(3, 7),
+              st.integers(1, 3)),
+    st.builds(constant_curvature, st.integers(3, 7), _SIGNED),
+    st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.sampled_from([1.0, -1.0])).map(
+        lambda t: cylinder_n3(t[2] * t[0], t[2] * t[1])),
+    st.builds(lambda seed, n: CurvatureTensor(n, np.random.default_rng(seed).normal(
+        size=(n,) * 4)), st.integers(0, 2**32 - 1), st.integers(3, 5)),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_SCALED_INPUTS)
+@example(cylinder_n3(1.0, 2.0))
+@example(CurvatureTensor(4, np.zeros((4,) * 4)))
+def test_every_decision_is_invariant_under_exact_scaling(T):
+    """c = 2^j scales every component exactly, so no decision may move over j in [-40, 40]."""
+    want = _decisions(T)
+    for j in range(-40, 41):
+        assert _decisions(math.ldexp(1.0, j) * T) == want, j
+
+
+def test_random_tensor_verdicts_hold_at_small_scales():
+    T = random_curvature(3, 5)
+    for c in (1.0, 1e-6, 1e-12):
+        assert [r.verdict for r in all_checks(c * T)] == [
+            "boundary", "holds", "holds", "holds", "holds"], c
 
 
 # --- certificates ---------------------------------------------------------------
@@ -288,14 +358,17 @@ def test_certificate_on_round_sphere():
 
 
 def test_certificate_on_unbalanced_product():
-    cert = einstein_certificate(product_spheres(2, 3, 1.0, 1.0))
-    assert not cert.is_einstein
-    assert not cert.einstein_verdict.nonnegative
-    assert not cert.constant_curvature_verdict.nonnegative
-    assert not cert.impossible
-    assert cert.traceless_ricci_norm > 0.1
-    # bottom of the spectrum is the mixed eigenvalue -7/5
-    assert cert.einstein_verdict.value < -1.0
+    # At c = 1e-13 the threshold k-sum is -1.4e-13, once inside an absolute
+    # 1e-12 band, and the Einstein test once passed it too.
+    for c in (1e-13, 1.0, 1e13):
+        cert = einstein_certificate(c * product_spheres(2, 3, 1.0, 1.0))
+        assert not cert.is_einstein
+        assert not cert.einstein_verdict.nonnegative
+        assert not cert.constant_curvature_verdict.nonnegative
+        assert not cert.impossible
+        assert cert.traceless_ricci_norm > 0.1 * c
+        # bottom of the spectrum is the mixed eigenvalue -7/5
+        assert cert.einstein_verdict.value < -1.0 * c
 
 
 def test_certificate_on_einstein_product():
@@ -330,9 +403,10 @@ def test_certificate_impossible_flag():
 def test_certificate_on_zero_tensor():
     cert = einstein_certificate(0.0 * constant_curvature(4, 1.0))
     assert cert.is_einstein
-    assert cert.einstein_verdict.boundary
-    assert cert.einstein_verdict.nonnegative
-    assert not cert.einstein_verdict.positive
+    for kv in (cert.einstein_verdict, cert.constant_curvature_verdict):
+        assert kv.boundary and kv.nonnegative and not kv.positive
+        assert [type(kv.value), type(kv.nonnegative), type(kv.positive),
+                type(kv.boundary)] == [float, bool, bool, bool]
     assert not cert.impossible
     assert any("boundary" in c or "not numerically decidable" in c
                for c in cert.conclusions)
