@@ -40,7 +40,7 @@ __all__ = list(_EXPORTS["core"])
 #: Tolerance for the four symmetry residuals, relative to the largest absolute component.
 TAU_SYM = 1e-9
 
-#: Relative tolerance for trace-free checks: |tr E| <= TAU_TRACE * (||E||_F + 1).
+#: Relative tolerance for trace-free checks: |tr E| <= TAU_TRACE * ||E||_F.
 TAU_TRACE = 1e-12
 
 
@@ -60,8 +60,8 @@ class SymmetryReport(_Record):
     """Maximum-entry residuals of the four curvature symmetries.
 
     ``antisymmetry`` is the worse of the first-pair and last-pair
-    residuals.  A tensor is accepted when every residual is at most
-    ``tol``, the effective tolerance (already scaled to the tensor).
+    residuals.  ``tol`` is the effective tolerance, already scaled to
+    the tensor; :attr:`valid` judges the residuals against it.
     """
 
     antisymmetry: float
@@ -76,7 +76,11 @@ class SymmetryReport(_Record):
 
     @property
     def valid(self) -> bool:
-        return self.max_violation <= self.tol
+        """The one validity rule: every residual is within ``tol``, which is finite.
+
+        So a tensor with an infinite or NaN component is never valid.
+        """
+        return self.max_violation <= self.tol < math.inf
 
     @property
     def verdict(self) -> str:
@@ -186,9 +190,8 @@ class Sym2Tensor:
             raise ValueError(
                 f"component array has shape {arr.shape}, expected {(self.n, self.n)}"
             )
-        skew = float(np.max(np.abs(arr - arr.T))) if self.n else 0.0
-        scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
-        if skew > 1e-8 * scale:
+        skew = float(np.max(np.abs(arr - arr.T), initial=0.0))
+        if skew > 1e-8 * np.max(np.abs(arr), initial=0.0):
             raise ValueError(f"input is not symmetric: max |A - A.T| = {skew:.3e}")
         arr = (arr + arr.T) / 2.0
         arr.setflags(write=False)
@@ -206,16 +209,17 @@ class Sym2Tensor:
 class TracelessSym2(Sym2Tensor):
     """Symmetric 2-tensor constrained to be trace-free.
 
-    Raises :class:`TraceError` when |trace| > TAU_TRACE * (||.||_F + 1).
+    Raises :class:`TraceError` when |trace| > TAU_TRACE * ||.||_F, the norm
+    summed by ``hypot`` so that it cannot underflow at tiny scales.
     """
 
     def __post_init__(self):
         super().__post_init__()
         tr = abs(self.trace())
-        if tr > TAU_TRACE * (self.frobenius() + 1.0):
+        if tr > TAU_TRACE * np.hypot.reduce(self.components.ravel()):
             raise TraceError(
                 f"tensor is not trace-free: |trace| = {tr:.3e} exceeds "
-                f"{TAU_TRACE:.1e} * (||.||_F + 1)"
+                f"{TAU_TRACE:.1e} * ||.||_F"
             )
 
 
@@ -248,37 +252,31 @@ def _symmetry_residuals(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.maximum(anti_first, anti_last), pair, bianchi
 
 
-def _require_valid_stack(R: np.ndarray) -> None:
-    """Validate each tensor of a stack (B, n, n, n, n) as :func:`validate_symmetries` does.
+def _symmetry_reports(R: np.ndarray) -> list[SymmetryReport]:
+    """The :class:`SymmetryReport` of each tensor of a stack (B, n, n, n, n).
 
-    Raises :class:`InvalidTensorError` with the report of the first
-    tensor that fails.
+    Each tolerance is ``TAU_SYM`` times its tensor's largest absolute
+    component.  A non-finite component makes an invalid report, silently.
     """
-    residuals = _symmetry_residuals(R)
-    limit = TAU_SYM * _norm_inf(R)
-    bad = np.flatnonzero(~(np.max(residuals, axis=0) <= limit))
-    if bad.size:
-        b = bad[0]
-        raise InvalidTensorError(
-            SymmetryReport(*(float(r[b]) for r in residuals), tol=float(limit[b]))
-        )
+    with np.errstate(invalid="ignore", over="ignore"):
+        residuals = _symmetry_residuals(R)
+    return [SymmetryReport(*map(float, r)) for r in zip(*residuals, TAU_SYM * _norm_inf(R))]
+
+
+def _require_valid_stack(R: np.ndarray) -> None:
+    """Raise :class:`InvalidTensorError` with the report of the first invalid tensor of a stack."""
+    for report in _symmetry_reports(R):
+        if not report.valid:
+            raise InvalidTensorError(report)
 
 
 def validate_symmetries(T: CurvatureTensor) -> SymmetryReport:
-    """Measure the residuals of the four defining symmetries of ``T``.
+    """The residuals of the four defining symmetries of ``T``, with their tolerance.
 
-    Returns a :class:`SymmetryReport`; ``report.valid`` is True when all
-    residuals are within ``TAU_SYM * T.norm_inf()``, the same scale as the
-    bound checks use, so validity does not change under T -> cT.  The
-    report stores that effective tolerance.
+    The stack-of-one case of :func:`_symmetry_reports`; the tolerance is
+    ``TAU_SYM * T.norm_inf()``, the scale the bound checks use.
     """
-    anti, pair, bianchi = _symmetry_residuals(T.components)
-    return SymmetryReport(
-        antisymmetry=float(anti),
-        pair_symmetry=float(pair),
-        first_bianchi=float(bianchi),
-        tol=TAU_SYM * T.norm_inf(),
-    )
+    return _symmetry_reports(T.components[None])[0]
 
 
 def _ricci(R: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ each weight class and each bound formula is written down once.  A
 stack is prepared once: validated, assembled and eigensolved, with
 every per-tensor quantity of the checks worked out.  Then one kernel
 pass runs the five checks on any run of the stack's tensors with their
-probes.  ``all_checks`` is its one-tensor, one-probe case.
+probes, and gives each check once per tensor, at its worst probe.
+``all_checks`` is its one-tensor, one-probe case.
 
 The Einstein certificate evaluates the spectrum against the two
 dimension thresholds of ``base.threshold_profile``.
@@ -199,33 +200,31 @@ def _weight_classes(n: int) -> tuple[WeightClass, ...]:
 
 
 def _kernel(prep: _Prep, rows: slice, Eb: np.ndarray, tol_base: float):
-    """The five checks on the tensors ``rows`` of ``prep``, each with its probes.
+    """The five checks on the tensors ``rows`` of ``prep``, each at its worst probe.
 
     ``Eb`` has shape (b, P, n, n): P trace-free probes for each of the b
     tensors in ``rows``.  Every array is cut to ``rows`` before use, so
     each per-tensor product has the shape, and so the bits, it has in a
     stack of one.
 
-    Returns ``((lhs, rhs, tol), quad_rel, eig_rel)``.  ``lhs``, ``rhs``
-    and ``tol`` have shape (5, b, P), one row per check in CHECK_NAMES
-    order; the three E-free checks repeat along P.  The quadratic form
-    is computed three ways, by index contraction, through the matrix,
-    and through the eigen decomposition; ``quad_rel`` and ``eig_rel``,
-    of shape (b,), are the worst relative disagreements of the last two
-    with the first.
+    Returns ``(checks, quad_rel, eig_rel)``.  ``checks`` has shape
+    (3, 5, b): lhs, rhs and tol, one row per check in CHECK_NAMES order.
+    The E-free checks come straight from the per-tensor arrays of
+    ``prep``; an E-dependent check is taken at its worst probe, the first
+    argmin of lhs - rhs.  The quadratic form is computed three ways, by
+    index contraction, through the matrix, and through the eigen
+    decomposition; ``quad_rel`` and ``eig_rel``, of shape (b,), are the
+    worst relative disagreements over all probes of the last two with
+    the first.
     """
-    n = prep.n
-    R, ric, matrix, eigvecs, lam = (
-        x[rows] for x in (prep.R, prep.ric, prep.matrix, prep.eigvecs, prep.lam)
-    )
-    s, ric_min, scale = (x[rows, None] for x in (prep.s, prep.ric_min, prep.scale))
-    g = prep.g[:, rows, None]
+    n, g = prep.n, prep.g[:, rows]
+    R, ric, matrix, eigvecs, lam, s, ric_min, scale = (x[rows] for x in (
+        prep.R, prep.ric, prep.matrix, prep.eigvecs, prep.lam, prep.s, prep.ric_min, prep.scale))
 
     # The index contraction sum R[k,i,j,l] E[k,l] E[i,j] as e^T S e, with
     # e = E flattened and S[(k,l),(i,j)] = R[k,i,j,l].
-    B, P = Eb.shape[:2]
-    e = Eb.reshape(B, P, n * n)
-    S = np.transpose(R, (0, 1, 4, 2, 3)).reshape(B, n * n, n * n)
+    e = Eb.reshape(*Eb.shape[:2], n * n)
+    S = np.transpose(R, (0, 1, 4, 2, 3)).reshape(-1, n * n, n * n)
     q_idx = np.einsum("...i,...i->...", e @ S, e)
     nsq = np.sum(Eb * Eb, axis=(-2, -1))
     # sum Ric[i,j] E[i,t] E[j,t]
@@ -236,22 +235,21 @@ def _kernel(prep: _Prep, rows: slice, Eb: np.ndarray, tol_base: float):
     W *= W
     q_eig = (W @ lam[:, :, None])[..., 0]
     # The denominator is 0 only when all three paths are exactly 0.
-    denom = np.maximum(np.abs(q_idx), scale * nsq)
+    denom = np.maximum(np.abs(q_idx), scale[:, None] * nsq)
     gaps = np.abs(q_idx - np.stack([q_mat, q_eig]))
     quad_rel, eig_rel = np.max(np.divide(gaps, denom, out=gaps, where=denom > 0), axis=-1)
 
-    # Filled in place: broadcasting the E-free rows into one stack costs more.
-    lhs, rhs, tol = checks = np.empty((3, len(CHECK_NAMES), B, P))
-    lhs[0] = s
-    lhs[1:3] = ric_min
-    lhs[3] = q_idx
-    lhs[4] = q_idx + ric_term
-    rhs[0] = (2.0 * n / (n + 2.0)) * g[0]
-    rhs[1] = ((n - 1.0) / (n + 1.0)) * g[1] + s / (n * (n + 1.0))
-    rhs[2] = g[2]
-    rhs[3:] = g[3:] * nsq
-    tol[:3] = tol_base * scale
-    tol[3:] = tol[0] * nsq
+    lhs_e = np.stack([q_idx, q_idx + ric_term])
+    worst = np.argmin(lhs_e - g[3:, :, None] * nsq, axis=-1)[..., None]
+    lhs_e = np.take_along_axis(lhs_e, worst, axis=-1)[..., 0]
+    nsq = np.take_along_axis(nsq[None], worst, axis=-1)[..., 0]
+    tol = tol_base * scale
+    checks = np.array([
+        [s, ric_min, ric_min, *lhs_e],
+        [(2.0 * n / (n + 2.0)) * g[0], ((n - 1.0) / (n + 1.0)) * g[1] + s / (n * (n + 1.0)),
+         g[2], *(g[3:] * nsq)],
+        [tol, tol, tol, *(tol * nsq)],
+    ])
     return checks, quad_rel, eig_rel
 
 
@@ -274,7 +272,7 @@ def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
         checks, quad_rel, eig_rel = _kernel(prep, slice(None), Eb, tol_base)
         reports = [
             _report(name, prep.n, lhs, rhs, eff, prep.T.fingerprint, seed)
-            for name, (lhs, rhs, eff) in zip(CHECK_NAMES, checks[:, :, 0, 0].T)
+            for name, (lhs, rhs, eff) in zip(CHECK_NAMES, checks[:, :, 0].T)
         ]
     rels = {"matrix": float(quad_rel[0]), "eigen": float(eig_rel[0])}
     _require_finite({
@@ -452,8 +450,8 @@ _BLOCK_TRIALS = 32
 
 #: A probe slice of a block holds at most this many bytes of probe entries,
 #: trials * P * n^2 * 8, though always one trial.  A kernel pass's
-#: temporaries come to about three times this, so it bounds the memory a
-#: campaign adds to the process.
+#: temporaries come to at most about three times this, so it bounds the
+#: memory a campaign adds to the process.
 _BLOCK_PROBE_BYTES = 1 << 19
 
 
@@ -531,22 +529,20 @@ def _fuzz_block(args) -> dict:
     one kernel pass runs all five checks on them, so only one slice's
     probes are held at once.
 
-    Returns per-trial arrays: for each check the worst margin over the
-    probes and the tolerance at that probe, the scale, both dual-path
-    disagreements; and the block's violations, in trial order.
+    Returns per-trial arrays: for each check the margin lhs - rhs and the
+    tolerance at the worst probe the kernel picked, the scale, both
+    dual-path disagreements; and the block's violations, in trial order.
     """
     seed, (n, start, count), e_per_tensor, tol_base = args
     trial_seeds, terms, R = _tensor_draws(seed, n, start, count)
     prep = _prepare_stack(R)
-    margins, tols = np.empty((2, len(CHECK_NAMES), count))
+    checks = np.empty((3, len(CHECK_NAMES), count))
     quad_rel, eig_rel = np.empty((2, count))
     for rows in _probe_slices(n, count, e_per_tensor):
         Eb = _probe_draws(trial_seeds[rows], n, e_per_tensor)
-        (lhs, rhs, tol), quad_rel[rows], eig_rel[rows] = _kernel(prep, rows, Eb, tol_base)
-        margin = lhs - rhs
-        worst = margin.argmin(axis=-1)[..., None]
-        margins[:, rows] = np.take_along_axis(margin, worst, axis=-1)[..., 0]
-        tols[:, rows] = np.take_along_axis(tol, worst, axis=-1)[..., 0]
+        checks[:, :, rows], quad_rel[rows], eig_rel[rows] = _kernel(prep, rows, Eb, tol_base)
+    lhs, rhs, tols = checks
+    margins = lhs - rhs
 
     violations = []
     for b, c in np.argwhere((margins < -tols).T).tolist():

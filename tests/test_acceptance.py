@@ -6,6 +6,7 @@ the same information.  Runtime-limited criteria assert their own wall-clock
 budget so a regression in speed fails the gate, not just a regression in math.
 """
 
+import hashlib
 import itertools
 import json
 import subprocess
@@ -38,7 +39,7 @@ def _announce(tag: str):
 
 @pytest.fixture(scope="module")
 def campaign():
-    """Shared single-threaded fuzz campaign, consumed by two criteria."""
+    """Shared single-threaded fuzz campaign, consumed by three criteria."""
     return fuzz_campaign(
         seed=2024,
         trials_per_n=1000,
@@ -225,3 +226,10 @@ def test_09_cli_contract():
     assert _run("threshold", "--n", "2").returncode == 2
     json.loads(_run("models", "--format", "json", "--no-timestamp").stdout)
     _announce("9 CLI contract")
+
+
+def test_10_fixed_seed_fuzz_report(campaign):
+    """The fixed-seed campaign's report keeps every byte: a refactor moves no margin."""
+    digest = hashlib.sha256(json.dumps(campaign.to_json()).encode()).hexdigest()[:16]
+    assert digest == "4a094b6b2bfc88ef", digest
+    _announce("10 fixed-seed fuzz report")

@@ -268,6 +268,9 @@ def test_traceless_guard():
         TracelessSym2(2, np.array([[0.1, 0.0], [0.0, 0.0]]))
     E = TracelessSym2(2, np.array([[1.0, 0.5], [0.5, -1.0]]))
     assert E.trace() == 0.0
+    # |tr| / ||.||_F is 1.4e-16 at any scale; at 1e-170 a plain sum of
+    # squares underflows to 0, so the norm must not be taken that way.
+    TracelessSym2(2, 1e-170 * np.array([[1.0, 0.5], [0.5, -1.0 + 2.0**-52]]))
 
 
 def test_traceless_ricci_projection():

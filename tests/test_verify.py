@@ -28,6 +28,7 @@ from curvop import (
     catalog,
     constant_curvature,
     einstein_certificate,
+    first_kind_matrix,
     fubini_study,
     fuzz_campaign,
     greedy_min,
@@ -42,6 +43,7 @@ from curvop import (
     tensor_to_json,
     threshold_profile,
 )
+from curvop.core import _require_valid_stack
 
 from oracles import (
     class_add,
@@ -248,6 +250,40 @@ def test_all_checks_validates_e():
     with pytest.raises(ValueError, match="not symmetric"):
         all_checks(sphere, E=np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0.0]]))
     assert _check(sphere, "quadform_lower_bound", np.zeros((3, 3))).lhs == 0.0
+
+
+def test_e_is_judged_relative_to_its_own_size():
+    """c = 2^j scales E exactly, so no test of E and no verdict may move over j in [-40, 40]."""
+    T = random_curvature(3, 3)
+    not_trace_free = np.diag([1.0, -1.0, 0.0]) + 0.3 * np.eye(3)
+    asymmetric = np.array([[0.0, 1.0, 0.0], [1.2, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    E = random_traceless(3, 3).components
+    want = [r.verdict for r in all_checks(T, E=E)]
+    for j in range(-40, 41):
+        c = math.ldexp(1.0, j)
+        with pytest.raises(TraceError, match=r"\* \|\|\.\|\|_F$"):
+            all_checks(T, E=c * not_trace_free)
+        with pytest.raises(ValueError, match="not symmetric"):
+            all_checks(T, E=c * asymmetric)
+        assert [r.verdict for r in all_checks(T, E=c * E)] == want, j
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_component_fails_validation_silently(bad):
+    """Its tolerance is not finite, so the tensor is invalid and no check reaches eigh."""
+    R = random_curvature(1, 4).components.copy()
+    R[0, 1, 0, 1] = bad
+    T = CurvatureTensor(4, R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = T.symmetry_report
+        assert not report.valid and not math.isfinite(report.tol)
+        for check in (all_checks, einstein_certificate, first_kind_matrix):
+            with pytest.raises(InvalidTensorError):
+                check(T)
+        with pytest.raises(InvalidTensorError) as info:
+            _require_valid_stack(np.stack([random_curvature(2, 4).components, R]))
+    assert str(info.value) == str(InvalidTensorError(report))
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
