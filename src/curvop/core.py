@@ -177,8 +177,8 @@ class CurvatureTensor:
 class Sym2Tensor:
     """Symmetric 2-tensor stored canonically: components[i,j] == components[j,i] exactly.
 
-    Input must already be symmetric to within 1e-8 relative; the stored
-    array is the exact symmetrization (A + A.T)/2.
+    Input must be finite and already symmetric to within 1e-8 relative;
+    the stored array is the exact symmetrization (A + A.T)/2.
     """
 
     n: int
@@ -190,6 +190,8 @@ class Sym2Tensor:
             raise ValueError(
                 f"component array has shape {arr.shape}, expected {(self.n, self.n)}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("input has a non-finite component")
         skew = float(np.max(np.abs(arr - arr.T), initial=0.0))
         if skew > 1e-8 * np.max(np.abs(arr), initial=0.0):
             raise ValueError(f"input is not symmetric: max |A - A.T| = {skew:.3e}")
@@ -202,21 +204,21 @@ class Sym2Tensor:
         return float(np.trace(self.components))
 
     def frobenius(self) -> float:
-        return float(np.linalg.norm(self.components))
+        """The Frobenius norm, summed by ``hypot`` so that it cannot underflow at tiny scales."""
+        return float(np.hypot.reduce(self.components.ravel()))
 
 
 @dataclass(frozen=True, eq=False)
 class TracelessSym2(Sym2Tensor):
     """Symmetric 2-tensor constrained to be trace-free.
 
-    Raises :class:`TraceError` when |trace| > TAU_TRACE * ||.||_F, the norm
-    summed by ``hypot`` so that it cannot underflow at tiny scales.
+    Raises :class:`TraceError` when |trace| > TAU_TRACE * ||.||_F.
     """
 
     def __post_init__(self):
         super().__post_init__()
         tr = abs(self.trace())
-        if tr > TAU_TRACE * np.hypot.reduce(self.components.ravel()):
+        if tr > TAU_TRACE * self.frobenius():
             raise TraceError(
                 f"tensor is not trace-free: |trace| = {tr:.3e} exceeds "
                 f"{TAU_TRACE:.1e} * ||.||_F"
@@ -417,9 +419,10 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
 # components needs to be listed; the loader completes the orbit of each
 # entry under the three linear symmetries.  The first entry of an orbit
 # sets its components; every later entry of that orbit, and every entry
-# with i == j or k == l, must agree with them within 1e-12 * (1 + |v|), and
-# the first entry that disagrees is named in the error.  (The first Bianchi
-# identity is not implied by the schema; validate after loading.)
+# with i == j or k == l (which so must be 0), must agree with them within
+# 1e-12 * |v|, and the first entry that disagrees is named in the error.
+# (The first Bianchi identity is not implied by the schema; validate after
+# loading.)
 # ---------------------------------------------------------------------------
 
 
@@ -554,7 +557,7 @@ def _fill(R: np.ndarray, entries: list) -> None:
     # Each entry's eight signed writes must agree with what its class head
     # wrote; a head with i == j or k == l meets its own first write there.
     bad = np.zeros(v.size, dtype=bool)
-    tol = 1e-12 * (1.0 + np.abs(v))
+    tol = 1e-12 * np.abs(v)
     with np.errstate(over="ignore"):
         for slots, s in _ORBIT:
             gap = flat[_flat(idx, slots, n)] - s * v
@@ -566,7 +569,7 @@ def _fill(R: np.ndarray, entries: list) -> None:
         for slots, s in _ORBIT:
             at = tuple(ijkl[t] for t in slots)
             stored = float(R[at])
-            if abs(stored - s * w) > 1e-12 * (1.0 + abs(w)):
+            if abs(stored - s * w) > tol[pos]:
                 raise SchemaError(
                     f"entry {pos} conflicts with an earlier entry at component "
                     f"({','.join(map(str, at))}): {stored!r} vs {s * w!r}"
@@ -580,7 +583,7 @@ def tensor_from_json(obj: dict) -> CurvatureTensor:
 
     Raises :class:`SchemaError` on missing keys, out-of-range indices,
     values that are not finite numbers, or entries whose symmetry orbits
-    assign conflicting values (disagreement beyond 1e-12 * (1 + |v|)).  The
+    assign conflicting values (disagreement beyond 1e-12 * |v|).  The
     first offending entry is the one reported.
     """
     if not isinstance(obj, dict):

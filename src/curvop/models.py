@@ -34,7 +34,10 @@ __all__ = list(_EXPORTS["models"])
 
 
 def constant_curvature(n: int, kappa: float) -> CurvatureTensor:
-    """Space form of sectional curvature kappa: R[i,j,i,j] = kappa for i != j."""
+    """Round space form of sectional curvature kappa in dimension n.
+
+    R[i,j,i,j] = kappa for i != j.
+    """
     import numpy as np
 
     from .core import kulkarni_nomizu
@@ -48,7 +51,7 @@ def constant_curvature(n: int, kappa: float) -> CurvatureTensor:
 
 
 def product_spheres(p: int, q: int, r1: float, r2: float) -> CurvatureTensor:
-    """Product of round spheres S^p(r1) x S^q(r2) in dimension p + q.
+    """Product S^p(r1) x S^q(r2) of round spheres, dimension p + q.
 
     Factor blocks carry constant curvature 1/r1^2 and 1/r2^2; every
     component with indices from both factors vanishes.  Ricci is
@@ -79,7 +82,7 @@ def product_spheres(p: int, q: int, r1: float, r2: float) -> CurvatureTensor:
 
 
 def fubini_study(m: int) -> CurvatureTensor:
-    """Complex projective space CP^m with holomorphic sectional curvature 4.
+    """Complex projective space CP^m, holomorphic sectional curvature 4.
 
     In an orthonormal frame adapted to the complex structure J
     (J e_{2a} = e_{2a+1}), with A[i,k] = <J e_i, e_k>,
@@ -114,29 +117,20 @@ def fubini_study(m: int) -> CurvatureTensor:
 
 # --- model registry and JSON schema ----------------------------------------
 
-_INT = "int"
-_FLOAT = "float"
-
-_REGISTRY: dict[str, dict] = {
-    "constant_curvature": {
-        "doc": "Round space form of sectional curvature kappa in dimension n.",
-        "params": {"n": _INT, "kappa": _FLOAT},
-        "build": constant_curvature,
-        "example": {"n": 4, "kappa": 1.0},
-    },
-    "product_spheres": {
-        "doc": "Product S^p(r1) x S^q(r2) of round spheres, dimension p + q.",
-        "params": {"p": _INT, "q": _INT, "r1": _FLOAT, "r2": _FLOAT},
-        "build": product_spheres,
-        "example": {"p": 2, "q": 3, "r1": 1.0, "r2": 1.0},
-    },
-    "fubini_study": {
-        "doc": "Complex projective space CP^m, holomorphic sectional curvature 4.",
-        "params": {"m": _INT},
-        "build": fubini_study,
-        "example": {"m": 2},
-    },
+#: Each family's builder and example parameters.  The builder declares the
+#: rest: its annotations ("int" or "float") are the parameter schema, and
+#: the first line of its docstring is the family's description.
+_REGISTRY = {
+    "constant_curvature": (constant_curvature, {"n": 4, "kappa": 1.0}),
+    "product_spheres": (product_spheres, {"p": 2, "q": 3, "r1": 1.0, "r2": 1.0}),
+    "fubini_study": (fubini_study, {"m": 2}),
 }
+
+
+def _schema(kind: str) -> dict:
+    """The parameter schema of a family: name to "int" or "float", in order."""
+    build, _ = _REGISTRY[kind]
+    return {name: typ for name, typ in build.__annotations__.items() if name != "return"}
 
 
 @dataclass(frozen=True)
@@ -154,19 +148,19 @@ class ModelSpec:
             raise SchemaError(
                 f"unknown model {self.kind!r}; available: {sorted(_REGISTRY)}"
             )
-        schema = _REGISTRY[self.kind]["params"]
+        schema = _schema(self.kind)
         clean = {}
         for name, typ in schema.items():
             if name not in self.params:
                 raise SchemaError(f"model {self.kind!r} is missing parameter {name!r}")
             val = self.params[name]
-            types, what = ((int,), "an integer") if typ == _INT else ((int, float), "a number")
+            types, what = ((int,), "an integer") if typ == "int" else ((int, float), "a number")
             if isinstance(val, bool) or not isinstance(val, types):
                 raise SchemaError(
                     f"parameter {name!r} of {self.kind!r} must be {what}, got {val!r}"
                 )
             try:
-                clean[name] = int(val) if typ == _INT else float(val)
+                clean[name] = int(val) if typ == "int" else float(val)
             except OverflowError:  # an integer too large for a float
                 raise SchemaError(
                     f"parameter {name!r} of {self.kind!r} is out of double precision range"
@@ -180,12 +174,12 @@ class ModelSpec:
 
     @property
     def doc(self) -> str:
-        return _REGISTRY[self.kind]["doc"]
+        return (_REGISTRY[self.kind][0].__doc__ or "").partition("\n")[0]  # None under -OO
 
     def build(self) -> CurvatureTensor:
         """Construct the curvature tensor (parameter errors surface here)."""
         try:
-            return _REGISTRY[self.kind]["build"](**self.params)
+            return _REGISTRY[self.kind][0](**self.params)
         except ValueError as bad:
             raise SchemaError(f"model {self.kind!r}: {bad}") from bad
 
@@ -205,15 +199,8 @@ class CatalogEntry(_Record):
 
 def catalog() -> tuple[CatalogEntry, ...]:
     """All built-in model families, with schemas suitable for CLI help."""
-    return tuple(
-        CatalogEntry(
-            kind=kind,
-            doc=info["doc"],
-            params=dict(info["params"]),
-            example=ModelSpec(kind=kind, params=dict(info["example"])),
-        )
-        for kind, info in sorted(_REGISTRY.items())
-    )
+    specs = [ModelSpec(kind, dict(example)) for kind, (_, example) in sorted(_REGISTRY.items())]
+    return tuple(CatalogEntry(s.kind, s.doc, _schema(s.kind), s) for s in specs)
 
 
 def model_from_json(obj: dict) -> ModelSpec:

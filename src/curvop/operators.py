@@ -27,7 +27,7 @@ division, which keeps the second kind exact for dyadic kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -41,7 +41,8 @@ __all__ = list(_EXPORTS["operators"])
 LAMBDA2 = "lambda2"
 S2_TRACELESS = "s02"
 
-#: Relative gap below which adjacent eigenvalues are reported as degenerate.
+#: Gap, relative to a spectrum's largest absolute eigenvalue, up to which
+#: adjacent eigenvalues are reported as degenerate.
 DEGENERACY_GAP = 1e-7
 
 
@@ -78,27 +79,33 @@ def _frame(n: int) -> _Frame:
     return frame
 
 
-def _symmetric(M, stacked: bool = False) -> np.ndarray:
-    """M as a float matrix, checked and exactly symmetrized.
+def _exact(M: np.ndarray) -> np.ndarray:
+    """(M + M^T)/2 of each matrix of a stack (..., N, N): exactly symmetric.
 
-    With ``stacked``, M is a stack (B, N, N) and each matrix is checked
-    against its own scale.  Rejects a non-square shape and asymmetry
-    beyond 1e-12 times the largest absolute entry with :class:`ValueError`,
-    and entries that are (or overflow to) infinity or NaN with
-    :class:`CurvopError`.
+    Entries that are (or overflow to) infinity or NaN raise :class:`CurvopError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = M + np.swapaxes(M, -1, -2)
+    sym /= 2.0
+    _require_finite({"matrix entry": sym})
+    return sym
+
+
+def _symmetric(M) -> np.ndarray:
+    """A caller's matrix M as floats, checked and exactly symmetrized.
+
+    Rejects a non-square shape and asymmetry beyond 1e-12 times the
+    largest absolute entry with :class:`ValueError`, and entries that are
+    (or overflow to) infinity or NaN with :class:`CurvopError`.
     """
     arr = np.array(M, dtype=float)
-    if arr.ndim != 2 + stacked or arr.shape[-1] != arr.shape[-2]:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    arr_t = np.swapaxes(arr, -1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym = (arr + arr_t) / 2.0
-        skew = np.max(np.abs(arr - arr_t), axis=(-2, -1))
-    _require_finite({"matrix entry": sym})
-    limit = 1e-12 * np.max(np.abs(arr), axis=(-2, -1))
-    bad = np.ravel(skew)[np.ravel(skew > limit)]
-    if bad.size:
-        raise ValueError(f"matrix is asymmetric beyond tolerance: {bad[0]:.3e}")
+    sym = _exact(arr)
+    with np.errstate(over="ignore"):
+        skew = np.max(np.abs(arr - arr.T))
+    if skew > 1e-12 * np.max(np.abs(arr)):
+        raise ValueError(f"matrix is asymmetric beyond tolerance: {skew:.3e}")
     return sym
 
 
@@ -117,23 +124,27 @@ def _spectra(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense symmetric matrix of a curvature operator in the fixed frame.
+    """Dense, exactly symmetric matrix of a curvature operator in the fixed frame.
 
     ``domain`` is "lambda2" (the first kind) or "s02" (the second kind)
-    and ``n`` the dimension of the underlying space.  Construction
-    rejects what :func:`spectrum` rejects in a raw array and stores the
-    exact symmetrization.
+    and ``n`` the dimension of the underlying space.  The assembled
+    matrices are exactly symmetric by construction and adopted as they
+    are; entries a caller passes in are checked as :func:`spectrum`
+    checks a raw array, and their exact symmetrization is stored.
     """
 
     domain: str
     n: int
     entries: np.ndarray
+    # Private: True hands over an exactly symmetric, finite float matrix
+    # that no caller holds, which is then adopted rather than checked.
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         dims = {LAMBDA2: lambda2_dim, S2_TRACELESS: s2_traceless_dim}
         if self.domain not in dims:
             raise ValueError(f"unknown domain {self.domain!r}")
-        arr = _symmetric(self.entries)
+        arr = self.entries if _owned else _symmetric(self.entries)
         expected = dims[self.domain](self.n)
         if arr.shape[0] != expected:
             raise ValueError(
@@ -158,14 +169,15 @@ def first_kind_matrix(T: CurvatureTensor) -> OperatorMatrix:
     T.require_valid()
     f = _frame(T.n)
     M = T.components[f.I[:, None], f.J[:, None], f.I, f.J]
-    return OperatorMatrix(LAMBDA2, T.n, M)
+    return OperatorMatrix(LAMBDA2, T.n, _exact(M), _owned=True)
 
 
 def _second_kind_entries(R: np.ndarray) -> np.ndarray:
     """The second-kind matrices of a stack R (..., n, n, n, n), as (..., N, N).
 
-    The gather of :func:`second_kind_matrix`, unchecked: an overflow
-    leaves a non-finite entry for :func:`_symmetric` to reject.
+    The gather of :func:`second_kind_matrix`, made exactly symmetric by
+    :func:`_exact`, which also rejects an entry that overflowed.  R's
+    symmetries are not judged here: validation does that before.
     """
     f = _frame(R.shape[-1])
     d = np.arange(R.shape[-1])
@@ -180,7 +192,7 @@ def _second_kind_entries(R: np.ndarray) -> np.ndarray:
         K = R[..., d[:, None], d, d, d[:, None]]
         # H K H^T, dividing by the Helmert norms last keeps a space form exact.
         np.divide(f.U @ K @ f.U.T, np.sqrt(np.outer(f.w, f.w)), out=M[..., p:, p:])
-    return M
+    return _exact(M)
 
 
 def second_kind_matrix(T: CurvatureTensor) -> OperatorMatrix:
@@ -195,7 +207,7 @@ def second_kind_matrix(T: CurvatureTensor) -> OperatorMatrix:
     * <op(D_m), D_m'> = (H K H^T)[m,m'] with K[d,e] = R[d,e,e,d].
     """
     T.require_valid()
-    return OperatorMatrix(S2_TRACELESS, T.n, _second_kind_entries(T.components))
+    return OperatorMatrix(S2_TRACELESS, T.n, _second_kind_entries(T.components), _owned=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,9 +216,10 @@ class Spectrum:
 
     Construction rejects non-finite values with :class:`CurvopError`.
 
-    ``multiplicities`` groups adjacent eigenvalues whose gap is below
-    ``DEGENERACY_GAP`` relative; the grouping is for reporting only and
-    feeds no numerical decision elsewhere.
+    ``multiplicities`` groups adjacent eigenvalues whose gap is at most
+    ``DEGENERACY_GAP`` times the largest absolute eigenvalue, the scale of
+    the k-verdict band; the grouping is for reporting only and feeds no
+    numerical decision elsewhere.
     """
 
     values: np.ndarray
@@ -227,17 +240,9 @@ class Spectrum:
 
     def multiplicities(self) -> list[tuple[float, int]]:
         """(representative value, count) per cluster of near-equal eigenvalues."""
-        out: list[tuple[float, int]] = []
         vals = self.values
-        start = 0
-        for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i] - vals[i - 1] > DEGENERACY_GAP * max(
-                1.0, abs(vals[i]), abs(vals[i - 1])
-            ):
-                cluster = vals[start:i]
-                out.append((float(cluster.mean()), int(i - start)))
-                start = i
-        return out
+        cuts = np.flatnonzero(np.diff(vals) > DEGENERACY_GAP * np.max(np.abs(vals), initial=0.0))
+        return [(float(c.mean()), c.size) for c in np.split(vals, cuts + 1) if c.size]
 
 
 def spectrum(M: OperatorMatrix | np.ndarray) -> Spectrum:

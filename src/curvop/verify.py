@@ -68,7 +68,6 @@ from .core import (
 from .operators import (
     _second_kind_entries,
     _spectra,
-    _symmetric,
     coordinates,
     s2_traceless_dim,
     second_kind_matrix,
@@ -185,7 +184,7 @@ def _prepare(T: CurvatureTensor) -> _Prep:
 def _prepare_stack(R: np.ndarray) -> _Prep:
     """The context of a stack (B, n, n, n, n), each tensor checked as :func:`_prepare` checks it."""
     _require_valid_stack(R)
-    return _Prep(R, _symmetric(_second_kind_entries(R), stacked=True))
+    return _Prep(R, _second_kind_entries(R))
 
 
 def _weight_classes(n: int) -> tuple[WeightClass, ...]:

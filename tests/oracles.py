@@ -136,7 +136,7 @@ def loop_tensor_from_json(obj):
         v = float(v)
         for a, b, c, d, w in _loop_orbit(*idx, v):
             if seen[a, b, c, d]:
-                if abs(R[a, b, c, d] - w) > 1e-12 * (1.0 + abs(w)):
+                if abs(R[a, b, c, d] - w) > 1e-12 * abs(w):
                     raise SchemaError(
                         f"entry {pos} conflicts with an earlier entry at "
                         f"component ({a},{b},{c},{d}): "

@@ -1,5 +1,6 @@
 """Curvature tensor construction, validation, contractions, serialization."""
 
+import math
 import re
 import tracemalloc
 
@@ -544,6 +545,19 @@ def test_json_first_offending_entry_wins():
     partner = {"i": 1, "j": 0, "k": 0, "l": 1, "v": 1.0}  # must be -1.0
     with pytest.raises(SchemaError, match="^entry 1 conflicts"):
         tensor_from_json({"n": 3, "entries": [fine, partner, [0, 1, 0, 1]]})
+
+
+def test_json_conflicts_are_judged_relative_to_the_entry():
+    """c = 2^j scales every value exactly, so a conflict stays one over j in [-60, 60]."""
+    head = {"i": 0, "j": 1, "k": 0, "l": 1, "v": 1e-13}
+    for partner_v in (3e-13, 1e-13 * (1.0 + 1e-9)):
+        partner = {"i": 1, "j": 0, "k": 1, "l": 0, "v": partner_v}
+        for j in range(-60, 61):
+            c = math.ldexp(1.0, j)
+            doc = {"n": 3, "entries": [{**e, "v": c * e["v"]} for e in (head, partner)]}
+            for loader in (tensor_from_json, loop_tensor_from_json):
+                with pytest.raises(SchemaError, match="^entry 1 conflicts"):
+                    loader(doc)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from curvop.core import _fingerprint, _kn, _require_valid_stack
 from curvop.operators import (
     _second_kind_entries,
     _spectra,
-    _symmetric,
     second_kind_matrix,
 )
 from curvop.verify import (
@@ -91,8 +90,7 @@ def test_block_tensors_are_bitwise_the_trials_drawn_alone(n, start, count):
 @pytest.mark.parametrize("n", [3, 8, 40])
 def test_stacked_second_kind_matrices_are_bitwise_the_single_ones(n):
     tensors = [random_curvature(seed, n, 1 + seed % 3) for seed in range(2 if n == 40 else 6)]
-    stacked = _symmetric(_second_kind_entries(np.stack([T.components for T in tensors])),
-                         stacked=True)
+    stacked = _second_kind_entries(np.stack([T.components for T in tensors]))
     for T, M in zip(tensors, stacked):
         assert M.tobytes() == second_kind_matrix(T).entries.tobytes()
 
@@ -214,25 +212,6 @@ def test_violations_are_the_failed_margins_in_trial_order_and_replay(tmp_path):
         back = tensor_from_json(json.loads(open(v.path).read()))
         np.testing.assert_allclose(back.components, T.components, rtol=0,
                                    atol=1e-14 * max(1.0, T.norm_inf()))
-
-
-def test_stacked_symmetric_check_uses_each_matrix_scale():
-    rng = np.random.default_rng(5)
-    big = 1e6 * rng.normal(size=(4, 4))
-    big = big + big.T
-    big[0, 1] += 1e-7  # 1e-13 of its own scale: accepted
-    small = np.eye(4)
-    small[0, 1] += 1e-11  # beyond 1e-12 of its scale, though not of big's
-    ok = _symmetric(np.stack([big, big.T]), stacked=True)
-    np.testing.assert_array_equal(ok[0], _symmetric(big))
-    with pytest.raises(ValueError, match="asymmetric beyond tolerance: 1.000e-11"):
-        _symmetric(np.stack([big, small]), stacked=True)
-    with pytest.raises(ValueError, match="asymmetric"):
-        _symmetric(small)
-    with pytest.raises(CurvopError, match="matrix entry is nan"):
-        _symmetric(np.stack([big, np.diag([np.nan, 1.0, 1.0, 1.0])]), stacked=True)
-    with pytest.raises(ValueError, match="square"):
-        _symmetric(big, stacked=True)
 
 
 def test_stacked_spectra_reject_non_finite_and_descending_rows():

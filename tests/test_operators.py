@@ -10,8 +10,10 @@ from curvop import (
     CurvopError,
     OperatorMatrix,
     Spectrum,
+    all_checks,
     constant_curvature,
     coordinates,
+    einstein_certificate,
     first_kind_matrix,
     k_verdict,
     lambda2_dim,
@@ -23,6 +25,7 @@ from curvop import (
     second_kind_matrix,
     spectrum,
 )
+from curvop.operators import _symmetric
 
 from oracles import (
     gram_first_kind,
@@ -142,8 +145,40 @@ def test_assembled_matrices_symmetric():
     for n in (3, 5, 7):
         T = random_curvature(seed=n, n=n, terms=3)
         for M in (first_kind_matrix(T), second_kind_matrix(T)):
-            scale = max(1.0, np.max(np.abs(M.entries)))
-            assert np.max(np.abs(M.entries - M.entries.T)) <= 1e-12 * scale
+            assert np.array_equal(M.entries, M.entries.T)
+
+
+def test_a_tensor_validation_accepts_is_never_refused_at_assembly():
+    """Only validation judges a tensor's symmetry: a pair-symmetry residual
+    of 7.95e-10, inside its tolerance of 7.9e-9, assembles exactly symmetric."""
+    R = random_curvature(1, 4).components.copy()
+    d = 1e-10 * np.max(np.abs(R))
+    for at, sign in (((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1), ((0, 1, 3, 2), -1), ((1, 0, 3, 2), 1)):
+        R[at] += sign * d  # both antisymmetries stay exact
+    T = CurvatureTensor(4, R)
+    report = T.symmetry_report
+    assert report.valid and report.pair_symmetry > 0.1 * report.tol
+    for M in (first_kind_matrix(T), second_kind_matrix(T)):
+        assert np.array_equal(M.entries, M.entries.T)
+        spectrum(M)
+    all_checks(T)
+    einstein_certificate(T)
+
+
+def test_a_callers_matrix_is_judged_at_its_own_scale():
+    rng = np.random.default_rng(5)
+    big = 1e6 * rng.normal(size=(4, 4))
+    big = big + big.T
+    big[0, 1] += 1e-7  # 1e-13 of its own scale: accepted
+    np.testing.assert_array_equal(_symmetric(big), (big + big.T) / 2.0)
+    small = np.eye(4)
+    small[0, 1] += 1e-11  # beyond 1e-12 of its scale, though not of big's
+    with pytest.raises(ValueError, match="asymmetric beyond tolerance: 1.000e-11"):
+        _symmetric(small)
+    with pytest.raises(CurvopError, match="matrix entry is nan"):
+        _symmetric(np.diag([np.nan, 1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="square"):
+        _symmetric(np.stack([big, big]))
 
 
 def test_operator_matrix_validation():
