@@ -91,7 +91,7 @@ def _fingerprint(R: np.ndarray) -> str:
     """Digest of one component array (n, n, n, n), with -0.0 already canonicalized."""
     h = hashlib.sha256()
     h.update(str(R.shape[0]).encode())
-    h.update(R.tobytes())
+    h.update(np.ascontiguousarray(R))  # hashed in place, without a copy as bytes
     return h.hexdigest()[:16]
 
 
@@ -282,15 +282,24 @@ def validate_symmetries(T: CurvatureTensor) -> SymmetryReport:
 
 
 def _ricci(R: np.ndarray) -> np.ndarray:
-    """Ricci tensors of a stack (..., n, n, n, n), each made exactly symmetric."""
-    ric = np.einsum("...kikj->...ij", R)
-    return (ric + np.swapaxes(ric, -1, -2)) / 2.0
+    """Ricci tensors of a stack (..., n, n, n, n), each made exactly symmetric.
+
+    An entry that overflows a double comes out infinite, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        ric = np.einsum("...kikj->...ij", R)
+        return (ric + np.swapaxes(ric, -1, -2)) / 2.0
 
 
 def ricci(T: CurvatureTensor) -> Sym2Tensor:
-    """Ricci tensor Ric[i,j] = sum_k R[k,i,k,j] of a valid curvature tensor."""
+    """Ricci tensor Ric[i,j] = sum_k R[k,i,k,j] of a valid curvature tensor.
+
+    Raises :class:`CurvopError` when an entry overflows a double.
+    """
     T.require_valid()
-    return Sym2Tensor(T.n, _ricci(T.components))
+    ric = _ricci(T.components)
+    _require_finite({"Ricci component": ric})
+    return Sym2Tensor(T.n, ric)
 
 
 def scalar(T: CurvatureTensor) -> float:
@@ -383,15 +392,18 @@ def _alternating_kn(h: np.ndarray, terms) -> np.ndarray:
     return total
 
 
-def _random_stack(seeds, n: int, terms) -> np.ndarray:
-    """A stack of ``random_curvature(seed, n, m)`` for (seed, m) in zip(seeds, terms).
+def _random_stack(rngs, n: int, terms) -> np.ndarray:
+    """A stack of random curvature tensors, tensor b drawn from generator rngs[b].
 
-    The terms are mirrored in one stack zero-padded to max(terms), and each
-    tensor is bitwise the one drawn alone (see :func:`_alternating_kn`).
+    With rngs[b] = ``np.random.default_rng(seed)``, tensor b is bitwise
+    ``random_curvature(seed, n, terms[b])``, and the generator is left just
+    past its terms[b] * n^2 normals.  The terms are mirrored in one stack
+    zero-padded to max(terms), and each tensor is bitwise the one drawn
+    alone (see :func:`_alternating_kn`).
     """
-    raw = np.zeros((len(seeds), max(terms), n, n))
-    for b, (seed, m) in enumerate(zip(seeds, terms)):
-        raw[b, :m] = np.random.default_rng(seed).normal(size=(m, n, n))
+    raw = np.zeros((len(rngs), max(terms), n, n))
+    for b, (rng, m) in enumerate(zip(rngs, terms)):
+        raw[b, :m] = rng.normal(size=(m, n, n))
     R = _alternating_kn(_mirror_upper(raw), terms)
     R += 0.0  # canonicalize -0.0, as CurvatureTensor does
     return R
@@ -408,7 +420,8 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    return CurvatureTensor(n, _random_stack([seed], n, [terms])[0], _owned=True)
+    return CurvatureTensor(n, _random_stack([np.random.default_rng(seed)], n, [terms])[0],
+                           _owned=True)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,10 @@ dimension thresholds of ``base.threshold_profile``.
 A fuzz campaign hammers the five bounds with seeded random tensors and
 batches of random unit trace-free tensors, run through the kernel in
 blocks of one dimension, recording worst margins and persisting any
-violator for regression replay.  A block's stack is prepared once, and
-then one kernel pass runs per probe slice of bounded size.
+violator for regression replay.  Each trial draws its tensor and then its
+probes from one generator, so its trial seed replays both.  A block's
+stack is prepared once, and then one kernel pass runs per probe slice of
+bounded size.
 """
 
 from __future__ import annotations
@@ -483,36 +485,49 @@ def _trial_seed(seed: int, idx: int) -> int:
     """The 64-bit seed of trial ``idx``, from SeedSequence([seed, idx]).
 
     Streams of different campaign seeds are independent;
-    ``random_curvature(trial_seed, n, terms)`` replays the trial's tensor.
+    ``random_curvature(trial_seed, n, terms)`` replays the trial's tensor,
+    and the same generator, drawn on, its probes (see :func:`_probe_draws`).
     """
     return int(np.random.SeedSequence([seed, idx]).generate_state(1, np.uint64)[0])
 
 
 def _tensor_draws(seed: int, n: int, start: int, count: int):
-    """``(trial_seeds, terms, R)`` of trials start .. start + count - 1.
+    """``(trial_seeds, terms, rngs, R)`` of trials start .. start + count - 1.
 
-    Trial t has 1 + t % 3 terms, and R[b] of the stack R (count, n, n, n, n)
-    is bitwise the trial's ``random_curvature(trial_seed, n, terms)``.
+    Trial t has 1 + t % 3 terms and one generator, ``default_rng(trial_seed)``,
+    in ``rngs``.  R[b] of the stack R (count, n, n, n, n) is drawn from it and
+    is bitwise the trial's ``random_curvature(trial_seed, n, terms)``; the
+    generator is left just past the tensor's draws, for the trial's probes.
     """
     idx = range(start, start + count)
     trial_seeds = [_trial_seed(seed, t) for t in idx]
     terms = [1 + t % 3 for t in idx]
-    return trial_seeds, terms, _random_stack(trial_seeds, n, terms)
+    rngs = [np.random.default_rng(trial_seed) for trial_seed in trial_seeds]
+    return trial_seeds, terms, rngs, _random_stack(rngs, n, terms)
 
 
-def _probe_draws(trial_seeds, n: int, e_per_tensor: int) -> np.ndarray:
+def _probe_draws(rngs, n: int, e_per_tensor: int) -> np.ndarray:
     """The unit trace-free probes of the given trials, shape (trials, e_per_tensor, n, n).
 
-    Each trial draws its probes from its own stream [trial_seed, 1].
+    Each trial's generator, just past the trial's tensor, draws its probes
+    as one standard normal block (e_per_tensor, n(n+1)/2): a row per probe
+    and a column per upper-triangle entry, in ``np.triu_indices(n)`` order.
+    The diagonal entries are scaled by sqrt(2), which gives the law of
+    raw + raw^T for raw with n^2 standard normal entries, up to a factor.
+    Each probe is mirrored, its trace removed, and scaled to unit norm,
+    which cancels that factor.
     """
-    count = len(trial_seeds)
-    # Each probe is raw + raw^T with its trace removed, scaled to unit norm.
-    # (That is twice the symmetric part, a factor that cancels exactly.)
-    Eb = np.empty((count, e_per_tensor, n, n))
-    for b, trial_seed in enumerate(trial_seeds):
-        probes = np.random.default_rng([trial_seed, 1]).normal(size=(e_per_tensor, n, n))
-        np.add(probes, np.swapaxes(probes, -1, -2), out=Eb[b])
+    count = len(rngs)
+    I, J = np.triu_indices(n)
+    free = np.empty((count, e_per_tensor, I.size))
+    for b, rng in enumerate(rngs):
+        rng.standard_normal(out=free[b])
+    mirror = np.empty((n, n), dtype=np.intp)
+    mirror[I, J] = mirror[J, I] = np.arange(I.size)
+    # The indices are in range by construction; "clip" skips the bounds check.
+    Eb = np.take(free, mirror, axis=-1, mode="clip")
     diag = Eb.reshape(count, e_per_tensor, n * n)[..., :: n + 1]
+    diag *= np.sqrt(2.0)
     diag -= diag.sum(axis=-1, keepdims=True) * (1.0 / n)
     Eb /= np.sqrt(np.einsum("...ij,...ij->...", Eb, Eb))[..., None, None]
     return Eb
@@ -533,13 +548,14 @@ def _fuzz_block(args) -> dict:
     dual-path disagreements; and the block's violations, in trial order.
     """
     seed, (n, start, count), e_per_tensor, tol_base = args
-    trial_seeds, terms, R = _tensor_draws(seed, n, start, count)
+    trial_seeds, terms, rngs, R = _tensor_draws(seed, n, start, count)
     prep = _prepare_stack(R)
     checks = np.empty((3, len(CHECK_NAMES), count))
     quad_rel, eig_rel = np.empty((2, count))
     for rows in _probe_slices(n, count, e_per_tensor):
-        Eb = _probe_draws(trial_seeds[rows], n, e_per_tensor)
+        Eb = _probe_draws(rngs[rows], n, e_per_tensor)
         checks[:, :, rows], quad_rel[rows], eig_rel[rows] = _kernel(prep, rows, Eb, tol_base)
+        del Eb  # so that the next slice's probes are drawn without this slice's
     lhs, rhs, tols = checks
     margins = lhs - rhs
 
@@ -592,9 +608,12 @@ def fuzz_campaign(
 ) -> FuzzSummary:
     """Randomized sweep of all five bounds over seeded curvature tensors.
 
-    Trial t (counted across ``ns`` in order) draws its tensor and probes
-    from its own RNG stream, seeded by SeedSequence([seed, t]); its
-    ``trial_seed`` replays the tensor through ``random_curvature``.  The
+    Trial t (counted across ``ns`` in order) has one generator,
+    ``np.random.default_rng(trial_seed)`` with ``trial_seed`` from
+    SeedSequence([seed, t]).  It draws the trial's tensor as
+    ``random_curvature(trial_seed, n, terms)`` does and then its
+    ``e_per_tensor`` probes, n(n+1)/2 free entries each (see
+    :func:`_probe_draws`), so ``trial_seed`` replays both.  The
     trials of each n run in blocks of at most 32: a block's stack of
     tensors is prepared once (validated, assembled and eigensolved), and
     then one kernel pass runs all five checks per slice of at most

@@ -357,9 +357,16 @@ def fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float) 
     scale = T.norm_inf()
     tol = tol_base * scale
 
-    rng = np.random.default_rng([trial_seed, 1])
-    raw = rng.normal(size=(e_per_tensor, n, n))
-    sym = (raw + np.transpose(raw, (0, 2, 1))) / 2.0
+    # The trial's one generator draws the tensor's terms * n^2 normals, then
+    # each probe's free entries, the upper triangle row by row.  A diagonal
+    # entry of the symmetric part of a matrix with iid standard normal
+    # entries has sqrt(2) times the spread of an off-diagonal one.
+    rng = np.random.default_rng(trial_seed)
+    rng.normal(size=(terms, n, n))
+    free = rng.standard_normal((e_per_tensor, n * (n + 1) // 2))
+    sym = np.zeros((e_per_tensor, n, n))
+    for col, (i, j) in enumerate(zip(*np.triu_indices(n))):
+        sym[:, i, j] = sym[:, j, i] = free[:, col] * (np.sqrt(2.0) if i == j else 1.0)
     tr = np.trace(sym, axis1=1, axis2=2)
     Eb = sym - tr[:, None, None] * (np.eye(n) / n)
     Eb /= np.sqrt(np.einsum("aij,aij->a", Eb, Eb))[:, None, None]

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from curvop import (
     TAU_SYM,
     CurvatureTensor,
+    CurvopError,
     InvalidTensorError,
     SchemaError,
     Sym2Tensor,
@@ -246,6 +248,16 @@ def test_ricci_requires_valid_tensor():
         ricci(CurvatureTensor(3, bad))
 
 
+def test_ricci_too_large_for_a_double_raises_the_precision_error():
+    """4e307 * S^4 has Ricci entries of 1.2e308, whose exact symmetrization overflows."""
+    T = 4e307 * constant_curvature(4, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for contraction in (ricci, scalar):
+            with pytest.raises(CurvopError, match="too large to evaluate in double precision"):
+                contraction(T)
+
+
 def test_sphere_ricci_scalar_closed_form():
     for n in range(2, 9):
         for kappa in (0.5, 1.0, 2.0):
@@ -359,7 +371,8 @@ def test_random_curvature_deterministic_and_valid():
 
 def test_a_stack_of_mixed_term_counts_is_bitwise_each_tensor_drawn_alone():
     draws = [(11, 5), (12, 1), (13, 7)]
-    R = _random_stack([seed for seed, _ in draws], 4, [terms for _, terms in draws])
+    rngs = [np.random.default_rng(seed) for seed, _ in draws]
+    R = _random_stack(rngs, 4, [terms for _, terms in draws])
     for b, (seed, terms) in enumerate(draws):
         assert R[b].tobytes() == random_curvature(seed, 4, terms).components.tobytes()
 

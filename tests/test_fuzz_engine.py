@@ -17,7 +17,7 @@ from curvop import (
     tensor_from_json,
     validate_symmetries,
 )
-from curvop.core import _fingerprint, _kn, _require_valid_stack
+from curvop.core import TAU_TRACE, _fingerprint, _kn, _require_valid_stack
 from curvop.operators import (
     _second_kind_entries,
     _spectra,
@@ -27,6 +27,7 @@ from curvop.verify import (
     _BLOCK_PROBE_BYTES,
     _blocks,
     _fuzz_block,
+    _probe_draws,
     _probe_slices,
     _tensor_draws,
     _trial_seed,
@@ -60,7 +61,7 @@ def test_campaign_seeds_draw_independent_streams():
     """Campaigns 0 and 3 shared 14 of their first 30 tensors at n = 3 under seed XOR index."""
     prints = {}
     for seed in range(8):
-        _, _, R = _tensor_draws(seed, 3, 0, 30)
+        _, _, _, R = _tensor_draws(seed, 3, 0, 30)
         prints[seed] = {_fingerprint(r) for r in R}
     assert not prints[0] & prints[3]
     assert len(set().union(*prints.values())) == 8 * 30
@@ -80,11 +81,38 @@ def _padded_alternating_sum(trial_seed, n, terms):
 @pytest.mark.parametrize("n, start, count", [(3, 0, 32), (3, 4, 1), (5, 7, 13), (8, 2, 5)])
 def test_block_tensors_are_bitwise_the_trials_drawn_alone(n, start, count):
     """A block mixes 1, 2 and 3 terms (or has one trial); its padding changes no bit."""
-    trial_seeds, terms, R = _tensor_draws(17, n, start, count)
+    trial_seeds, terms, _, R = _tensor_draws(17, n, start, count)
     for b, (trial_seed, m) in enumerate(zip(trial_seeds, terms)):
         alone = random_curvature(trial_seed, n, m).components
         assert R[b].tobytes() == alone.tobytes(), (b, m)
         assert alone.tobytes() == _padded_alternating_sum(trial_seed, n, m).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_probes_continue_each_trials_one_stream_past_its_tensor(n):
+    """A trial's probes are its generator's next P * n(n+1)/2 normals, the upper
+    triangles in triu order with the diagonal scaled by sqrt(2)."""
+    P = 7
+    trial_seeds, terms, rngs, _ = _tensor_draws(23, n, 3, 3)
+    assert terms == [1, 2, 3]
+    Eb = _probe_draws(rngs, n, P)
+    assert Eb.shape == (3, P, n, n)
+    for probes, trial_seed, m in zip(Eb, trial_seeds, terms):
+        rng = np.random.default_rng(trial_seed)
+        rng.standard_normal(m * n * n)  # the tensor's normals
+        free = rng.standard_normal((P, n * (n + 1) // 2))
+        E = np.zeros((P, n, n))
+        for col, (i, j) in enumerate(zip(*np.triu_indices(n))):
+            E[:, i, j] = E[:, j, i] = free[:, col] * (np.sqrt(2.0) if i == j else 1.0)
+        d = np.arange(n)
+        E[:, d, d] -= np.trace(E, axis1=1, axis2=2)[:, None] * (1.0 / n)
+        E /= np.sqrt(np.einsum("pij,pij->p", E, E))[:, None, None]
+        assert probes.tobytes() == E.tobytes()
+
+        norms = np.sqrt(np.sum(probes * probes, axis=(1, 2)))
+        assert np.array_equal(probes, np.swapaxes(probes, 1, 2))
+        assert np.all(np.abs(np.trace(probes, axis1=1, axis2=2)) <= TAU_TRACE * norms)
+        assert np.max(np.abs(norms - 1.0)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [3, 8, 40])
@@ -112,7 +140,7 @@ def test_blocks_match_the_per_trial_oracle(seed, trials_per_n, e_per_tensor):
     got = []
     for block in _blocks(NS, trials_per_n):
         n, start, count = block
-        trial_seeds, terms, R = _tensor_draws(seed, n, start, count)
+        trial_seeds, terms, _, R = _tensor_draws(seed, n, start, count)
         res = _fuzz_block((seed, block, e_per_tensor, tol_base))
         assert res["violations"] == []
         for b in range(count):

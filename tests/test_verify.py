@@ -594,7 +594,7 @@ def test_fuzz_blocks_and_all_checks_share_the_e_free_checks(seed):
     v = curvop.verify
     for block in v._blocks((3, 4, 5, 8), 40):
         n, start, count = block
-        trial_seeds, terms, _ = v._tensor_draws(seed, n, start, count)
+        trial_seeds, terms, _, _ = v._tensor_draws(seed, n, start, count)
         res = v._fuzz_block((seed, block, 2, 1e-9))
         for b, (trial_seed, m) in enumerate(zip(trial_seeds, terms)):
             for r in all_checks(random_curvature(trial_seed, n, m), tol=1e-9)[:3]:
