@@ -35,9 +35,9 @@ A fuzz campaign hammers the five bounds with seeded random tensors and
 batches of random unit trace-free tensors, run through the kernel in
 blocks of one dimension, recording worst margins and persisting any
 violator for regression replay.  Each trial draws its tensor and then its
-probes from one generator, so its trial seed replays both.  A block's
-stack is prepared once, and then one kernel pass runs per probe slice of
-bounded size.
+probes, as coordinates in the trace-free frame of ``operators``, from one
+generator, so its trial seed replays both.  A block's stack is prepared
+once, and then one kernel pass runs per probe slice of bounded size.
 """
 
 from __future__ import annotations
@@ -68,9 +68,11 @@ from .core import (
     tensor_to_json,
 )
 from .operators import (
+    Spectrum,
     _second_kind_entries,
     _spectra,
     coordinates,
+    reconstruct,
     s2_traceless_dim,
     second_kind_matrix,
 )
@@ -200,23 +202,23 @@ def _weight_classes(n: int) -> tuple[WeightClass, ...]:
     )
 
 
-def _kernel(prep: _Prep, rows: slice, Eb: np.ndarray, tol_base: float):
+def _kernel(prep: _Prep, rows: slice, C: np.ndarray, Eb: np.ndarray, tol_base: float):
     """The five checks on the tensors ``rows`` of ``prep``, each at its worst probe.
 
-    ``Eb`` has shape (b, P, n, n): P trace-free probes for each of the b
-    tensors in ``rows``.  Every array is cut to ``rows`` before use, so
-    each per-tensor product has the shape, and so the bits, it has in a
-    stack of one.
+    ``Eb`` (b, P, n, n) holds P trace-free probes for each of the b tensors
+    in ``rows``, ``C`` (b, P, N) their frame coordinates.  Every array is
+    cut to ``rows`` before use, so each per-tensor product has the shape,
+    and so the bits, it has in a stack of one.
 
     Returns ``(checks, quad_rel, eig_rel)``.  ``checks`` has shape
     (3, 5, b): lhs, rhs and tol, one row per check in CHECK_NAMES order.
     The E-free checks come straight from the per-tensor arrays of
     ``prep``; an E-dependent check is taken at its worst probe, the first
-    argmin of lhs - rhs.  The quadratic form is computed three ways, by
-    index contraction, through the matrix, and through the eigen
-    decomposition; ``quad_rel`` and ``eig_rel``, of shape (b,), are the
-    worst relative disagreements over all probes of the last two with
-    the first.
+    argmin of lhs - rhs.  The quadratic form is computed three ways: by
+    index contraction from Eb, and through the matrix and through the
+    eigen decomposition from C.  ``quad_rel`` and ``eig_rel``, of shape
+    (b,), are the worst relative disagreements over all probes of the
+    last two with the first.
     """
     n, g = prep.n, prep.g[:, rows]
     R, ric, matrix, eigvecs, lam, s, ric_min, scale = (x[rows] for x in (
@@ -230,7 +232,6 @@ def _kernel(prep: _Prep, rows: slice, Eb: np.ndarray, tol_base: float):
     nsq = np.sum(Eb * Eb, axis=(-2, -1))
     # sum Ric[i,j] E[i,t] E[j,t]
     ric_term = np.einsum("...ij,...ij->...", ric[:, None] @ Eb, Eb)
-    C = coordinates(Eb)
     q_mat = np.einsum("...i,...i->...", C @ matrix, C)
     W = C @ eigvecs
     W *= W
@@ -270,7 +271,7 @@ def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
             E = E.components
         Eb = TracelessSym2(prep.n, E).components[None, None]
         tol_base = _check_tol(TOL_INEQ if tol is None else tol)
-        checks, quad_rel, eig_rel = _kernel(prep, slice(None), Eb, tol_base)
+        checks, quad_rel, eig_rel = _kernel(prep, slice(None), coordinates(Eb), Eb, tol_base)
         reports = [
             _report(name, prep.n, lhs, rhs, eff, prep.T.fingerprint, seed)
             for name, (lhs, rhs, eff) in zip(CHECK_NAMES, checks[:, :, 0].T)
@@ -341,9 +342,10 @@ def einstein_certificate(T) -> EinsteinCertificate:
 def _certificate(prep: _Prep) -> EinsteinCertificate:
     """The body of :func:`einstein_certificate` on an already prepared tensor."""
     profile = threshold_profile(prep.n)
+    lam = Spectrum(prep.lam[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        kv_e = k_verdict(prep.lam[0], profile.einstein_threshold)
-        kv_c = k_verdict(prep.lam[0], profile.constant_curvature_threshold)
+        kv_e = k_verdict(lam, profile.einstein_threshold)
+        kv_c = k_verdict(lam, profile.constant_curvature_threshold)
         e_norm = prep.traceless_ricci.frobenius()
     _require_finite({
         "einstein threshold k-sum": kv_e.value,
@@ -449,10 +451,10 @@ class FuzzSummary(_Record):
 #: tensors are drawn, validated, assembled and eigensolved together.
 _BLOCK_TRIALS = 32
 
-#: A probe slice of a block holds at most this many bytes of probe entries,
-#: trials * P * n^2 * 8, though always one trial.  A kernel pass's
-#: temporaries come to at most about three times this, so it bounds the
-#: memory a campaign adds to the process.
+#: A probe slice of a block holds at most this many bytes of probe matrices,
+#: trials * P * n^2 * 8, and under half as much of frame coordinates, though
+#: always one trial.  A kernel pass's temporaries come to at most about three
+#: times this, so it bounds the memory a campaign adds to the process.
 _BLOCK_PROBE_BYTES = 1 << 19
 
 
@@ -474,7 +476,7 @@ def _blocks(ns, trials_per_n: int) -> list[tuple[int, int, int]]:
 def _probe_slices(n: int, count: int, e_per_tensor: int) -> list[slice]:
     """The runs of consecutive trials of a block of ``count`` whose probes go through together.
 
-    A slice holds at most ``_BLOCK_PROBE_BYTES`` of probe entries, though
+    A slice holds at most ``_BLOCK_PROBE_BYTES`` of probe matrices, though
     always one trial.
     """
     size = max(1, _BLOCK_PROBE_BYTES // (e_per_tensor * n * n * 8))
@@ -506,31 +508,21 @@ def _tensor_draws(seed: int, n: int, start: int, count: int):
     return trial_seeds, terms, rngs, _random_stack(rngs, n, terms)
 
 
-def _probe_draws(rngs, n: int, e_per_tensor: int) -> np.ndarray:
-    """The unit trace-free probes of the given trials, shape (trials, e_per_tensor, n, n).
+def _probe_draws(rngs, n: int, e_per_tensor: int):
+    """``(C, Eb)``: the unit trace-free probes of the given trials, in frame coordinates and as matrices.
 
-    Each trial's generator, just past the trial's tensor, draws its probes
-    as one standard normal block (e_per_tensor, n(n+1)/2): a row per probe
-    and a column per upper-triangle entry, in ``np.triu_indices(n)`` order.
-    The diagonal entries are scaled by sqrt(2), which gives the law of
-    raw + raw^T for raw with n^2 standard normal entries, up to a factor.
-    Each probe is mirrored, its trace removed, and scaled to unit norm,
-    which cancels that factor.
+    Each trial's generator, just past the trial's tensor, draws its probes'
+    frame coordinates as one standard normal block (e_per_tensor, N), N =
+    (n-1)(n+2)/2, and each row is scaled to unit norm.  The frame is
+    orthonormal, so this is the uniform law on the unit sphere of the
+    trace-free symmetric matrices.  C has shape (trials, e_per_tensor, N)
+    and Eb = ``reconstruct(C, n)`` shape (trials, e_per_tensor, n, n).
     """
-    count = len(rngs)
-    I, J = np.triu_indices(n)
-    free = np.empty((count, e_per_tensor, I.size))
+    C = np.empty((len(rngs), e_per_tensor, s2_traceless_dim(n)))
     for b, rng in enumerate(rngs):
-        rng.standard_normal(out=free[b])
-    mirror = np.empty((n, n), dtype=np.intp)
-    mirror[I, J] = mirror[J, I] = np.arange(I.size)
-    # The indices are in range by construction; "clip" skips the bounds check.
-    Eb = np.take(free, mirror, axis=-1, mode="clip")
-    diag = Eb.reshape(count, e_per_tensor, n * n)[..., :: n + 1]
-    diag *= np.sqrt(2.0)
-    diag -= diag.sum(axis=-1, keepdims=True) * (1.0 / n)
-    Eb /= np.sqrt(np.einsum("...ij,...ij->...", Eb, Eb))[..., None, None]
-    return Eb
+        rng.standard_normal(out=C[b])
+    C /= np.sqrt(np.einsum("...i,...i->...", C, C))[..., None]
+    return C, reconstruct(C, n)
 
 
 def _fuzz_block(args) -> dict:
@@ -539,9 +531,9 @@ def _fuzz_block(args) -> dict:
     ``args`` is (seed, block, e_per_tensor, tol_base), with a block from
     :func:`_blocks`.  The block's tensors are drawn and their stack is
     prepared once: validated, assembled and eigensolved.  Then, one slice
-    of :func:`_probe_slices` at a time, the slice's probes are drawn and
-    one kernel pass runs all five checks on them, so only one slice's
-    probes are held at once.
+    of :func:`_probe_slices` at a time, the slice's probes are drawn, in
+    frame coordinates and as matrices, and one kernel pass runs all five
+    checks on them, so only one slice's probes are held at once.
 
     Returns per-trial arrays: for each check the margin lhs - rhs and the
     tolerance at the worst probe the kernel picked, the scale, both
@@ -553,9 +545,9 @@ def _fuzz_block(args) -> dict:
     checks = np.empty((3, len(CHECK_NAMES), count))
     quad_rel, eig_rel = np.empty((2, count))
     for rows in _probe_slices(n, count, e_per_tensor):
-        Eb = _probe_draws(rngs[rows], n, e_per_tensor)
-        checks[:, :, rows], quad_rel[rows], eig_rel[rows] = _kernel(prep, rows, Eb, tol_base)
-        del Eb  # so that the next slice's probes are drawn without this slice's
+        C, Eb = _probe_draws(rngs[rows], n, e_per_tensor)
+        checks[:, :, rows], quad_rel[rows], eig_rel[rows] = _kernel(prep, rows, C, Eb, tol_base)
+        del C, Eb  # so that the next slice's probes are drawn without this slice's
     lhs, rhs, tols = checks
     margins = lhs - rhs
 
@@ -584,8 +576,11 @@ def _fuzz_block(args) -> dict:
 def persist_violator(T: CurvatureTensor, directory, meta: dict | None = None) -> Path:
     """Write a violating tensor (plus metadata) for regression replay.
 
-    The file holds the full entry-list serialization, so
-    ``curvop bounds --input FILE`` reproduces the reported margins.
+    The file holds one entry per symmetry orbit, so ``curvop bounds
+    --input FILE`` replays the three E-free margins to rounding, and
+    ``random_curvature(trial_seed, n, terms)`` bitwise.  ``bounds`` takes
+    the E checks at the trace-free Ricci tensor, not at the fuzz probe,
+    so an E-dependent margin replays only through the trial's stream.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -612,12 +607,12 @@ def fuzz_campaign(
     ``np.random.default_rng(trial_seed)`` with ``trial_seed`` from
     SeedSequence([seed, t]).  It draws the trial's tensor as
     ``random_curvature(trial_seed, n, terms)`` does and then its
-    ``e_per_tensor`` probes, n(n+1)/2 free entries each (see
+    ``e_per_tensor`` probes, (n-1)(n+2)/2 frame coordinates each (see
     :func:`_probe_draws`), so ``trial_seed`` replays both.  The
     trials of each n run in blocks of at most 32: a block's stack of
     tensors is prepared once (validated, assembled and eigensolved), and
     then one kernel pass runs all five checks per slice of at most
-    512 KiB of probe entries (always at least one trial).  ``jobs`` > 1
+    512 KiB of probe matrices (always at least one trial).  ``jobs`` > 1
     hands whole blocks to worker processes.  Neither blocks nor slices
     depend on ``jobs``, so the report is identical for jobs=1 and
     jobs>1.  Violators (margin below -tol * scale) are persisted to

@@ -128,9 +128,10 @@ def k_verdict(lam, k: float) -> KVerdict:
     A non-finite eigenvalue raises :class:`CurvopError`: it is an error,
     never a failed property.
     """
-    arr = _ascending(lam)
-    value = k_sum(arr, k)
-    band = BOUNDARY_TOL * max(-float(arr[0]), float(arr[-1]))
+    if not isinstance(lam, Spectrum):
+        lam = Spectrum(lam)  # checked once here; k_sum takes a Spectrum as it is
+    value = k_sum(lam, k)
+    band = BOUNDARY_TOL * max(-float(lam[0]), float(lam[-1]))
     return KVerdict(
         k=float(k),
         value=value,

@@ -19,7 +19,6 @@ from curvop import (
     Sym2Tensor,
     TracelessSym2,
     WeightClass,
-    coordinates,
     greedy_min,
     kulkarni_nomizu,
     random_curvature,
@@ -341,7 +340,8 @@ def fuzz_trial_seed(seed: int, idx: int) -> int:
 def fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float) -> dict:
     """One fuzz trial on its own: its tensor and unit probes through all five checks.
 
-    The per-trial reference for the batched fuzz engine.  It assembles
+    The per-trial reference for the batched fuzz engine.  It builds each
+    probe from its frame coordinates over :func:`loop_basis_s2`, assembles
     through the public API, eigensolves one matrix, and contracts with
     ``np.einsum``.  Returns plain floats: per check the worst margin over
     the probes and the tolerance at that probe.
@@ -358,24 +358,27 @@ def fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float) 
     tol = tol_base * scale
 
     # The trial's one generator draws the tensor's terms * n^2 normals, then
-    # each probe's free entries, the upper triangle row by row.  A diagonal
-    # entry of the symmetric part of a matrix with iid standard normal
-    # entries has sqrt(2) times the spread of an off-diagonal one.
+    # each probe's coordinates in the orthonormal trace-free frame, scaled
+    # to unit norm.  The probe is sum_a C[:, a] B_a over the frame B of
+    # loop_basis_s2: an off-diagonal element sets one pair, and the diagonal
+    # is the coordinates of the Helmert elements times their diagonals.  The
+    # division by sqrt(2) and the one product keep each probe bitwise the
+    # engine's, so margins compare to rounding in the contractions alone.
     rng = np.random.default_rng(trial_seed)
     rng.normal(size=(terms, n, n))
-    free = rng.standard_normal((e_per_tensor, n * (n + 1) // 2))
-    sym = np.zeros((e_per_tensor, n, n))
-    for col, (i, j) in enumerate(zip(*np.triu_indices(n))):
-        sym[:, i, j] = sym[:, j, i] = free[:, col] * (np.sqrt(2.0) if i == j else 1.0)
-    tr = np.trace(sym, axis1=1, axis2=2)
-    Eb = sym - tr[:, None, None] * (np.eye(n) / n)
-    Eb /= np.sqrt(np.einsum("aij,aij->a", Eb, Eb))[:, None, None]
+    C = rng.standard_normal((e_per_tensor, s2_traceless_dim(n)))
+    C /= np.sqrt(np.einsum("ai,ai->a", C, C))[:, None]
+    p = n * (n - 1) // 2
+    Eb = np.zeros((e_per_tensor, n, n))
+    for a, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        Eb[:, i, j] = Eb[:, j, i] = C[:, a] / np.sqrt(2.0)
+    d = np.arange(n)
+    Eb[:, d, d] = C[:, p:] @ np.diagonal(loop_basis_s2(n)[p:], axis1=1, axis2=2)
 
     def g(omega, total):
         return greedy_min(lam, WeightClass(omega, total))
 
     q_idx = np.einsum("kijl,akl,aij->a", T.components, Eb, Eb, optimize=True)
-    C = coordinates(Eb)
     q_mat = np.einsum("ab,bc,ac->a", C, matrix, C, optimize=True)
     W = C @ eigvecs
     q_eig = (W * W) @ lam

@@ -12,6 +12,7 @@ from curvop import (
     CurvatureTensor,
     CurvopError,
     InvalidTensorError,
+    all_checks,
     fuzz_campaign,
     random_curvature,
     tensor_from_json,
@@ -21,6 +22,8 @@ from curvop.core import TAU_TRACE, _fingerprint, _kn, _require_valid_stack
 from curvop.operators import (
     _second_kind_entries,
     _spectra,
+    coordinates,
+    s2_traceless_dim,
     second_kind_matrix,
 )
 from curvop.verify import (
@@ -90,29 +93,25 @@ def test_block_tensors_are_bitwise_the_trials_drawn_alone(n, start, count):
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_probes_continue_each_trials_one_stream_past_its_tensor(n):
-    """A trial's probes are its generator's next P * n(n+1)/2 normals, the upper
-    triangles in triu order with the diagonal scaled by sqrt(2)."""
-    P = 7
+    """A trial's probe coordinates are its generator's next P * (n-1)(n+2)/2
+    normals, each row scaled to unit norm, and the probes are their matrices."""
+    P, N = 7, s2_traceless_dim(n)
     trial_seeds, terms, rngs, _ = _tensor_draws(23, n, 3, 3)
     assert terms == [1, 2, 3]
-    Eb = _probe_draws(rngs, n, P)
-    assert Eb.shape == (3, P, n, n)
-    for probes, trial_seed, m in zip(Eb, trial_seeds, terms):
+    C, Eb = _probe_draws(rngs, n, P)
+    assert C.shape == (3, P, N) and Eb.shape == (3, P, n, n)
+    for coords, probes, trial_seed, m in zip(C, Eb, trial_seeds, terms):
         rng = np.random.default_rng(trial_seed)
         rng.standard_normal(m * n * n)  # the tensor's normals
-        free = rng.standard_normal((P, n * (n + 1) // 2))
-        E = np.zeros((P, n, n))
-        for col, (i, j) in enumerate(zip(*np.triu_indices(n))):
-            E[:, i, j] = E[:, j, i] = free[:, col] * (np.sqrt(2.0) if i == j else 1.0)
-        d = np.arange(n)
-        E[:, d, d] -= np.trace(E, axis1=1, axis2=2)[:, None] * (1.0 / n)
-        E /= np.sqrt(np.einsum("pij,pij->p", E, E))[:, None, None]
-        assert probes.tobytes() == E.tobytes()
+        raw = rng.standard_normal((P, N))
+        raw /= np.sqrt(np.einsum("pi,pi->p", raw, raw))[:, None]
+        assert coords.tobytes() == raw.tobytes()
 
         norms = np.sqrt(np.sum(probes * probes, axis=(1, 2)))
         assert np.array_equal(probes, np.swapaxes(probes, 1, 2))
         assert np.all(np.abs(np.trace(probes, axis1=1, axis2=2)) <= TAU_TRACE * norms)
         assert np.max(np.abs(norms - 1.0)) <= 1e-15
+        assert np.max(np.abs(coordinates(probes) - coords)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [3, 8, 40])
@@ -220,6 +219,9 @@ def test_report_is_identical_for_one_and_two_jobs_across_a_mid_n_block(tmp_path)
     assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
 
+E_FREE = CHECK_NAMES[:3]
+
+
 def test_violations_are_the_failed_margins_in_trial_order_and_replay(tmp_path):
     seed, trials = 3, 33
     s = fuzz_campaign(seed, trials, ns=(3, 4), e_per_tensor=3, tol=0.0, regression_dir=tmp_path)
@@ -240,6 +242,14 @@ def test_violations_are_the_failed_margins_in_trial_order_and_replay(tmp_path):
         back = tensor_from_json(json.loads(open(v.path).read()))
         np.testing.assert_allclose(back.components, T.components, rtol=0,
                                    atol=1e-14 * max(1.0, T.norm_inf()))
+        if v.check in E_FREE:
+            # The trial's tensor replays an E-free margin to the bit.  The file
+            # keeps one entry per symmetry orbit, so its tensor, and with it
+            # what bounds --input reports, can differ in the last bits.
+            for R, atol in ((T, 0.0), (back, 1e-13 * T.norm_inf())):
+                replayed = {r.name: r.margin for r in all_checks(R, tol=0.0)}[v.check]
+                assert abs(replayed - v.margin) <= atol, (v.trial_index, v.check, atol)
+    assert {v.check for v in s.violations} & set(E_FREE)
 
 
 def test_stacked_spectra_reject_non_finite_and_descending_rows():

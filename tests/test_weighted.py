@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import curvop.operators
 from curvop import (
     AdmissibilityError,
     CurvopError,
     Spectrum,
     WeightClass,
+    constant_curvature,
+    einstein_certificate,
     greedy_min,
     k_sum,
     k_verdict,
@@ -61,6 +64,26 @@ def test_k_verdict_rejects_nan_spectrum():
         k_verdict(np.array([np.nan, 1.0]), 1.0)
     with pytest.raises(CurvopError, match="eigenvalue is inf"):
         greedy_min([0.0, np.inf], WeightClass(1.0, 1.0))
+
+
+def test_k_verdict_checks_its_spectrum_once(monkeypatch):
+    """An array is checked once and a Spectrum not again, with the same bits.
+
+    k_verdict once checked an array twice, and the Einstein certificate
+    checked its already checked spectrum four times.
+    """
+    lam = np.array([-1.0, 0.25, 0.5, 2.0])
+    expected = k_verdict(lam, 2.5)
+    calls = []
+    real = curvop.operators._spectra
+    monkeypatch.setattr(curvop.operators, "_spectra", lambda v: calls.append(v) or real(v))
+    assert k_verdict(lam, 2.5) == expected and len(calls) == 1
+    assert expected.value == k_sum(lam, 2.5) == -0.5
+    spec = Spectrum(lam)
+    calls.clear()
+    assert k_verdict(spec, 2.5) == expected and not calls
+    einstein_certificate(constant_curvature(5, 1.0))
+    assert len(calls) == 1
 
 
 def test_k_verdicts():
