@@ -64,6 +64,31 @@ class AdmissibilityError(CurvopError):
     """A weight class is not admissible for the given spectrum length."""
 
 
+def _integer(what: str, value, low: int | None = None) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, and at least ``low``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if low is None or value >= low:
+            return int(value)
+    raise ValueError(f"{what} must be an integer{'' if low is None else f' >= {low}'}, "
+                     f"got {value!r}")
+
+
+def _real(what: str, value, low: float = -math.inf, strict: bool = False) -> float:
+    """``value`` as a float: a Python or numpy real, not a bool, finite, at least ``low``.
+
+    With ``strict`` it must be above ``low``.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the double range
+            raise ValueError(f"{what} is out of double precision range") from None
+        if math.isfinite(x) and (x > low if strict else x >= low):
+            return x
+    bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
+    raise ValueError(f"{what} must be a number, finite{bound}, got {value!r}")
+
+
 def _plain(value):
     """A report value as JSON data: a record as its to_json, a tuple as a list, a dict copied."""
     if hasattr(value, "to_json"):
@@ -134,14 +159,11 @@ def threshold_profile(n: int) -> ThresholdProfile:
 
     The constant-curvature threshold is min(einstein, max(4, floor((n+2)/4)));
     the three branches of the piecewise form are labelled by n-range, and
-    the floor is the conservative reading of the abstract's (n+2)/4.  A
-    numpy integer is accepted (numpy registers its integers as
-    ``numbers.Integral``); a bool is not.  Raises :class:`ValueError`
-    when a threshold is not a finite double (from about n = 1.3e154).
+    the floor is the conservative reading of the abstract's (n+2)/4.
+    Raises :class:`ValueError` when n is not an integer >= 3 or a
+    threshold is not a finite double (from about n = 1.3e154).
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 3:
-        raise ValueError(f"thresholds are defined for integer n >= 3, got {n!r}")
-    n = int(n)
+    n = _integer("n", n, 3)
     try:
         einstein = n * (n + 2.0) / (2.0 * (n + 1.0))
     except OverflowError:  # n itself is beyond the double range

@@ -33,7 +33,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import _EXPORTS
-from .base import CurvopError, InvalidTensorError, SchemaError, TraceError, _Record
+from .base import CurvopError, InvalidTensorError, SchemaError, TraceError, _integer, _Record
 
 __all__ = list(_EXPORTS["core"])
 
@@ -112,7 +112,7 @@ class CurvatureTensor:
     """Dense curvature tensor with components R[i,j,k,l] in an orthonormal frame.
 
     Components are stored as a read-only float64 array of shape
-    (n, n, n, n).  Construction checks shape only; call
+    (n, n, n, n).  Construction checks n >= 2 and the shape only; call
     :func:`validate_symmetries` (or :meth:`require_valid`) to test the
     symmetries themselves.
     """
@@ -124,8 +124,7 @@ class CurvatureTensor:
     _owned: InitVar[bool] = False
 
     def __post_init__(self, _owned):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"dimension n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", _integer("dimension n", self.n, 2))
         arr = self.components if _owned else np.array(self.components, dtype=float)
         if arr.shape != (self.n,) * 4:
             raise ValueError(
@@ -133,7 +132,6 @@ class CurvatureTensor:
             )
         arr += 0.0  # canonicalize -0.0 so fingerprints are serialization-stable
         arr.setflags(write=False)
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "components", arr)
 
     @cached_property
@@ -185,6 +183,7 @@ class Sym2Tensor:
     components: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer("dimension n", self.n, 1))
         arr = np.array(self.components, dtype=float)
         if arr.shape != (self.n, self.n):
             raise ValueError(
@@ -197,7 +196,6 @@ class Sym2Tensor:
             raise ValueError(f"input is not symmetric: max |A - A.T| = {skew:.3e}")
         arr = (arr + arr.T) / 2.0
         arr.setflags(write=False)
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "components", arr)
 
     def trace(self) -> float:
@@ -417,9 +415,10 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
     and returns  sum_a eps_a (h_a ^ h_a)  with eps alternating +1, -1,
     +1, ...  Each summand satisfies the curvature symmetries exactly, so
     the sum does; the output is bitwise reproducible for a fixed seed.
+    Raises :class:`ValueError` unless seed >= 0, n >= 2 and terms >= 1.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    seed, n = _integer("seed", seed, 0), _integer("dimension n", n, 2)
+    terms = _integer("terms", terms, 1)
     return CurvatureTensor(n, _random_stack([np.random.default_rng(seed)], n, [terms])[0],
                            _owned=True)
 
@@ -558,10 +557,8 @@ def _fill(R: np.ndarray, entries: list) -> None:
     q = np.minimum(k, l) * n + np.maximum(k, l)
     key = np.minimum(p, q) * (n * n) + np.maximum(p, q)
     del p, q
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    heads = np.concatenate((order[:1], order[1:][key[1:] != key[:-1]]))
-    del key, order
+    heads = np.unique(key, return_index=True)[1]
+    del key
     flat = R.reshape(-1)
     for slots, s in reversed(_ORBIT):
         flat[_flat(idx, slots, n)[heads]] = s * v[heads]
@@ -569,24 +566,23 @@ def _fill(R: np.ndarray, entries: list) -> None:
 
     # Each entry's eight signed writes must agree with what its class head
     # wrote; a head with i == j or k == l meets its own first write there.
-    bad = np.zeros(v.size, dtype=bool)
+    # conflict[e] is 1 + the first _ORBIT member where entry e disagrees, or 0.
+    conflict = np.zeros(v.size, dtype=np.int8)
     tol = 1e-12 * np.abs(v)
     with np.errstate(over="ignore"):
-        for slots, s in _ORBIT:
+        for member in reversed(range(len(_ORBIT))):
+            slots, s = _ORBIT[member]
             gap = flat[_flat(idx, slots, n)] - s * v
-            bad |= np.abs(gap, out=gap) > tol
-    bad = np.flatnonzero(bad)
+            conflict[np.abs(gap, out=gap) > tol] = member + 1
+    bad = np.flatnonzero(conflict)
     if bad.size:  # a conflict comes before the malformed entry
         pos = int(bad[0])
-        ijkl, w = [int(a[pos]) for a in idx], float(v[pos])
-        for slots, s in _ORBIT:
-            at = tuple(ijkl[t] for t in slots)
-            stored = float(R[at])
-            if abs(stored - s * w) > tol[pos]:
-                raise SchemaError(
-                    f"entry {pos} conflicts with an earlier entry at component "
-                    f"({','.join(map(str, at))}): {stored!r} vs {s * w!r}"
-                )
+        slots, s = _ORBIT[conflict[pos] - 1]
+        at = tuple(int(idx[t][pos]) for t in slots)
+        raise SchemaError(
+            f"entry {pos} conflicts with an earlier entry at component "
+            f"({','.join(map(str, at))}): {float(R[at])!r} vs {s * float(v[pos])!r}"
+        )
     if fault is not None:
         raise fault
 
@@ -594,10 +590,11 @@ def _fill(R: np.ndarray, entries: list) -> None:
 def tensor_from_json(obj: dict) -> CurvatureTensor:
     """Build a tensor from the entry-list schema, completing by symmetry.
 
-    Raises :class:`SchemaError` on missing keys, out-of-range indices,
-    values that are not finite numbers, or entries whose symmetry orbits
-    assign conflicting values (disagreement beyond 1e-12 * |v|).  The
-    first offending entry is the one reported.
+    Raises :class:`SchemaError` on missing keys, an "n" that is not an
+    integer >= 2, out-of-range indices, values that are not finite
+    numbers, or entries whose symmetry orbits assign conflicting values
+    (disagreement beyond 1e-12 * |v|).  The first offending entry is the
+    one reported.
     """
     if not isinstance(obj, dict):
         raise SchemaError("tensor document must be a JSON object")
@@ -606,8 +603,10 @@ def tensor_from_json(obj: dict) -> CurvatureTensor:
         entries = obj["entries"]
     except KeyError as missing:
         raise SchemaError(f"tensor document is missing key {missing}") from None
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise SchemaError(f'"n" must be an integer >= 2, got {n!r}')
+    try:
+        n = _integer('"n"', n, 2)
+    except ValueError as bad:
+        raise SchemaError(str(bad)) from None
     if not isinstance(entries, list):
         raise SchemaError('"entries" must be a list')
     # Allocated first: a size too large to allocate fails here, before the

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _EXPORTS
-from .base import SchemaError, _Record
+from .base import SchemaError, _integer, _real, _Record
 
 __all__ = list(_EXPORTS["models"])
 
@@ -36,18 +36,15 @@ __all__ = list(_EXPORTS["models"])
 def constant_curvature(n: int, kappa: float) -> CurvatureTensor:
     """Round space form of sectional curvature kappa in dimension n.
 
-    R[i,j,i,j] = kappa for i != j.
+    R[i,j,i,j] = kappa for i != j; n >= 2 and kappa is finite.
     """
     import numpy as np
 
     from .core import kulkarni_nomizu
 
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not np.isfinite(kappa):
-        raise ValueError(f"kappa must be finite, got {kappa!r}")
+    n, kappa = _integer("n", n, 2), _real("kappa", kappa)
     g = np.eye(n)
-    return 0.5 * float(kappa) * kulkarni_nomizu(g, g)
+    return 0.5 * kappa * kulkarni_nomizu(g, g)
 
 
 def product_spheres(p: int, q: int, r1: float, r2: float) -> CurvatureTensor:
@@ -56,20 +53,17 @@ def product_spheres(p: int, q: int, r1: float, r2: float) -> CurvatureTensor:
     Factor blocks carry constant curvature 1/r1^2 and 1/r2^2; every
     component with indices from both factors vanishes.  Ricci is
     diagonal with entries (p-1)/r1^2 (p times) and (q-1)/r2^2 (q times).
+    p, q >= 2, and r1, r2 > 0 with 1/r^2 a positive finite double.
     """
     import numpy as np
 
     from .core import CurvatureTensor
 
-    for name, val in (("p", p), ("q", q)):
-        if not isinstance(val, (int, np.integer)) or isinstance(val, bool) or val < 2:
-            raise ValueError(f"{name} must be an integer >= 2, got {val!r}")
+    p, q = _integer("p", p, 2), _integer("q", q, 2)
     kappas = []
     for name, val in (("r1", r1), ("r2", r2)):
-        if not (val > 0.0) or not np.isfinite(val):
-            raise ValueError(f"{name} must be a positive radius, got {val!r}")
         try:
-            kappas.append(1.0 / float(val) ** 2)
+            kappas.append(1.0 / _real(name, val, 0.0, strict=True) ** 2)
         except (OverflowError, ZeroDivisionError):
             kappas.append(np.inf)
         if not 0.0 < kappas[-1] < np.inf:
@@ -90,15 +84,14 @@ def fubini_study(m: int) -> CurvatureTensor:
         R[i,j,k,l] = (d_ik d_jl - d_il d_jk)
                    + (A_ik A_jl - A_il A_jk) + 2 A_ij A_kl.
 
-    Einstein with Ric = (2m + 2) g; for m = 1 this is the round 2-sphere
-    of curvature 4.
+    Einstein with Ric = (2m + 2) g; for m = 1 (the least m) this is the
+    round 2-sphere of curvature 4.
     """
     import numpy as np
 
     from .core import CurvatureTensor
 
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    m = _integer("m", m, 1)
     n = 2 * m
     A = np.zeros((n, n))
     for a in range(m):
@@ -137,7 +130,9 @@ def _schema(kind: str) -> dict:
 class ModelSpec:
     """A named model family plus concrete parameter values.
 
-    ``params`` holds plain Python numbers keyed by the family's schema.
+    ``params`` holds plain Python numbers keyed by the family's schema:
+    an int or a float as the builder's annotation names, judged by the
+    package's one rule for numbers.  The ranges are the builder's.
     """
 
     kind: str
@@ -153,18 +148,11 @@ class ModelSpec:
         for name, typ in schema.items():
             if name not in self.params:
                 raise SchemaError(f"model {self.kind!r} is missing parameter {name!r}")
-            val = self.params[name]
-            types, what = ((int,), "an integer") if typ == "int" else ((int, float), "a number")
-            if isinstance(val, bool) or not isinstance(val, types):
-                raise SchemaError(
-                    f"parameter {name!r} of {self.kind!r} must be {what}, got {val!r}"
-                )
+            judge = _integer if typ == "int" else _real
             try:
-                clean[name] = int(val) if typ == "int" else float(val)
-            except OverflowError:  # an integer too large for a float
-                raise SchemaError(
-                    f"parameter {name!r} of {self.kind!r} is out of double precision range"
-                ) from None
+                clean[name] = judge(f"parameter {name!r} of {self.kind!r}", self.params[name])
+            except ValueError as bad:
+                raise SchemaError(str(bad)) from None
         extra = set(self.params) - set(schema)
         if extra:
             raise SchemaError(

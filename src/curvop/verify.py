@@ -52,7 +52,16 @@ from pathlib import Path
 import numpy as np
 
 from . import _EXPORTS
-from .base import TOL_INEQ, CurvopError, ThresholdProfile, _json_text, _Record, threshold_profile
+from .base import (
+    TOL_INEQ,
+    CurvopError,
+    ThresholdProfile,
+    _integer,
+    _json_text,
+    _real,
+    _Record,
+    threshold_profile,
+)
 from .core import (
     CurvatureTensor,
     Sym2Tensor,
@@ -255,13 +264,6 @@ def _kernel(prep: _Prep, rows: slice, C: np.ndarray, Eb: np.ndarray, tol_base: f
     return checks, quad_rel, eig_rel
 
 
-def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    return tol
-
-
 def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
     """The body of :func:`all_checks` on an already prepared tensor."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -270,7 +272,7 @@ def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
         if isinstance(E, Sym2Tensor):
             E = E.components
         Eb = TracelessSym2(prep.n, E).components[None, None]
-        tol_base = _check_tol(TOL_INEQ if tol is None else tol)
+        tol_base = _real("tol", TOL_INEQ if tol is None else tol, 0.0)
         checks, quad_rel, eig_rel = _kernel(prep, slice(None), coordinates(Eb), Eb, tol_base)
         reports = [
             _report(name, prep.n, lhs, rhs, eff, prep.T.fingerprint, seed)
@@ -617,30 +619,19 @@ def fuzz_campaign(
     depend on ``jobs``, so the report is identical for jobs=1 and
     jobs>1.  Violators (margin below -tol * scale) are persisted to
     ``regression_dir``, the CURVOP_REGRESSION_DIR environment variable,
-    or ./regressions, in that order of preference.  ``seed``, ``trials_per_n``,
-    ``e_per_tensor``, ``jobs`` and each n must be integers (not bools);
-    ``ns`` must hold at least one n >= 3, ``tol`` must be a finite
-    number >= 0, and ``jobs`` must be >= 1, capped at the CPU count and
-    the number of blocks.
+    or ./regressions, in that order of preference.  Raises
+    :class:`ValueError` unless seed >= 0, trials_per_n >= 1, ``ns``
+    holds one or more n >= 3, e_per_tensor >= 1, tol >= 0 and jobs >= 1;
+    ``jobs`` is capped at the CPU count and the number of blocks.
     """
-    ns = tuple(ns)
-    named = dict(seed=seed, trials_per_n=trials_per_n, e_per_tensor=e_per_tensor, jobs=jobs)
-    for name, value in [*named.items(), *(("fuzz dimension", n) for n in ns)]:
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    seed, trials_per_n, e_per_tensor, jobs = map(int, named.values())
-    ns = tuple(map(int, ns))
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    if trials_per_n < 1:
-        raise ValueError("trials_per_n must be >= 1")
-    if e_per_tensor < 1:
-        raise ValueError("e_per_tensor must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    tol = _check_tol(tol)
-    if not ns or min(ns) < 3:
+    seed = _integer("seed", seed, 0)
+    trials_per_n = _integer("trials_per_n", trials_per_n, 1)
+    ns = tuple(_integer("each of the fuzz dimensions", n, 3) for n in ns)
+    if not ns:
         raise ValueError(f"fuzz dimensions must be one or more n >= 3, got {ns!r}")
+    e_per_tensor = _integer("e_per_tensor", e_per_tensor, 1)
+    tol = _real("tol", tol, 0.0)
+    jobs = _integer("jobs", jobs, 1)
     start = time.perf_counter()
 
     blocks = _blocks(ns, trials_per_n)

@@ -35,7 +35,7 @@ from math import floor
 import numpy as np
 
 from . import _EXPORTS
-from .base import AdmissibilityError, _Record
+from .base import AdmissibilityError, _real, _Record
 from .operators import Spectrum
 
 __all__ = list(_EXPORTS["weighted"])
@@ -58,7 +58,7 @@ def _ascending(lam) -> np.ndarray:
 class WeightClass:
     """Capped-simplex weight class: per-weight cap ``omega``, fixed ``total``.
 
-    Both parameters must be positive.  Admissibility for a spectrum of
+    Both parameters must be positive reals.  Admissibility for a spectrum of
     length N means total <= N * omega (up to roundoff).
     """
 
@@ -66,12 +66,8 @@ class WeightClass:
     total: float
 
     def __post_init__(self):
-        if not (self.omega > 0.0) or not np.isfinite(self.omega):
-            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
-        if not (self.total > 0.0) or not np.isfinite(self.total):
-            raise ValueError(f"total must be positive and finite, got {self.total!r}")
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "total", float(self.total))
+        for name in ("omega", "total"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, strict=True))
 
     @property
     def k(self) -> float:
@@ -98,9 +94,7 @@ def k_sum(lam, k: float) -> float:
     """
     arr = _ascending(lam)
     N = arr.size
-    if not np.isfinite(k):
-        raise ValueError(f"k must be finite, got {k!r}")
-    if k < 1.0 - 1e-12 or k > N * (1.0 + 1e-12):
+    if not 1.0 - 1e-12 <= _real("k", k) <= N * (1.0 + 1e-12):
         raise ValueError(f"k must lie in [1, {N}], got {k}")
     k = min(max(float(k), 1.0), float(N))
     return float(_greedy_min(arr, WeightClass(1.0, k)))

@@ -335,6 +335,23 @@ def test_model_parameter_out_of_double_range_exits_two(capsys, name, command):
         model_from_json(doc).build()
 
 
+#: Model documents with a parameter of the wrong type, and the one line they print.
+_MISTYPED_MODELS = {
+    "float m": ({"model": "fubini_study", "m": 2.0},
+                "parameter 'm' of 'fubini_study' must be an integer, got 2.0"),
+    "bool kappa": ({"model": "constant_curvature", "n": 4, "kappa": True},
+                   "parameter 'kappa' of 'constant_curvature' must be a number, finite, got True"),
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "spectrum"])
+@pytest.mark.parametrize("name", sorted(_MISTYPED_MODELS))
+def test_model_parameter_of_the_wrong_type_exits_two(capsys, name, command):
+    doc, message = _MISTYPED_MODELS[name]
+    code, out, err = run_main(capsys, command, "--model", json.dumps(doc))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_threshold_text_and_branches():
     proc = run_cli("threshold", "--n", "14", "--format", "json", "--no-timestamp",
                    check=True)
