@@ -21,9 +21,11 @@ theorem states.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, fields
 
 from . import _EXPORTS
@@ -89,6 +91,33 @@ def _real(what: str, value, low: float = -math.inf, strict: bool = False) -> flo
     raise ValueError(f"{what} must be a number, finite{bound}, got {value!r}")
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, from ``os.sysconf``; None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _tensor_bytes(n: int) -> int:
+    """Bytes of an n-dimensional tensor and its two operator matrices: 8 (n^4 + N1^2 + N2^2)."""
+    n = max(n, 0)
+    return 8 * (n**4 + (n * (n - 1) // 2) ** 2 + ((n - 1) * (n + 2) // 2) ** 2)
+
+
+def _require_memory(what: str, nbytes: int) -> None:
+    """Raise :class:`ValueError` when ``nbytes`` exceeds physical memory.
+
+    ``nbytes`` estimates what ``what`` will hold.  Called before anything
+    is allocated, so an input too large to run is refused up front, not
+    by the kernel once overcommitted pages are touched.
+    """
+    limit = _physical_memory()
+    if limit is not None and nbytes > limit:
+        raise ValueError(f"{what} is too large to run: it needs about {nbytes / 2**30:.3g} GiB, "
+                         f"more than the {limit / 2**30:.3g} GiB of physical memory")
+
+
 def _plain(value):
     """A report value as JSON data: a record as its to_json, a tuple as a list, a dict copied."""
     if hasattr(value, "to_json"):
@@ -114,28 +143,57 @@ class _Record:
         return {name: _plain(getattr(self, name)) for name in [*names, *self._json_properties]}
 
 
-def _json_text(obj, pad: str = "\n") -> str:
-    """Exactly what ``json.dumps`` writes with an indent of 2, flat number lists in C.
+def _json_text(obj) -> str:
+    """Exactly what ``json.dumps`` writes with an indent of 2, flat lists in C.
 
     Any indent sends json to its pure-Python encoder, one call per value.
-    Here only the nesting is Python: a list of plain ints and floats is
-    one ``json.dumps`` whose ``", "`` separators (which no number holds)
-    become the indented line breaks, and every other scalar and key is
-    one ``json.dumps`` too.  ``pad`` is the line break plus the
-    indentation of ``obj``'s own level.
+    Here only the nesting is Python, written in one pass into one list
+    that is joined once.  A list or tuple whose first item is not a
+    list, tuple, dict or str is one call of json's C encoder, whose item
+    separator is already the indented line break of its depth; its text
+    is used as it is when it holds no string and no nested container (no
+    ``"``, no ``{``, no ``[`` after the first character), and otherwise
+    the list is written item by item.  Every other scalar and key is one
+    ``json.dumps``.
     """
+    out: list[str] = []
+    _write_json(out.append, obj, "\n")
+    return "".join(out)
+
+
+@functools.cache
+def _flat_encoder(inner: str):
+    """json's C encoder with ``"," + inner`` between list items: a list whose items sit at ``inner``."""
+    return json.JSONEncoder(separators=("," + inner, ": ")).encode
+
+
+def _write_json(put, obj, pad: str) -> None:
+    """Pass the text of ``obj`` to ``put`` in pieces; ``pad`` is the line break and indent of obj."""
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
-        # json.dumps({key: 0}) is '{KEY: 0}': KEY as json converts it, str or not.
-        ends, items = "{}", (f"{json.dumps({key: 0})[1:-4]}: {_json_text(value, inner)}"
-                             for key, value in obj.items())
+        sep = "{" + inner
+        for key, value in obj.items():
+            # json.dumps({key: 0}) is '{KEY: 0}': KEY as json converts it, str or not.
+            put(sep + json.dumps({key: 0})[1:-2])
+            _write_json(put, value, inner)
+            sep = "," + inner
+        put(pad + "}")
     elif isinstance(obj, (list, tuple)) and obj:
-        if {*map(type, obj)} <= {int, float}:
-            return f"[{inner}{json.dumps(obj)[1:-1].replace(', ', ',' + inner)}{pad}]"
-        ends, items = "[]", (_json_text(item, inner) for item in obj)
+        if not isinstance(obj[0], (list, tuple, dict, str)):
+            text = _flat_encoder(inner)(obj)
+            if '"' not in text and "{" not in text and text.find("[", 1) < 0:
+                put("[" + inner)
+                put(text[1:-1])
+                put(pad + "]")
+                return
+        sep = "[" + inner
+        for item in obj:
+            put(sep)
+            _write_json(put, item, inner)
+            sep = "," + inner
+        put(pad + "]")
     else:
-        return json.dumps(obj)
-    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+        put(json.dumps(obj))
 
 
 @dataclass(frozen=True)

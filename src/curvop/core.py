@@ -33,7 +33,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import _EXPORTS
-from .base import CurvopError, InvalidTensorError, SchemaError, TraceError, _integer, _Record
+from .base import (CurvopError, InvalidTensorError, SchemaError, TraceError, _integer, _Record,
+                   _require_memory, _tensor_bytes)
 
 __all__ = list(_EXPORTS["core"])
 
@@ -594,7 +595,8 @@ def tensor_from_json(obj: dict) -> CurvatureTensor:
     integer >= 2, out-of-range indices, values that are not finite
     numbers, or entries whose symmetry orbits assign conflicting values
     (disagreement beyond 1e-12 * |v|).  The first offending entry is the
-    one reported.
+    one reported.  Raises :class:`ValueError` when the tensor and its two
+    operator matrices would not fit in physical memory.
     """
     if not isinstance(obj, dict):
         raise SchemaError("tensor document must be a JSON object")
@@ -611,6 +613,7 @@ def tensor_from_json(obj: dict) -> CurvatureTensor:
         raise SchemaError('"entries" must be a list')
     # Allocated first: a size too large to allocate fails here, before the
     # int64 flat indices could overflow.
+    _require_memory(f"a tensor of dimension n = {n}", _tensor_bytes(n))
     R = np.zeros((n, n, n, n))
     _fill(R, entries)
     return CurvatureTensor(n, R, _owned=True)

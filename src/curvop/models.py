@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _EXPORTS
-from .base import SchemaError, _integer, _real, _Record
+from .base import SchemaError, _integer, _real, _Record, _require_memory, _tensor_bytes
 
 __all__ = list(_EXPORTS["models"])
 
@@ -110,19 +110,21 @@ def fubini_study(m: int) -> CurvatureTensor:
 
 # --- model registry and JSON schema ----------------------------------------
 
-#: Each family's builder and example parameters.  The builder declares the
-#: rest: its annotations ("int" or "float") are the parameter schema, and
-#: the first line of its docstring is the family's description.
+#: Each family's builder, example parameters and dimension n as a function
+#: of its parameters.  The builder declares the rest: its annotations ("int"
+#: or "float") are the parameter schema, and the first line of its docstring
+#: is the family's description.
 _REGISTRY = {
-    "constant_curvature": (constant_curvature, {"n": 4, "kappa": 1.0}),
-    "product_spheres": (product_spheres, {"p": 2, "q": 3, "r1": 1.0, "r2": 1.0}),
-    "fubini_study": (fubini_study, {"m": 2}),
+    "constant_curvature": (constant_curvature, {"n": 4, "kappa": 1.0}, lambda n, kappa: n),
+    "product_spheres": (product_spheres, {"p": 2, "q": 3, "r1": 1.0, "r2": 1.0},
+                        lambda p, q, r1, r2: p + q),
+    "fubini_study": (fubini_study, {"m": 2}, lambda m: 2 * m),
 }
 
 
 def _schema(kind: str) -> dict:
     """The parameter schema of a family: name to "int" or "float", in order."""
-    build, _ = _REGISTRY[kind]
+    build = _REGISTRY[kind][0]
     return {name: typ for name, typ in build.__annotations__.items() if name != "return"}
 
 
@@ -165,9 +167,16 @@ class ModelSpec:
         return (_REGISTRY[self.kind][0].__doc__ or "").partition("\n")[0]  # None under -OO
 
     def build(self) -> CurvatureTensor:
-        """Construct the curvature tensor (parameter errors surface here)."""
+        """Construct the curvature tensor (parameter errors surface here).
+
+        Raises :class:`ValueError` first when the tensor and its two operator
+        matrices would not fit in physical memory.
+        """
+        build, _, dimension = _REGISTRY[self.kind]
+        n = dimension(**self.params)
+        _require_memory(f"model {self.kind!r} of dimension n = {n}", _tensor_bytes(n))
         try:
-            return _REGISTRY[self.kind][0](**self.params)
+            return build(**self.params)
         except ValueError as bad:
             raise SchemaError(f"model {self.kind!r}: {bad}") from bad
 
@@ -187,7 +196,7 @@ class CatalogEntry(_Record):
 
 def catalog() -> tuple[CatalogEntry, ...]:
     """All built-in model families, with schemas suitable for CLI help."""
-    specs = [ModelSpec(kind, dict(example)) for kind, (_, example) in sorted(_REGISTRY.items())]
+    specs = [ModelSpec(kind, dict(example)) for kind, (_, example, _) in sorted(_REGISTRY.items())]
     return tuple(CatalogEntry(s.kind, s.doc, _schema(s.kind), s) for s in specs)
 
 

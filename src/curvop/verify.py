@@ -60,6 +60,8 @@ from .base import (
     _json_text,
     _real,
     _Record,
+    _require_memory,
+    _tensor_bytes,
     threshold_profile,
 )
 from .core import (
@@ -459,6 +461,11 @@ _BLOCK_TRIALS = 32
 #: times this, so it bounds the memory a campaign adds to the process.
 _BLOCK_PROBE_BYTES = 1 << 19
 
+#: What a campaign holds per block until it reports: the block and its task
+#: (about 185 bytes) and its results (about 17 KB, measured with tracemalloc
+#: on full blocks at n = 3), rounded up.
+_BLOCK_HELD_BYTES = 20_000
+
 
 def _blocks(ns, trials_per_n: int) -> list[tuple[int, int, int]]:
     """(n, first trial index, trial count) of each block, in trial order.
@@ -579,8 +586,9 @@ def persist_violator(T: CurvatureTensor, directory, meta: dict | None = None) ->
     """Write a violating tensor (plus metadata) for regression replay.
 
     The file holds one entry per symmetry orbit, so ``curvop bounds
-    --input FILE`` replays the three E-free margins to rounding, and
-    ``random_curvature(trial_seed, n, terms)`` bitwise.  ``bounds`` takes
+    --input FILE`` replays the three E-free margins to rounding; a
+    campaign's ``meta`` names the trial, and ``random_curvature(trial_seed,
+    n, terms)`` replays them bitwise.  ``bounds`` takes
     the E checks at the trace-free Ricci tensor, not at the fuzz probe,
     so an E-dependent margin replays only through the trial's stream.
     """
@@ -621,8 +629,11 @@ def fuzz_campaign(
     ``regression_dir``, the CURVOP_REGRESSION_DIR environment variable,
     or ./regressions, in that order of preference.  Raises
     :class:`ValueError` unless seed >= 0, trials_per_n >= 1, ``ns``
-    holds one or more n >= 3, e_per_tensor >= 1, tol >= 0 and jobs >= 1;
-    ``jobs`` is capped at the CPU count and the number of blocks.
+    holds one or more n >= 3, e_per_tensor >= 1, tol >= 0 and jobs >= 1,
+    and before any block is listed when the block list, the results and
+    one block's stack would not fit in physical memory; ``jobs`` is capped
+    at the CPU count and the number of blocks.  A violator's file carries
+    the violation's fields, bar its path, and the campaign seed as ``meta``.
     """
     seed = _integer("seed", seed, 0)
     trials_per_n = _integer("trials_per_n", trials_per_n, 1)
@@ -634,6 +645,13 @@ def fuzz_campaign(
     jobs = _integer("jobs", jobs, 1)
     start = time.perf_counter()
 
+    # The block list and results, and one block's stack of the largest n.
+    blocks_per_n = -(-trials_per_n // _BLOCK_TRIALS)
+    _require_memory(
+        f"a campaign of {trials_per_n} trials for each n in {list(ns)}",
+        len(ns) * blocks_per_n * _BLOCK_HELD_BYTES
+        + min(trials_per_n, _BLOCK_TRIALS) * _tensor_bytes(max(ns)),
+    )
     blocks = _blocks(ns, trials_per_n)
     # A fork-started pool starts every worker at once, even for empty chunks.
     jobs = min(jobs, os.cpu_count() or 1, len(blocks))
@@ -665,17 +683,9 @@ def fuzz_campaign(
         persisted = []
         for v in violations:
             T = random_curvature(v.trial_seed, v.n, terms=v.terms)
-            path = persist_violator(
-                T,
-                directory,
-                meta={
-                    "check": v.check,
-                    "margin": v.margin,
-                    "tol": v.tol,
-                    "seed": seed,
-                    "trial_index": v.trial_index,
-                },
-            )
+            meta = v.to_json()
+            del meta["path"]
+            path = persist_violator(T, directory, meta={**meta, "seed": seed})
             persisted.append(dataclasses.replace(v, path=str(path)))
         violations = persisted
 

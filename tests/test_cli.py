@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import curvop.verify
 from curvop import SchemaError, model_from_json
 from curvop.cli import main
-from curvop.base import _json_text
+from curvop.base import _json_text, _physical_memory, _require_memory, _tensor_bytes
 
 SPHERE = '{"model": "constant_curvature", "n": 4, "kappa": 1.0}'
 PRODUCT = '{"model": "product_spheres", "p": 2, "q": 3, "r1": 1.0, "r2": 1.0}'
@@ -297,11 +297,44 @@ def _unable_to_allocate(*args, **kwargs):
     ("curvop.verify._tensor_draws", ("fuzz", "--n", "1000", "--trials", "1")),
 ], ids=["spectrum", "fuzz"])
 def test_input_too_large_to_allocate_exits_two(capsys, monkeypatch, target, args):
+    # The size guard lets these through, so numpy's own refusal is what is reported.
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 1 << 62)
     monkeypatch.setattr(target, _unable_to_allocate)
     code, out, err = run_main(capsys, *args)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Unable to allocate 7.28 TiB" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ("spectrum", "--model", '{"model": "constant_curvature", "n": 40, "kappa": 1.0}'),
+    ("spectrum", "--model", '{"model": "fubini_study", "m": 20}'),
+    ("bounds", "--input", "{tensor}"),
+    ("fuzz", "--n", "3", "--trials", str(10**12)),
+], ids=["model", "fubini_study", "input", "fuzz"])
+def test_input_beyond_physical_memory_exits_two_before_allocating(capsys, monkeypatch, tmp_path,
+                                                                  args):
+    # 20 MiB holds no 40-dimensional tensor: 8 n^4 alone is 19.5 MiB.
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 20 << 20)
+    monkeypatch.setattr("numpy.zeros", _unable_to_allocate)
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text('{"n": 40, "entries": []}')
+    code, out, err = run_main(capsys, *(str(tensor) if a == "{tensor}" else a for a in args))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "too large to run" in err and "0.0195 GiB of physical memory" in err
+
+
+def test_size_guard_refuses_only_an_estimate_beyond_physical_memory(monkeypatch):
+    assert _tensor_bytes(3) == 8 * (3**4 + 3**2 + 5**2)
+    assert _tensor_bytes(-10**9) == _tensor_bytes(0)  # a negative n is refused by its builder
+    assert _physical_memory() is None or _physical_memory() > 0
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 1000)
+    _require_memory("this", 1000)
+    with pytest.raises(ValueError, match="^this is too large to run: it needs about 9.32e-07 GiB"):
+        _require_memory("this", 1001)
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: None)
+    _require_memory("this", 10**30)
 
 
 def test_missing_source_is_a_usage_error():
@@ -586,10 +619,15 @@ JSON_VALUES = st.recursive(
     _SCALARS,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(_KEYS, inner, max_size=4),
         st.lists(_NUMBERS, max_size=6),
+        st.lists(_NUMBERS, max_size=6).map(tuple),
         st.lists(_NUMBERS | st.booleans() | st.none(), max_size=6),
         st.lists(_NUMBERS | st.floats().map(np.float64), max_size=6),
+        # A scalar first, then anything: the flat encoding is tried and refused.
+        st.tuples(_NUMBERS | st.booleans() | st.none(), st.lists(inner, min_size=1, max_size=3))
+        .map(lambda head_tail: [head_tail[0], *head_tail[1]]),
     ),
     max_leaves=30,
 )
@@ -600,6 +638,15 @@ JSON_VALUES = st.recursive(
 @example({"a, b": [[], {}, [1, True, None, 2**70, -0.0, 5e-324, 1e308, math.nan,
                               math.inf, -math.inf, np.float64(0.1)],
                    {1: "\u00e9\n, ", 2.5: [], None: {}, False: [[]], math.nan: [0]}]})
+@example((1, 2.5, (3, None), ()))
+@example([1, "a, b"])
+@example([0.5, [1]])
+@example((None, {"k": 1}))
+@example([True, []])
+@example([2**70, {}])
+# Flat number lists at three depths, each beside a list the flat encoding refuses.
+@example({"a": [1, 2.5], "b": {"c": (-0.0, math.nan), "d": [[3, 4], [0.5, [1]], (5, "e")]},
+          "f": [[6.5, math.inf], (None, {"k": [7, 8]})]})
 def test_json_text_is_the_indented_json_dump(value):
     assert _json_text(value) == json.dumps(value, indent=2)
 

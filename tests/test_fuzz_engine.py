@@ -252,6 +252,18 @@ def test_violations_are_the_failed_margins_in_trial_order_and_replay(tmp_path):
     assert {v.check for v in s.violations} & set(E_FREE)
 
 
+def test_each_violator_file_rebuilds_its_tensor_from_its_meta(tmp_path):
+    s = fuzz_campaign(3, 33, ns=(3, 4), e_per_tensor=3, tol=0.0, regression_dir=tmp_path)
+    files = sorted(tmp_path.glob("violator_*.json"))
+    assert files and {v.path for v in s.violations} == {str(f) for f in files}
+    for f in files:
+        meta = json.loads(f.read_text())["meta"]
+        assert meta["seed"] == 3 and "path" not in meta
+        assert meta["trial_seed"] == _trial_seed(3, meta["trial_index"])
+        T = random_curvature(meta["trial_seed"], meta["n"], terms=meta["terms"])
+        assert f.name == f"violator_{T.fingerprint}.json" == f"violator_{meta['fingerprint']}.json"
+
+
 def test_stacked_spectra_reject_non_finite_and_descending_rows():
     good = np.array([[0.0, 1.0], [-2.0, 3.0]])
     np.testing.assert_array_equal(_spectra(good), good)
