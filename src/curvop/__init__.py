@@ -2,7 +2,7 @@
 
 The package is organized around a pipeline:
 
-``base``       errors, report records, JSON text, dimension thresholds (no numpy)
+``base``       errors, input rules, report records, JSON text, thresholds (no numpy)
 ``core``       algebraic curvature tensors, symmetries, Ricci contractions
 ``operators``  operator matrices on 2-forms and trace-free symmetric 2-tensors
 ``weighted``   capped-simplex weighted eigenvalue sums and k-positivity

@@ -1,9 +1,14 @@
-"""The numpy-free base of the package: errors, report records, JSON text, thresholds.
+"""The numpy-free base of the package: errors, input rules, report records, JSON text, thresholds.
 
 Everything here is plain Python, so the commands that need no array
 (``curvop threshold``, ``curvop models``, ``--help``) and the parser that
 every command builds run without loading numpy.  The array modules import
-their errors and their record base from here.
+their errors and their record base from here.  So does every rule that
+judges an input before an array exists: the dimension formulas, the
+tensor document's header, the size guard, k, the tolerance, the bounds'
+n >= 3 and the fuzz campaign's arguments.  The library applies each where
+it is needed, and the CLI applies it first, so a refused input never
+loads numpy.
 
 The two dimension thresholds of the paper are closed-form:
 
@@ -99,10 +104,20 @@ def _physical_memory() -> int | None:
         return None
 
 
+def lambda2_dim(n: int) -> int:
+    """Dimension of the space of antisymmetric matrices, n(n-1)/2."""
+    return n * (n - 1) // 2
+
+
+def s2_traceless_dim(n: int) -> int:
+    """Dimension of the space of trace-free symmetric matrices, (n-1)(n+2)/2."""
+    return (n - 1) * (n + 2) // 2
+
+
 def _tensor_bytes(n: int) -> int:
     """Bytes of an n-dimensional tensor and its two operator matrices: 8 (n^4 + N1^2 + N2^2)."""
     n = max(n, 0)
-    return 8 * (n**4 + (n * (n - 1) // 2) ** 2 + ((n - 1) * (n + 2) // 2) ** 2)
+    return 8 * (n**4 + lambda2_dim(n) ** 2 + s2_traceless_dim(n) ** 2)
 
 
 def _require_memory(what: str, nbytes: int) -> None:
@@ -116,6 +131,84 @@ def _require_memory(what: str, nbytes: int) -> None:
     if limit is not None and nbytes > limit:
         raise ValueError(f"{what} is too large to run: it needs about {nbytes / 2**30:.3g} GiB, "
                          f"more than the {limit / 2**30:.3g} GiB of physical memory")
+
+
+def _tensor_header(obj) -> tuple[int, list]:
+    """``(n, entries)`` of a tensor document, judged before anything is allocated.
+
+    Raises :class:`SchemaError` unless ``obj`` is a dict with an "n" that
+    is an integer >= 2 and an "entries" list, and :class:`ValueError`
+    when the tensor and its two operator matrices would not fit in
+    physical memory.  The entries themselves are judged as they are loaded.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError("tensor document must be a JSON object")
+    try:
+        n = obj["n"]
+        entries = obj["entries"]
+    except KeyError as missing:
+        raise SchemaError(f"tensor document is missing key {missing}") from None
+    try:
+        n = _integer('"n"', n, 2)
+    except ValueError as bad:
+        raise SchemaError(str(bad)) from None
+    if not isinstance(entries, list):
+        raise SchemaError('"entries" must be a list')
+    _require_memory(f"a tensor of dimension n = {n}", _tensor_bytes(n))
+    return n, entries
+
+
+def _k_count(k, N: int) -> float:
+    """``k`` as a fractional count of N eigenvalues: finite and in [1, N] to 1e-12, clamped."""
+    if not 1.0 - 1e-12 <= _real("k", k) <= N * (1.0 + 1e-12):
+        raise ValueError(f"k must lie in [1, {N}], got {k}")
+    return min(max(float(k), 1.0), float(N))
+
+
+def _tol(tol) -> float:
+    """A base margin tolerance: a finite number >= 0."""
+    return _real("tol", tol, 0.0)
+
+
+def _require_bounds_dimension(n: int) -> None:
+    """Raise :class:`ValueError` unless the curvature bounds are defined at n (n >= 3)."""
+    if n < 3:
+        raise ValueError("curvature bounds require n >= 3")
+
+
+#: A fuzz block holds at most this many trials, all of one dimension n.  Its
+#: tensors are drawn, validated, assembled and eigensolved together.
+_BLOCK_TRIALS = 32
+
+#: What a campaign holds per block until it reports: the block and its task
+#: (about 185 bytes) and its results (about 17 KB, measured with tracemalloc
+#: on full blocks at n = 3), rounded up.
+_BLOCK_HELD_BYTES = 20_000
+
+
+def _fuzz_arguments(seed, trials_per_n, ns, e_per_tensor, tol, jobs) -> tuple:
+    """The arguments of ``verify.fuzz_campaign``, judged in signature order, then its size.
+
+    Raises :class:`ValueError` unless seed >= 0, trials_per_n >= 1, ``ns``
+    holds one or more n >= 3, e_per_tensor >= 1, tol >= 0 and jobs >= 1,
+    or when the block list, the results and one block's stack of the
+    largest n would not fit in physical memory.
+    """
+    seed = _integer("seed", seed, 0)
+    trials_per_n = _integer("trials_per_n", trials_per_n, 1)
+    ns = tuple(_integer("each of the fuzz dimensions", n, 3) for n in ns)
+    if not ns:
+        raise ValueError(f"fuzz dimensions must be one or more n >= 3, got {ns!r}")
+    e_per_tensor = _integer("e_per_tensor", e_per_tensor, 1)
+    tol = _tol(tol)
+    jobs = _integer("jobs", jobs, 1)
+    blocks_per_n = -(-trials_per_n // _BLOCK_TRIALS)
+    _require_memory(
+        f"a campaign of {trials_per_n} trials for each n in {list(ns)}",
+        len(ns) * blocks_per_n * _BLOCK_HELD_BYTES
+        + min(trials_per_n, _BLOCK_TRIALS) * _tensor_bytes(max(ns)),
+    )
+    return seed, trials_per_n, ns, e_per_tensor, tol, jobs
 
 
 def _plain(value):

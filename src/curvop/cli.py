@@ -19,9 +19,12 @@ out-of-domain parameters, or an input too large to allocate.  With
 ``--no-timestamp`` any subcommand run twice on identical inputs emits
 byte-identical output.
 
-The parser and the ``threshold`` and ``models`` commands need no array,
-so each command imports the modules it runs inside its ``_cmd_*``
-function, and those two never load numpy.
+Each command imports the modules it runs inside its ``_cmd_*``
+function, and only once its input has passed every refusal that needs
+no array: the read and the parse, the model spec or the tensor
+document's header, the size guard, and the command's own rules on its
+arguments and the dimension (``base`` and ``models`` hold each of them).
+So ``threshold``, ``models`` and every such refusal never load numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .base import TOL_INEQ, CurvopError, _json_text, threshold_profile
+from .base import (TOL_INEQ, CurvopError, _fuzz_arguments, _json_text, _k_count,
+                   _require_bounds_dimension, _tensor_header, _tol, s2_traceless_dim,
+                   threshold_profile)
 
 __all__ = ["main", "entrypoint"]
 
@@ -57,9 +62,14 @@ def _parse_json(text: str, where: str) -> dict:
     return obj
 
 
-def _load_tensor(args):
-    """Validated tensor from --input FILE (tensor or model doc) or --model JSON."""
-    from .core import tensor_from_json
+def _load_tensor(args, rule=None):
+    """Validated tensor from --input FILE (tensor or model doc) or --model JSON.
+
+    Every refusal that needs no array comes first, in this order: the
+    read, the parse, the model spec or the document header, the size
+    guard, then ``rule(n)``, the command's own rule on the dimension n.
+    Only then are numpy and the array modules imported.
+    """
     from .models import model_from_json
 
     if getattr(args, "input", None):
@@ -71,7 +81,13 @@ def _load_tensor(args):
         del text  # the raw text need not outlive the parse while the tensor is built
     else:
         obj = _parse_json(args.model, where="--model")
-    T = model_from_json(obj).build() if "model" in obj else tensor_from_json(obj)
+    spec = model_from_json(obj) if "model" in obj else None
+    n = spec.check() if spec else _tensor_header(obj)[0]
+    if rule:
+        rule(n)
+    from .core import tensor_from_json
+
+    T = spec.build() if spec else tensor_from_json(obj)
     del obj  # nor the parsed document while the tensor is validated
     return T.require_valid()
 
@@ -148,9 +164,9 @@ def _text(payload: dict, pad: str = "") -> str:
 
 
 def _cmd_spectrum(args):
+    T = _load_tensor(args)
     from .operators import first_kind_matrix, operator_to_json, second_kind_matrix, spectrum
 
-    T = _load_tensor(args)
     payload = {"n": T.n, "fingerprint": T.fingerprint}
     matrices = {"first_kind": first_kind_matrix(T), "second_kind": second_kind_matrix(T)}
     rows = []
@@ -170,10 +186,10 @@ def _cmd_spectrum(args):
 
 
 def _cmd_check(args):
+    T = _load_tensor(args, lambda n: _k_count(args.k, s2_traceless_dim(n)))
     from .operators import second_kind_matrix, spectrum
     from .weighted import k_verdict
 
-    T = _load_tensor(args)
     spec = spectrum(second_kind_matrix(T))
     verdict = k_verdict(spec, args.k)
     payload = {"n": T.n, "fingerprint": T.fingerprint, "N": len(spec), **verdict.to_json()}
@@ -186,9 +202,14 @@ def _cmd_check(args):
 
 
 def _cmd_bounds(args):
+    def rule(n):
+        _require_bounds_dimension(n)
+        _tol(args.tol)
+
+    T = _load_tensor(args, rule)
     from .verify import _certificate, _checks, _prepare
 
-    prep = _prepare(_load_tensor(args))
+    prep = _prepare(T)
     reports = _checks(prep, None, args.tol, None)
     all_ok = all(r.ok for r in reports)
     payload = {
@@ -205,17 +226,11 @@ def _cmd_bounds(args):
 
 
 def _cmd_fuzz(args):
+    ns = tuple(args.n) if args.n else (3, 4, 5, 6)
+    campaign = _fuzz_arguments(args.seed, args.trials, ns, args.e_per_tensor, args.tol, args.jobs)
     from .verify import fuzz_campaign
 
-    summary = fuzz_campaign(
-        seed=args.seed,
-        trials_per_n=args.trials,
-        ns=tuple(args.n) if args.n else (3, 4, 5, 6),
-        e_per_tensor=args.e_per_tensor,
-        tol=args.tol,
-        jobs=args.jobs,
-        regression_dir=args.regression_dir,
-    )
+    summary = fuzz_campaign(*campaign, regression_dir=args.regression_dir)
     payload = summary.to_json()
     margins = payload["min_scaled_margins"]
     rows = [

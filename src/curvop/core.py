@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .base import (CurvopError, InvalidTensorError, SchemaError, TraceError, _integer, _Record,
-                   _require_memory, _tensor_bytes)
+                   _require_memory, _tensor_bytes, _tensor_header)
 
 __all__ = list(_EXPORTS["core"])
 
@@ -416,10 +416,13 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
     and returns  sum_a eps_a (h_a ^ h_a)  with eps alternating +1, -1,
     +1, ...  Each summand satisfies the curvature symmetries exactly, so
     the sum does; the output is bitwise reproducible for a fixed seed.
-    Raises :class:`ValueError` unless seed >= 0, n >= 2 and terms >= 1.
+    Raises :class:`ValueError` unless seed >= 0, n >= 2 and terms >= 1,
+    and before anything is drawn when the tensor and its two operator
+    matrices would not fit in physical memory.
     """
     seed, n = _integer("seed", seed, 0), _integer("dimension n", n, 2)
     terms = _integer("terms", terms, 1)
+    _require_memory(f"a random tensor of dimension n = {n}", _tensor_bytes(n))
     return CurvatureTensor(n, _random_stack([np.random.default_rng(seed)], n, [terms])[0],
                            _owned=True)
 
@@ -595,25 +598,13 @@ def tensor_from_json(obj: dict) -> CurvatureTensor:
     integer >= 2, out-of-range indices, values that are not finite
     numbers, or entries whose symmetry orbits assign conflicting values
     (disagreement beyond 1e-12 * |v|).  The first offending entry is the
-    one reported.  Raises :class:`ValueError` when the tensor and its two
-    operator matrices would not fit in physical memory.
+    one reported, after any fault of the header (``base._tensor_header``).
+    Raises :class:`ValueError` when the tensor and its two operator
+    matrices would not fit in physical memory.
     """
-    if not isinstance(obj, dict):
-        raise SchemaError("tensor document must be a JSON object")
-    try:
-        n = obj["n"]
-        entries = obj["entries"]
-    except KeyError as missing:
-        raise SchemaError(f"tensor document is missing key {missing}") from None
-    try:
-        n = _integer('"n"', n, 2)
-    except ValueError as bad:
-        raise SchemaError(str(bad)) from None
-    if not isinstance(entries, list):
-        raise SchemaError('"entries" must be a list')
+    n, entries = _tensor_header(obj)
     # Allocated first: a size too large to allocate fails here, before the
     # int64 flat indices could overflow.
-    _require_memory(f"a tensor of dimension n = {n}", _tensor_bytes(n))
     R = np.zeros((n, n, n, n))
     _fill(R, entries)
     return CurvatureTensor(n, R, _owned=True)

@@ -19,12 +19,14 @@ JSON schema, e.g.
 
     {"model": "product_spheres", "p": 2, "q": 3, "r1": 1.0, "r2": 1.0}
 
-The schema and the catalog are plain Python: only the three builders
-import numpy and ``core``, so ``curvop models`` runs without numpy.
+The schema, the catalog and each builder's range checks and size guard
+are plain Python: a builder imports numpy and ``core`` only once they
+pass, so ``curvop models`` and every refused model run without numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import _EXPORTS
@@ -33,18 +35,45 @@ from .base import SchemaError, _integer, _real, _Record, _require_memory, _tenso
 __all__ = list(_EXPORTS["models"])
 
 
+def _require_fits(kind: str, n: int) -> None:
+    """The size guard of model ``kind`` at dimension n, run before anything is allocated."""
+    _require_memory(f"model {kind!r} of dimension n = {n}", _tensor_bytes(n))
+
+
+def _constant_curvature_args(n, kappa) -> tuple[int, float]:
+    """The arguments of :func:`constant_curvature`, judged: n >= 2 and kappa finite."""
+    return _integer("n", n, 2), _real("kappa", kappa)
+
+
 def constant_curvature(n: int, kappa: float) -> CurvatureTensor:
     """Round space form of sectional curvature kappa in dimension n.
 
-    R[i,j,i,j] = kappa for i != j; n >= 2 and kappa is finite.
+    R[i,j,i,j] = kappa for i != j; n >= 2 and kappa is finite.  Raises
+    :class:`ValueError` for other arguments, or when the tensor and its
+    two operator matrices would not fit in physical memory.
     """
+    n, kappa = _constant_curvature_args(n, kappa)
+    _require_fits("constant_curvature", n)
     import numpy as np
 
     from .core import kulkarni_nomizu
 
-    n, kappa = _integer("n", n, 2), _real("kappa", kappa)
     g = np.eye(n)
     return 0.5 * kappa * kulkarni_nomizu(g, g)
+
+
+def _product_spheres_args(p, q, r1, r2) -> tuple[int, int, float, float]:
+    """The arguments of :func:`product_spheres`, judged, each radius r as its curvature 1/r^2."""
+    p, q = _integer("p", p, 2), _integer("q", q, 2)
+    kappas = []
+    for name, val in (("r1", r1), ("r2", r2)):
+        try:
+            kappas.append(1.0 / _real(name, val, 0.0, strict=True) ** 2)
+        except (OverflowError, ZeroDivisionError):
+            kappas.append(math.inf)
+        if not 0.0 < kappas[-1] < math.inf:
+            raise ValueError(f"{name} = {val!r} puts the curvature 1/{name}^2 out of range")
+    return p, q, *kappas
 
 
 def product_spheres(p: int, q: int, r1: float, r2: float) -> CurvatureTensor:
@@ -53,26 +82,26 @@ def product_spheres(p: int, q: int, r1: float, r2: float) -> CurvatureTensor:
     Factor blocks carry constant curvature 1/r1^2 and 1/r2^2; every
     component with indices from both factors vanishes.  Ricci is
     diagonal with entries (p-1)/r1^2 (p times) and (q-1)/r2^2 (q times).
-    p, q >= 2, and r1, r2 > 0 with 1/r^2 a positive finite double.
+    p, q >= 2, and r1, r2 > 0 with 1/r^2 a positive finite double;
+    raises :class:`ValueError` otherwise, or when the tensor and its two
+    operator matrices would not fit in physical memory.
     """
+    p, q, kappa1, kappa2 = _product_spheres_args(p, q, r1, r2)
+    n = p + q
+    _require_fits("product_spheres", n)
     import numpy as np
 
     from .core import CurvatureTensor
 
-    p, q = _integer("p", p, 2), _integer("q", q, 2)
-    kappas = []
-    for name, val in (("r1", r1), ("r2", r2)):
-        try:
-            kappas.append(1.0 / _real(name, val, 0.0, strict=True) ** 2)
-        except (OverflowError, ZeroDivisionError):
-            kappas.append(np.inf)
-        if not 0.0 < kappas[-1] < np.inf:
-            raise ValueError(f"{name} = {val!r} puts the curvature 1/{name}^2 out of range")
-    n = p + q
     R = np.zeros((n, n, n, n))
-    R[:p, :p, :p, :p] = constant_curvature(p, kappas[0]).components
-    R[p:, p:, p:, p:] = constant_curvature(q, kappas[1]).components
+    R[:p, :p, :p, :p] = constant_curvature(p, kappa1).components
+    R[p:, p:, p:, p:] = constant_curvature(q, kappa2).components
     return CurvatureTensor(n, R, _owned=True)
+
+
+def _fubini_study_args(m) -> int:
+    """The argument of :func:`fubini_study`, judged: m >= 1."""
+    return _integer("m", m, 1)
 
 
 def fubini_study(m: int) -> CurvatureTensor:
@@ -85,14 +114,17 @@ def fubini_study(m: int) -> CurvatureTensor:
                    + (A_ik A_jl - A_il A_jk) + 2 A_ij A_kl.
 
     Einstein with Ric = (2m + 2) g; for m = 1 (the least m) this is the
-    round 2-sphere of curvature 4.
+    round 2-sphere of curvature 4.  Raises :class:`ValueError` for other
+    m, or when the tensor and its two operator matrices would not fit in
+    physical memory.
     """
+    m = _fubini_study_args(m)
+    n = 2 * m
+    _require_fits("fubini_study", n)
     import numpy as np
 
     from .core import CurvatureTensor
 
-    m = _integer("m", m, 1)
-    n = 2 * m
     A = np.zeros((n, n))
     for a in range(m):
         A[2 * a, 2 * a + 1] = 1.0
@@ -110,15 +142,16 @@ def fubini_study(m: int) -> CurvatureTensor:
 
 # --- model registry and JSON schema ----------------------------------------
 
-#: Each family's builder, example parameters and dimension n as a function
-#: of its parameters.  The builder declares the rest: its annotations ("int"
-#: or "float") are the parameter schema, and the first line of its docstring
-#: is the family's description.
+#: Each family's builder, example parameters, dimension n as a function of
+#: its parameters, and the builder's numpy-free range checks.  The builder
+#: declares the rest: its annotations ("int" or "float") are the parameter
+#: schema, and the first line of its docstring is the family's description.
 _REGISTRY = {
-    "constant_curvature": (constant_curvature, {"n": 4, "kappa": 1.0}, lambda n, kappa: n),
+    "constant_curvature": (constant_curvature, {"n": 4, "kappa": 1.0}, lambda n, kappa: n,
+                           _constant_curvature_args),
     "product_spheres": (product_spheres, {"p": 2, "q": 3, "r1": 1.0, "r2": 1.0},
-                        lambda p, q, r1, r2: p + q),
-    "fubini_study": (fubini_study, {"m": 2}, lambda m: 2 * m),
+                        lambda p, q, r1, r2: p + q, _product_spheres_args),
+    "fubini_study": (fubini_study, {"m": 2}, lambda m: 2 * m, _fubini_study_args),
 }
 
 
@@ -166,19 +199,26 @@ class ModelSpec:
     def doc(self) -> str:
         return (_REGISTRY[self.kind][0].__doc__ or "").partition("\n")[0]  # None under -OO
 
-    def build(self) -> CurvatureTensor:
-        """Construct the curvature tensor (parameter errors surface here).
+    def check(self) -> int:
+        """The model's dimension n, after every refusal :meth:`build` makes before it allocates.
 
-        Raises :class:`ValueError` first when the tensor and its two operator
-        matrices would not fit in physical memory.
+        First :class:`ValueError` when the tensor and its two operator
+        matrices would not fit in physical memory, then the builder's range
+        checks as :class:`SchemaError`.  Needs no numpy.
         """
-        build, _, dimension = _REGISTRY[self.kind]
+        _, _, dimension, judge = _REGISTRY[self.kind]
         n = dimension(**self.params)
-        _require_memory(f"model {self.kind!r} of dimension n = {n}", _tensor_bytes(n))
+        _require_fits(self.kind, n)
         try:
-            return build(**self.params)
+            judge(**self.params)
         except ValueError as bad:
             raise SchemaError(f"model {self.kind!r}: {bad}") from bad
+        return n
+
+    def build(self) -> CurvatureTensor:
+        """Construct the curvature tensor, after the refusals of :meth:`check`."""
+        self.check()
+        return _REGISTRY[self.kind][0](**self.params)
 
     def to_json(self) -> dict:
         return {"model": self.kind, **self.params}
@@ -196,7 +236,7 @@ class CatalogEntry(_Record):
 
 def catalog() -> tuple[CatalogEntry, ...]:
     """All built-in model families, with schemas suitable for CLI help."""
-    specs = [ModelSpec(kind, dict(example)) for kind, (_, example, _) in sorted(_REGISTRY.items())]
+    specs = [ModelSpec(kind, dict(entry[1])) for kind, entry in sorted(_REGISTRY.items())]
     return tuple(CatalogEntry(s.kind, s.doc, _schema(s.kind), s) for s in specs)
 
 

@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _EXPORTS
+from .base import lambda2_dim, s2_traceless_dim
 from .core import CurvatureTensor, Sym2Tensor, _require_finite
 
 __all__ = list(_EXPORTS["operators"])
@@ -44,16 +45,6 @@ S2_TRACELESS = "s02"
 #: Gap, relative to a spectrum's largest absolute eigenvalue, up to which
 #: adjacent eigenvalues are reported as degenerate.
 DEGENERACY_GAP = 1e-7
-
-
-def lambda2_dim(n: int) -> int:
-    """Dimension of the space of antisymmetric matrices, n(n-1)/2."""
-    return n * (n - 1) // 2
-
-
-def s2_traceless_dim(n: int) -> int:
-    """Dimension of the space of trace-free symmetric matrices, (n-1)(n+2)/2."""
-    return (n - 1) * (n + 2) // 2
 
 
 class _Frame(NamedTuple):

@@ -54,14 +54,14 @@ import numpy as np
 from . import _EXPORTS
 from .base import (
     TOL_INEQ,
+    _BLOCK_TRIALS,
     CurvopError,
     ThresholdProfile,
-    _integer,
+    _fuzz_arguments,
     _json_text,
-    _real,
     _Record,
-    _require_memory,
-    _tensor_bytes,
+    _require_bounds_dimension,
+    _tol,
     threshold_profile,
 )
 from .core import (
@@ -191,8 +191,7 @@ class _Prep:
 def _prepare(T: CurvatureTensor) -> _Prep:
     """The context of one validated tensor, a stack with B = 1."""
     T.require_valid()
-    if T.n < 3:
-        raise ValueError("curvature bounds require n >= 3")
+    _require_bounds_dimension(T.n)
     return _Prep(T.components[None], second_kind_matrix(T).entries[None], T)
 
 
@@ -274,7 +273,7 @@ def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
         if isinstance(E, Sym2Tensor):
             E = E.components
         Eb = TracelessSym2(prep.n, E).components[None, None]
-        tol_base = _real("tol", TOL_INEQ if tol is None else tol, 0.0)
+        tol_base = _tol(TOL_INEQ if tol is None else tol)
         checks, quad_rel, eig_rel = _kernel(prep, slice(None), coordinates(Eb), Eb, tol_base)
         reports = [
             _report(name, prep.n, lhs, rhs, eff, prep.T.fingerprint, seed)
@@ -451,20 +450,11 @@ class FuzzSummary(_Record):
         return not self.violations
 
 
-#: A fuzz block holds at most this many trials, all of one dimension n.  Its
-#: tensors are drawn, validated, assembled and eigensolved together.
-_BLOCK_TRIALS = 32
-
 #: A probe slice of a block holds at most this many bytes of probe matrices,
 #: trials * P * n^2 * 8, and under half as much of frame coordinates, though
 #: always one trial.  A kernel pass's temporaries come to at most about three
 #: times this, so it bounds the memory a campaign adds to the process.
 _BLOCK_PROBE_BYTES = 1 << 19
-
-#: What a campaign holds per block until it reports: the block and its task
-#: (about 185 bytes) and its results (about 17 KB, measured with tracemalloc
-#: on full blocks at n = 3), rounded up.
-_BLOCK_HELD_BYTES = 20_000
 
 
 def _blocks(ns, trials_per_n: int) -> list[tuple[int, int, int]]:
@@ -635,23 +625,9 @@ def fuzz_campaign(
     at the CPU count and the number of blocks.  A violator's file carries
     the violation's fields, bar its path, and the campaign seed as ``meta``.
     """
-    seed = _integer("seed", seed, 0)
-    trials_per_n = _integer("trials_per_n", trials_per_n, 1)
-    ns = tuple(_integer("each of the fuzz dimensions", n, 3) for n in ns)
-    if not ns:
-        raise ValueError(f"fuzz dimensions must be one or more n >= 3, got {ns!r}")
-    e_per_tensor = _integer("e_per_tensor", e_per_tensor, 1)
-    tol = _real("tol", tol, 0.0)
-    jobs = _integer("jobs", jobs, 1)
+    seed, trials_per_n, ns, e_per_tensor, tol, jobs = _fuzz_arguments(
+        seed, trials_per_n, ns, e_per_tensor, tol, jobs)
     start = time.perf_counter()
-
-    # The block list and results, and one block's stack of the largest n.
-    blocks_per_n = -(-trials_per_n // _BLOCK_TRIALS)
-    _require_memory(
-        f"a campaign of {trials_per_n} trials for each n in {list(ns)}",
-        len(ns) * blocks_per_n * _BLOCK_HELD_BYTES
-        + min(trials_per_n, _BLOCK_TRIALS) * _tensor_bytes(max(ns)),
-    )
     blocks = _blocks(ns, trials_per_n)
     # A fork-started pool starts every worker at once, even for empty chunks.
     jobs = min(jobs, os.cpu_count() or 1, len(blocks))

@@ -35,7 +35,7 @@ from math import floor
 import numpy as np
 
 from . import _EXPORTS
-from .base import AdmissibilityError, _real, _Record
+from .base import AdmissibilityError, _k_count, _real, _Record
 from .operators import Spectrum
 
 __all__ = list(_EXPORTS["weighted"])
@@ -93,11 +93,7 @@ def k_sum(lam, k: float) -> float:
     fractional term is dropped when k = N.  Requires 1 <= k <= N.
     """
     arr = _ascending(lam)
-    N = arr.size
-    if not 1.0 - 1e-12 <= _real("k", k) <= N * (1.0 + 1e-12):
-        raise ValueError(f"k must lie in [1, {N}], got {k}")
-    k = min(max(float(k), 1.0), float(N))
-    return float(_greedy_min(arr, WeightClass(1.0, k)))
+    return float(_greedy_min(arr, WeightClass(1.0, _k_count(k, arr.size))))
 
 
 @dataclass(frozen=True)

@@ -485,7 +485,116 @@ def _main_in(argv) -> str:
 CURVOP_MODULES = tuple(f"curvop.{m}" for m in
                        ("base", "core", "operators", "weighted", "models", "verify", "cli"))
 
-# (source, packages and modules it must not load)
+#: Files of the refusals below, written into the directory "{dir}" stands for.
+REFUSAL_FILES = {
+    "bad.json": '{"n": 4,',
+    "flat4.json": '{"n": 4, "entries": []}',
+    "flat2.json": '{"n": 2, "entries": []}',
+    "huge.json": '{"n": 100000, "entries": []}',
+}
+
+_TOO_LARGE = ("is too large to run: it needs about {} GiB, "
+              "more than the 0.0195 GiB of physical memory")
+
+#: Inputs refused with exit code 2 by a rule that needs no array, and the one
+#: line each prints, with 20 MiB of physical memory.  "{dir}" holds REFUSAL_FILES.
+REFUSALS = {
+    "bad JSON in --model": (
+        ("spectrum", "--model", '{"model": "constant_curvature",'),
+        "malformed JSON in --model: Expecting property name enclosed in double quotes "
+        "at line 1 column 32"),
+    "bad JSON in --input": (
+        ("spectrum", "--input", "{dir}/bad.json"),
+        "malformed JSON in {dir}/bad.json: Expecting property name enclosed in double quotes "
+        "at line 1 column 9"),
+    "unreadable file": (
+        ("spectrum", "--input", "{dir}/missing.json"),
+        "cannot read {dir}/missing.json: [Errno 2] No such file or directory: "
+        "'{dir}/missing.json'"),
+    "unknown model": (
+        ("spectrum", "--model", '{"model": "nope"}'),
+        "unknown model 'nope'; available: ['constant_curvature', 'fubini_study', "
+        "'product_spheres']"),
+    "missing parameter": (
+        ("spectrum", "--model", '{"model": "constant_curvature", "n": 4}'),
+        "model 'constant_curvature' is missing parameter 'kappa'"),
+    "mistyped parameter": (
+        ("check", "--model", '{"model": "fubini_study", "m": 2.0}', "--k", "2"),
+        "parameter 'm' of 'fubini_study' must be an integer, got 2.0"),
+    "out-of-range parameter": (
+        ("bounds", "--model", '{"model": "constant_curvature", "n": 1, "kappa": 1.0}'),
+        "model 'constant_curvature': n must be an integer >= 2, got 1"),
+    "out-of-range radius": (
+        ("spectrum", "--model",
+         '{"model": "product_spheres", "p": 2, "q": 3, "r1": 1e-200, "r2": 1.0}'),
+        "model 'product_spheres': r1 = 1e-200 puts the curvature 1/r1^2 out of range"),
+    "oversized model": (
+        ("check", "--model", '{"model": "constant_curvature", "n": 100000, "kappa": 1.0}',
+         "--k", "0"),
+        "model 'constant_curvature' of dimension n = 100000 " + _TOO_LARGE.format("1.12e+12")),
+    "oversized tensor": (
+        ("bounds", "--input", "{dir}/huge.json"),
+        "a tensor of dimension n = 100000 " + _TOO_LARGE.format("1.12e+12")),
+    "k above N for --model": (
+        ("check", "--model", SPHERE, "--k", "99"), "k must lie in [1, 9], got 99.0"),
+    "k below 1 for --input": (
+        ("check", "--input", "{dir}/flat4.json", "--k", "0.5"), "k must lie in [1, 9], got 0.5"),
+    "k not finite": (
+        ("check", "--model", SPHERE, "--k", "nan"), "k must be a number, finite, got nan"),
+    "bounds on n = 2 for --input": (
+        ("bounds", "--input", "{dir}/flat2.json"), "curvature bounds require n >= 3"),
+    "bounds on n = 2 for --model": (
+        ("bounds", "--model", '{"model": "fubini_study", "m": 1}'),
+        "curvature bounds require n >= 3"),
+    "bounds with a bad tol": (
+        ("bounds", "--model", SPHERE, "--tol", "-1"),
+        "tol must be a number, finite and >= 0, got -1.0"),
+    "fuzz --trials 0": (("fuzz", "--trials", "0"), "trials_per_n must be an integer >= 1, got 0"),
+    "fuzz --n 2": (
+        ("fuzz", "--n", "2"), "each of the fuzz dimensions must be an integer >= 3, got 2"),
+    "fuzz --e-per-tensor 0": (
+        ("fuzz", "--e-per-tensor", "0"), "e_per_tensor must be an integer >= 1, got 0"),
+    "fuzz --tol -1": (("fuzz", "--tol", "-1"), "tol must be a number, finite and >= 0, got -1.0"),
+    "oversized campaign": (
+        ("fuzz", "--n", "3", "--trials", str(10**12)),
+        "a campaign of 1000000000000 trials for each n in [3] " + _TOO_LARGE.format("5.82e+05")),
+}
+
+
+def _write_refusal_files(directory) -> None:
+    for file, text in REFUSAL_FILES.items():
+        (directory / file).write_text(text)
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal_that_needs_no_array_prints_its_one_line(capsys, monkeypatch, tmp_path, name):
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 20 << 20)
+    _write_refusal_files(tmp_path)
+    argv, message = REFUSALS[name]
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    message = message.replace("{dir}", str(tmp_path))
+    assert run_main(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("check", "--k", "99"), "k must lie in [1, 9], got 99.0"),
+    (("bounds", "--tol", "-1"), "tol must be a number, finite and >= 0, got -1.0"),
+], ids=["check", "bounds"])
+def test_a_refusal_from_the_arguments_comes_before_a_fault_in_the_entries(capsys, tmp_path, args,
+                                                                          message):
+    """The document's header is read first, then the command's rules, then the entries."""
+    path = tmp_path / "tensor.json"
+    path.write_text('{"n": 4, "entries": [{"i": 0, "j": 1, "k": 0, "l": 1, "v": 1.0}, '
+                    '{"i": 1, "j": 0, "k": 1, "l": 0, "v": 2.0}]}')
+    code, out, err = run_main(capsys, args[0], "--input", str(path), *args[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, _, err = run_main(capsys, args[0], "--input", str(path),
+                            *(("--k", "2") if args[0] == "check" else ()))
+    assert (code, err) == (2, "error: entry 1 conflicts with an earlier entry at component "
+                              "(1,0,1,0): 1.0 vs 2.0\n")
+
+
+# (source, packages and modules it must not load); "{dir}" holds REFUSAL_FILES.
 IMPORT_CASES = [
     ("import curvop.cli", ("concurrent", "multiprocessing", "csv")),
     ("import curvop", ("numpy", *CURVOP_MODULES)),
@@ -495,19 +604,24 @@ IMPORT_CASES = [
     (_main_in(["--version"]), ("numpy",)),
     (_main_in(["spectrum", "--model", SPHERE]), ("curvop.verify",)),
     (_main_in(["check", "--model", SPHERE, "--k", "2"]), ("curvop.verify",)),
+    ("from curvop import constant_curvature\ntry:\n    constant_curvature(10**5, 1.0)\n"
+     "except ValueError:\n    pass", ("numpy",)),
+    *((_main_in(argv), ("numpy",)) for argv, _ in REFUSALS.values()),
 ]
 
 
-def test_cli_import_skips_the_process_pool():
+def test_cli_import_skips_the_process_pool(tmp_path):
     """Each command loads only what it runs, each case in a fresh interpreter.
 
     The pool's modules load only when ``fuzz --jobs`` > 1 runs one;
     ``import curvop`` loads no submodule; ``threshold``, ``models``,
-    ``--help`` and ``--version`` never load numpy; ``spectrum`` and
+    ``--help``, ``--version``, a model builder refused for its size and
+    every refusal in ``REFUSALS`` never load numpy; ``spectrum`` and
     ``check`` never load ``verify``.
     """
+    _write_refusal_files(tmp_path)
     for source, banned in IMPORT_CASES:
-        probe = source + "\nimport sys; print(*sys.modules)"
+        probe = source.replace("{dir}", str(tmp_path)) + "\nimport sys; print(*sys.modules)"
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True)
         loaded = [m for m in proc.stdout.split()

@@ -14,6 +14,7 @@ from curvop import (
     fubini_study,
     model_from_json,
     product_spheres,
+    random_curvature,
     ricci,
     scalar,
     second_kind_matrix,
@@ -188,6 +189,37 @@ def test_fubini_study_rejects_bad_m():
         fubini_study(-2)
 
 
+# --- size guard of the builders -------------------------------------------------
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("a refused builder allocated")
+
+
+@pytest.mark.parametrize("build, args, what", [
+    (constant_curvature, (40, 1.0), "model 'constant_curvature' of dimension n = 40"),
+    (product_spheres, (20, 20, 1.0, 1.0), "model 'product_spheres' of dimension n = 40"),
+    (fubini_study, (20,), "model 'fubini_study' of dimension n = 40"),
+    (random_curvature, (0, 40), "a random tensor of dimension n = 40"),
+], ids=lambda x: getattr(x, "__name__", ""))
+def test_builder_refuses_a_tensor_beyond_physical_memory_before_allocating(monkeypatch, build,
+                                                                           args, what):
+    # 20 MiB holds no 40-dimensional tensor: 8 n^4 alone is 19.5 MiB.
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 20 << 20)
+    monkeypatch.setattr("numpy.zeros", _no_allocation)
+    monkeypatch.setattr("numpy.eye", _no_allocation)
+    with pytest.raises(ValueError, match=f"^{what} is too large to run: .* 0.0195 GiB of physical"):
+        build(*args)
+
+
+def test_builder_judges_its_arguments_before_its_size(monkeypatch):
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 20 << 20)
+    with pytest.raises(ValueError, match="^q must be an integer >= 2, got 1$"):
+        product_spheres(100, 1, 1.0, 1.0)
+    with pytest.raises(ValueError, match="^terms must be an integer >= 1, got 0$"):
+        random_curvature(0, 100, 0)
+
+
 # --- ModelSpec schema -----------------------------------------------------------
 
 
@@ -229,6 +261,19 @@ def test_model_spec_build_wraps_domain_errors():
         ).build()
     with pytest.raises(SchemaError):
         ModelSpec("fubini_study", {"m": 0}).build()
+
+
+def test_model_spec_check_is_the_builds_refusals_in_its_order(monkeypatch):
+    assert ModelSpec("fubini_study", {"m": 3}).check() == 6
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 20 << 20)
+    spec = ModelSpec("product_spheres", {"p": 100, "q": 1, "r1": 1.0, "r2": 1.0})
+    for step in (spec.check, spec.build):  # the size guard before the range checks
+        with pytest.raises(ValueError, match="^model .product_spheres. of dimension n = 101 is"):
+            step()
+    spec = ModelSpec("product_spheres", {"p": 2, "q": 1, "r1": 1.0, "r2": 1.0})
+    for step in (spec.check, spec.build):
+        with pytest.raises(SchemaError, match="^model .product_spheres.: q must be an integer"):
+            step()
 
 
 def test_model_json_round_trip():
