@@ -31,7 +31,6 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields
 
 from . import _EXPORTS
 
@@ -223,17 +222,86 @@ def _plain(value):
 
 
 class _Record:
-    """Base of the report dataclasses: a report's JSON is its fields in declaration order.
+    """Base of the package's records: immutable plain classes, serialized by ``to_json``.
 
-    A field with ``metadata={"json": False}`` is left out, and the
-    properties named in ``_json_properties`` follow the fields.
+    The fields are the class annotations in declaration order, bases first,
+    read when the class is created; a class attribute of the same name is
+    a default.  ``__init__`` takes them by position or keyword, then calls
+    ``__post_init__`` with those named with a leading "_", which are not
+    stored.  Setting or deleting an attribute raises AttributeError (so a
+    ``__post_init__`` uses ``object.__setattr__``).  Records compare and
+    hash by their fields within one class, or by identity if ``eq=False``.
+    ``to_json`` is the fields not in ``_json_hidden``, then the properties
+    in ``_json_properties``; ``tensor_to_json`` and ``operator_to_json``
+    write the records that hold arrays.
     """
 
-    _json_properties: tuple[str, ...] = ()
+    _fields = _stored = _arguments = _json_names = _json_hidden = _json_properties = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls).get("__annotations__", {})
+        cls._fields = (*cls._fields, *(name for name in own if name not in cls._fields))
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+        cls._stored = tuple(name for name in cls._fields if name[0] != "_")
+        cls._arguments = tuple(name for name in cls._fields if name[0] == "_")
+        cls._json_names = (*(n for n in cls._stored if n not in cls._json_hidden),
+                           *cls._json_properties)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._positional(args, kwargs)
+        state = self.__dict__
+        state.update(zip(cls._fields, args))
+        if cls._arguments:
+            self.__post_init__(*map(state.pop, cls._arguments))
+        else:
+            self.__post_init__()
+
+    @classmethod
+    def _positional(cls, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value in order, from the arguments and the defaults; else TypeError."""
+        rest = cls._fields[len(args):]
+        values = {**cls._defaults, **kwargs}
+        if len(args) > len(cls._fields) or not kwargs.keys() <= set(rest) <= values.keys():
+            raise TypeError(f"{cls.__name__}() takes {', '.join(cls._fields)}: got {len(args)} "
+                            f"by position and {', '.join(kwargs) or 'none'} by keyword")
+        return (*args, *map(values.__getitem__, rest))
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._stored)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._stored)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        """A new record of this class, its fields with ``changes``, judged as any other."""
+        return type(self)(**dict(zip(self._stored, self._values()), **changes))
 
     def to_json(self) -> dict:
-        names = [f.name for f in fields(self) if f.metadata.get("json", True)]
-        return {name: _plain(getattr(self, name)) for name in [*names, *self._json_properties]}
+        return {name: _plain(getattr(self, name)) for name in self._json_names}
 
 
 def _json_text(obj) -> str:
@@ -289,7 +357,6 @@ def _write_json(put, obj, pad: str) -> None:
         put(json.dumps(obj))
 
 
-@dataclass(frozen=True)
 class ThresholdProfile(_Record):
     """Dimension-dependent k-nonnegativity thresholds.
 
@@ -327,9 +394,4 @@ def threshold_profile(n: int) -> ThresholdProfile:
         cc, branch = 4.0, "ii"
     else:
         cc, branch = float((n + 2) // 4), "iii"
-    return ThresholdProfile(
-        n=n,
-        einstein_threshold=einstein,
-        constant_curvature_threshold=cc,
-        branch=branch,
-    )
+    return ThresholdProfile(n, einstein, cc, branch)

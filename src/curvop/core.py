@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import InitVar, dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -56,7 +55,6 @@ def _require_finite(values: dict) -> None:
             )
 
 
-@dataclass(frozen=True)
 class SymmetryReport(_Record):
     """Maximum-entry residuals of the four curvature symmetries.
 
@@ -108,8 +106,7 @@ def _norm_inf(R: np.ndarray) -> np.ndarray:
     return np.maximum(np.max(R, axis=_AXES), -np.min(R, axis=_AXES)) + 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class CurvatureTensor:
+class CurvatureTensor(_Record, eq=False):
     """Dense curvature tensor with components R[i,j,k,l] in an orthonormal frame.
 
     Components are stored as a read-only float64 array of shape
@@ -122,7 +119,7 @@ class CurvatureTensor:
     components: np.ndarray
     # Private: True hands over a fresh float64 array that no caller holds,
     # which is then adopted rather than copied.
-    _owned: InitVar[bool] = False
+    _owned: bool = False
 
     def __post_init__(self, _owned):
         object.__setattr__(self, "n", _integer("dimension n", self.n, 2))
@@ -172,8 +169,7 @@ class CurvatureTensor:
         return CurvatureTensor(self.n, -self.components, _owned=True)
 
 
-@dataclass(frozen=True, eq=False)
-class Sym2Tensor:
+class Sym2Tensor(_Record, eq=False):
     """Symmetric 2-tensor stored canonically: components[i,j] == components[j,i] exactly.
 
     Input must be finite and already symmetric to within 1e-8 relative;
@@ -207,8 +203,7 @@ class Sym2Tensor:
         return float(np.hypot.reduce(self.components.ravel()))
 
 
-@dataclass(frozen=True, eq=False)
-class TracelessSym2(Sym2Tensor):
+class TracelessSym2(Sym2Tensor, eq=False):
     """Symmetric 2-tensor constrained to be trace-free.
 
     Raises :class:`TraceError` when |trace| > TAU_TRACE * ||.||_F.
@@ -417,12 +412,14 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
     +1, ...  Each summand satisfies the curvature symmetries exactly, so
     the sum does; the output is bitwise reproducible for a fixed seed.
     Raises :class:`ValueError` unless seed >= 0, n >= 2 and terms >= 1,
-    and before anything is drawn when the tensor and its two operator
-    matrices would not fit in physical memory.
+    and before anything is drawn when the tensor, its two operator matrices
+    and the draws (``terms`` n x n matrices, held in four buffers while
+    they are mirrored) would not fit in physical memory.
     """
     seed, n = _integer("seed", seed, 0), _integer("dimension n", n, 2)
     terms = _integer("terms", terms, 1)
-    _require_memory(f"a random tensor of dimension n = {n}", _tensor_bytes(n))
+    _require_memory(f"a random tensor of dimension n = {n}",
+                    _tensor_bytes(n) + 4 * 8 * terms * n * n)
     return CurvatureTensor(n, _random_stack([np.random.default_rng(seed)], n, [terms])[0],
                            _owned=True)
 

@@ -27,7 +27,6 @@ pass, so ``curvop models`` and every refused model run without numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _EXPORTS
 from .base import SchemaError, _integer, _real, _Record, _require_memory, _tensor_bytes
@@ -161,8 +160,7 @@ def _schema(kind: str) -> dict:
     return {name: typ for name, typ in build.__annotations__.items() if name != "return"}
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(_Record):
     """A named model family plus concrete parameter values.
 
     ``params`` holds plain Python numbers keyed by the family's schema:
@@ -224,7 +222,6 @@ class ModelSpec:
         return {"model": self.kind, **self.params}
 
 
-@dataclass(frozen=True)
 class CatalogEntry(_Record):
     """Catalog row: family name, one-line description, parameter schema, example."""
 

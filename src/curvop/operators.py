@@ -27,14 +27,13 @@ division, which keeps the second kind exact for dyadic kappa.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _EXPORTS
-from .base import lambda2_dim, s2_traceless_dim
+from .base import _Record, lambda2_dim, s2_traceless_dim
 from .core import CurvatureTensor, Sym2Tensor, _require_finite
 
 __all__ = list(_EXPORTS["operators"])
@@ -113,8 +112,7 @@ def _spectra(values) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
+class OperatorMatrix(_Record, eq=False):
     """Dense, exactly symmetric matrix of a curvature operator in the fixed frame.
 
     ``domain`` is "lambda2" (the first kind) or "s02" (the second kind)
@@ -129,7 +127,7 @@ class OperatorMatrix:
     entries: np.ndarray
     # Private: True hands over an exactly symmetric, finite float matrix
     # that no caller holds, which is then adopted rather than checked.
-    _owned: InitVar[bool] = False
+    _owned: bool = False
 
     def __post_init__(self, _owned):
         dims = {LAMBDA2: lambda2_dim, S2_TRACELESS: s2_traceless_dim}
@@ -201,8 +199,7 @@ def second_kind_matrix(T: CurvatureTensor) -> OperatorMatrix:
     return OperatorMatrix(S2_TRACELESS, T.n, _second_kind_entries(T.components), _owned=True)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(_Record, eq=False):
     """Eigenvalues in ascending order, with degeneracy reporting.
 
     Construction rejects non-finite values with :class:`CurvopError`.

@@ -42,10 +42,8 @@ once, and then one kernel pass runs per probe slice of bounded size.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -110,7 +108,6 @@ class ConsistencyError(CurvopError):
     """Two supposedly equivalent computations of one quantity disagree."""
 
 
-@dataclass(frozen=True)
 class InequalityReport(_Record):
     """Outcome of one lower-bound check.
 
@@ -309,7 +306,6 @@ def all_checks(T, E=None, tol=None, seed=None) -> tuple[InequalityReport, ...]:
 # --- certificates -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EinsteinCertificate(_Record):
     """Spectral thresholds evaluated on one tensor, with conclusions.
 
@@ -403,7 +399,6 @@ def _certificate(prep: _Prep) -> EinsteinCertificate:
 # --- fuzz campaign -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Violation(_Record):
     """One failed inequality found by fuzzing, with replay provenance."""
 
@@ -418,8 +413,7 @@ class Violation(_Record):
     path: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class FuzzSummary(_Record):
+class FuzzSummary(_Record, eq=False):
     """Aggregate outcome of a fuzz campaign.
 
     ``min_scaled_margins`` maps check name to the worst margin divided
@@ -442,7 +436,8 @@ class FuzzSummary(_Record):
     max_quad_dual_rel: float
     max_eig_dual_rel: float
     violations: tuple[Violation, ...]
-    elapsed: float = dataclasses.field(metadata={"json": False})
+    elapsed: float
+    _json_hidden = ("elapsed",)
     _json_properties = ("ok",)
 
     @property
@@ -662,7 +657,7 @@ def fuzz_campaign(
             meta = v.to_json()
             del meta["path"]
             path = persist_violator(T, directory, meta={**meta, "seed": seed})
-            persisted.append(dataclasses.replace(v, path=str(path)))
+            persisted.append(v._replace(path=str(path)))
         violations = persisted
 
     return FuzzSummary(

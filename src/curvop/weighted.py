@@ -29,7 +29,6 @@ property tests exercise them against the greedy minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import floor
 
 import numpy as np
@@ -54,8 +53,7 @@ def _ascending(lam) -> np.ndarray:
     return lam.values
 
 
-@dataclass(frozen=True)
-class WeightClass:
+class WeightClass(_Record):
     """Capped-simplex weight class: per-weight cap ``omega``, fixed ``total``.
 
     Both parameters must be positive reals.  Admissibility for a spectrum of
@@ -96,7 +94,6 @@ def k_sum(lam, k: float) -> float:
     return float(_greedy_min(arr, WeightClass(1.0, _k_count(k, arr.size))))
 
 
-@dataclass(frozen=True)
 class KVerdict(_Record):
     """Outcome of a k-positivity test, carrying the witness value.
 
@@ -122,13 +119,7 @@ def k_verdict(lam, k: float) -> KVerdict:
         lam = Spectrum(lam)  # checked once here; k_sum takes a Spectrum as it is
     value = k_sum(lam, k)
     band = BOUNDARY_TOL * max(-float(lam[0]), float(lam[-1]))
-    return KVerdict(
-        k=float(k),
-        value=value,
-        nonnegative=value >= -band,
-        positive=value > band,
-        boundary=abs(value) <= band,
-    )
+    return KVerdict(float(k), value, value >= -band, value > band, abs(value) <= band)
 
 
 def greedy_min(lam, cls: WeightClass) -> float:

@@ -598,15 +598,17 @@ def test_a_refusal_from_the_arguments_comes_before_a_fault_in_the_entries(capsys
 IMPORT_CASES = [
     ("import curvop.cli", ("concurrent", "multiprocessing", "csv")),
     ("import curvop", ("numpy", *CURVOP_MODULES)),
-    (_main_in(["threshold", "--n", "5", "--format", "json"]), ("numpy",)),
-    (_main_in(["models", "--format", "text"]), ("numpy",)),
-    (_main_in(["--help"]), ("numpy",)),
-    (_main_in(["--version"]), ("numpy",)),
-    (_main_in(["spectrum", "--model", SPHERE]), ("curvop.verify",)),
-    (_main_in(["check", "--model", SPHERE, "--k", "2"]), ("curvop.verify",)),
+    (_main_in(["threshold", "--n", "5", "--format", "json"]), ("numpy", "dataclasses")),
+    (_main_in(["models", "--format", "text"]), ("numpy", "dataclasses")),
+    (_main_in(["--help"]), ("numpy", "dataclasses")),
+    (_main_in(["--version"]), ("numpy", "dataclasses")),
+    (_main_in(["spectrum", "--model", SPHERE]), ("curvop.verify", "dataclasses")),
+    (_main_in(["check", "--model", SPHERE, "--k", "2"]), ("curvop.verify", "dataclasses")),
+    (_main_in(["bounds", "--model", SPHERE]), ("dataclasses",)),
+    (_main_in(["fuzz", "--trials", "1", "--n", "3", "--e-per-tensor", "2"]), ("dataclasses",)),
     ("from curvop import constant_curvature\ntry:\n    constant_curvature(10**5, 1.0)\n"
      "except ValueError:\n    pass", ("numpy",)),
-    *((_main_in(argv), ("numpy",)) for argv, _ in REFUSALS.values()),
+    *((_main_in(argv), ("numpy", "dataclasses")) for argv, _ in REFUSALS.values()),
 ]
 
 
@@ -617,7 +619,7 @@ def test_cli_import_skips_the_process_pool(tmp_path):
     ``import curvop`` loads no submodule; ``threshold``, ``models``,
     ``--help``, ``--version``, a model builder refused for its size and
     every refusal in ``REFUSALS`` never load numpy; ``spectrum`` and
-    ``check`` never load ``verify``.
+    ``check`` never load ``verify``; and no command loads ``dataclasses``.
     """
     _write_refusal_files(tmp_path)
     for source, banned in IMPORT_CASES:

@@ -212,6 +212,16 @@ def test_builder_refuses_a_tensor_beyond_physical_memory_before_allocating(monke
         build(*args)
 
 
+def test_random_curvature_counts_its_draws_in_its_size(monkeypatch):
+    """10**12 terms of 3 x 3 draws need 268 TiB: refused before the draw buffer exists."""
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 1 << 40)
+    monkeypatch.setattr("numpy.zeros", _no_allocation)
+    with pytest.raises(ValueError, match="^a random tensor of dimension n = 3 is too large to "
+                                         "run: it needs about 2.68e\\+05 GiB, more than the "
+                                         "1.02e\\+03 GiB"):
+        random_curvature(0, 3, 10**12)
+
+
 def test_builder_judges_its_arguments_before_its_size(monkeypatch):
     monkeypatch.setattr("curvop.base._physical_memory", lambda: 20 << 20)
     with pytest.raises(ValueError, match="^q must be an integer >= 2, got 1$"):

@@ -1,7 +1,6 @@
 """Spectral lower bounds, dimension thresholds, certificates, and fuzzing."""
 
 import concurrent.futures
-import dataclasses
 import json
 import math
 import warnings
@@ -533,7 +532,7 @@ def test_report_json_keys_follow_a_fixed_order_and_types():
         margin=-1.5, tol=1e-9, fingerprint="0123456789abcdef", path="violator.json",
     )
     summary = fuzz_campaign(seed=4, trials_per_n=2, ns=(3, 4), e_per_tensor=2)
-    faulty = dataclasses.replace(summary, violations=(violation,))
+    faulty = summary._replace(violations=(violation,))
     docs = {
         "SymmetryReport": T.symmetry_report.to_json(),
         "KVerdict": cert.einstein_verdict.to_json(),
