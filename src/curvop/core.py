@@ -311,20 +311,56 @@ def _trace_free(ric: np.ndarray) -> TracelessSym2:
     return TracelessSym2(n, E)
 
 
-def _kn(H: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Kulkarni-Nomizu product of stacks of matrices (..., n, n), as (..., n, n, n, n)."""
+#: The orbit of (i, j, k, l, v) under the three linear symmetries: for each
+#: member, the index slots it takes from (i, j, k, l) and its sign, in the
+#: order the loader writes them.  The first write of a component wins.
+_ORBIT = (
+    ((0, 1, 2, 3), 1.0),
+    ((1, 0, 2, 3), -1.0),
+    ((0, 1, 3, 2), -1.0),
+    ((1, 0, 3, 2), 1.0),
+    ((2, 3, 0, 1), 1.0),
+    ((3, 2, 0, 1), -1.0),
+    ((2, 3, 1, 0), -1.0),
+    ((3, 2, 1, 0), 1.0),
+)
 
-    def at(M, rows, cols):
-        # M[..., a, b] on the slots rows < cols of the index (i, j, k, l).
-        shape = [1, 1, 1, 1]
-        shape[rows] = shape[cols] = M.shape[-1]
-        return M.reshape(M.shape[:-2] + tuple(shape))
 
-    i, j, k, l = range(4)
-    out = at(H, i, k) * at(K, j, l)
-    out += at(H, j, l) * at(K, i, k)
-    out -= at(H, i, l) * at(K, j, k)
-    out -= at(H, j, k) * at(K, i, l)
+def _flat(idx, slots, n: int) -> np.ndarray:
+    """Row-major flat index of the components (idx[s] for s in slots).
+
+    ``idx`` holds four index arrays, one per slot (i, j, k, l).
+    """
+    a, b, c, d = (idx[s] for s in slots)
+    return ((a * n + b) * n + c) * n + d
+
+
+def _heads(n: int) -> tuple:
+    """The orbit heads (i, j, k, l): i < j, k < l, (i, j) <= (k, l), in row-major order."""
+    i, j = np.triu_indices(n, 1)
+    p, q = np.triu_indices(i.size)
+    return i[p], j[p], i[q], j[q]
+
+
+def _scatter(R: np.ndarray, idx, v: np.ndarray, pick=slice(None)) -> np.ndarray:
+    """R (..., n, n, n, n) with the orbit of each index (idx[pick]) written from v[..., pick].
+
+    Members go last to first, so a component keeps the value of its first write.
+    Stacks are indexed transposed, which keeps numpy on its fast 1-D path.
+    """
+    flat = R.reshape(R.shape[:-4] + (-1,)).T
+    for slots, s in reversed(_ORBIT):
+        flat[_flat(idx, slots, R.shape[-1])[pick]] = s * v.T[pick]
+    return R
+
+
+def _kn_heads(h: np.ndarray, k: np.ndarray, heads) -> np.ndarray:
+    """Kulkarni-Nomizu product of stacks of matrices (..., n, n) at the orbit heads."""
+    i, j, a, b = heads
+    out = h[..., i, a] * k[..., j, b]
+    out += h[..., j, b] * k[..., i, a]
+    out -= h[..., i, b] * k[..., j, a]
+    out -= h[..., j, a] * k[..., i, b]
     return out
 
 
@@ -333,57 +369,20 @@ def kulkarni_nomizu(h: np.ndarray | Sym2Tensor, k: np.ndarray | Sym2Tensor) -> C
 
     (h ^ k)[i,j,k,l] = h[i,k] k[j,l] + h[j,l] k[i,k] - h[i,l] k[j,k] - h[j,k] k[i,l]
 
-    The result satisfies all four curvature symmetries whenever h and k
-    are symmetric.  With g the identity, (kappa/2) (g ^ g) is the
-    constant-curvature tensor.
+    is computed at the orbit heads i < j, k < l, (i, j) <= (k, l), and
+    every other component is exactly its head's value or its negative, so
+    the two antisymmetries and pair symmetry hold exactly; the first
+    Bianchi identity holds when h and k are symmetric.  With g the
+    identity, (kappa/2) (g ^ g) is the constant-curvature tensor.
     """
     H = h.components if isinstance(h, Sym2Tensor) else np.asarray(h, dtype=float)
     K = k.components if isinstance(k, Sym2Tensor) else np.asarray(k, dtype=float)
     if H.ndim != 2 or H.shape != K.shape or H.shape[0] != H.shape[1]:
         raise ValueError("kulkarni_nomizu needs two square matrices of equal shape")
-    return CurvatureTensor(H.shape[0], _kn(H, K), _owned=True)
-
-
-def _mirror_upper(raw: np.ndarray) -> np.ndarray:
-    """Symmetric matrices from the upper triangles of a stack ``raw`` (..., n, n)."""
-    return np.triu(raw) + np.swapaxes(np.triu(raw, 1), -1, -2)
-
-
-def _kn_square(h: np.ndarray) -> np.ndarray:
-    """h ^ h for a stack of symmetric matrices (..., n, n), as (..., n, n, n, n).
-
-    The same bits as ``_kn(h, h)``: its four products are a = h_ik h_jl
-    and c = h_il h_jk twice over, since floating-point multiplication
-    commutes exactly, so ((a + a) - c) - c is its sum in its order.
-    """
-    a = h[..., :, None, :, None] * h[..., None, :, None, :]
-    c = h[..., :, None, None, :] * h[..., None, :, :, None]
-    a += a
-    a -= c
-    a -= c
-    return a
-
-
-def _alternating_kn(h: np.ndarray, terms) -> np.ndarray:
-    """sum_a eps_a (h_ba ^ h_ba) over a < terms[b], eps = +1, -1, +1, ..., for each b.
-
-    ``h`` has shape (B, T, n, n) and ``terms`` holds B counts in 1 .. T.
-    The terms h_ba with a >= terms[b] are zero padding and are skipped,
-    not multiplied.  Skipping a zero term, and starting each sum at its
-    first square rather than at +0.0, can only turn a zero entry into
-    -0.0, so once ``+= 0.0`` canonicalizes -0.0 every tensor of a stack
-    of mixed term counts is bitwise the one drawn alone.
-    """
-    terms = np.asarray(terms)
-    total = _kn_square(h[:, 0])
-    for a in range(1, h.shape[1]):
-        rows = np.flatnonzero(terms > a)
-        square = _kn_square(h[rows, a])
-        if a % 2 == 0:
-            total[rows] += square
-        else:
-            total[rows] -= square
-    return total
+    n = H.shape[0]
+    R = np.zeros((n,) * 4)  # first, so a size too large to allocate fails before the heads
+    heads = _heads(n)
+    return CurvatureTensor(n, _scatter(R, heads, _kn_heads(H, K, heads)), _owned=True)
 
 
 def _random_stack(rngs, n: int, terms) -> np.ndarray:
@@ -391,14 +390,23 @@ def _random_stack(rngs, n: int, terms) -> np.ndarray:
 
     With rngs[b] = ``np.random.default_rng(seed)``, tensor b is bitwise
     ``random_curvature(seed, n, terms[b])``, and the generator is left just
-    past its terms[b] * n^2 normals.  The terms are mirrored in one stack
-    zero-padded to max(terms), and each tensor is bitwise the one drawn
-    alone (see :func:`_alternating_kn`).
+    past its terms[b] * n^2 normals.  Tensor b is sum_a eps_a (h_ba ^ h_ba)
+    over a < terms[b], eps = +1, -1, +1, ..., summed at the orbit heads.
+    The terms are zero-padded to max(terms), but a padding term is skipped,
+    not added, so each tensor is bitwise the one drawn alone.
     """
     raw = np.zeros((len(rngs), max(terms), n, n))
     for b, (rng, m) in enumerate(zip(rngs, terms)):
         raw[b, :m] = rng.normal(size=(m, n, n))
-    R = _alternating_kn(_mirror_upper(raw), terms)
+    h = np.triu(raw) + np.swapaxes(np.triu(raw, 1), -1, -2)
+    R = np.zeros((len(rngs),) + (n,) * 4)
+    heads, terms = _heads(n), np.asarray(terms)
+    total = _kn_heads(h[:, 0], h[:, 0], heads)
+    for a in range(1, h.shape[1]):
+        rows = np.flatnonzero(terms > a)
+        square = _kn_heads(h[rows, a], h[rows, a], heads)
+        total[rows] += square if a % 2 == 0 else -square
+    _scatter(R, heads, total)
     R += 0.0  # canonicalize -0.0, as CurvatureTensor does
     return R
 
@@ -409,8 +417,10 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
     Draws ``terms`` symmetric matrices h_a with iid standard normal
     entries (upper triangle mirrored) from ``np.random.default_rng(seed)``
     and returns  sum_a eps_a (h_a ^ h_a)  with eps alternating +1, -1,
-    +1, ...  Each summand satisfies the curvature symmetries exactly, so
-    the sum does; the output is bitwise reproducible for a fixed seed.
+    +1, ...  It is summed at the orbit heads and written out from them, so
+    the two antisymmetries and pair symmetry hold exactly, the tensor is
+    exactly what :func:`tensor_to_json` stores, and it is bitwise
+    reproducible for a fixed seed.
     Raises :class:`ValueError` unless seed >= 0, n >= 2 and terms >= 1,
     and before anything is drawn when the tensor, its two operator matrices
     and the draws (``terms`` n x n matrices, held in four buffers while
@@ -439,48 +449,18 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 
 
-#: The orbit of (i, j, k, l, v) under the three linear symmetries: for each
-#: member, the index slots it takes from (i, j, k, l) and its sign, in the
-#: order the loader writes them.  The first write of a component wins.
-_ORBIT = (
-    ((0, 1, 2, 3), 1.0),
-    ((1, 0, 2, 3), -1.0),
-    ((0, 1, 3, 2), -1.0),
-    ((1, 0, 3, 2), 1.0),
-    ((2, 3, 0, 1), 1.0),
-    ((3, 2, 0, 1), -1.0),
-    ((2, 3, 1, 0), -1.0),
-    ((3, 2, 1, 0), 1.0),
-)
-
-
-def _flat(idx, slots, n: int) -> np.ndarray:
-    """Row-major flat index of the components (idx[s] for s in slots).
-
-    ``idx`` holds four index arrays, one per slot (i, j, k, l).
-    """
-    a, b, c, d = (idx[s] for s in slots)
-    return ((a * n + b) * n + c) * n + d
-
-
 def tensor_to_json(T: CurvatureTensor) -> dict:
     """Serialize to the entry-list schema, listing one representative per orbit.
 
-    Representatives are the nonzero components with i < j, k < l and
-    (i, j) <= (k, l) lexicographically, in row-major order.
+    Representatives are the nonzero orbit heads (see :func:`_heads`), in row-major order.
     """
-    I, J = np.triu_indices(T.n, 1)
-    entries = []
-    # One (i, j) pair at a time keeps the temporaries O(n^2).
-    for p, (i, j) in enumerate(zip(I.tolist(), J.tolist())):
-        K, L = I[p:], J[p:]
-        row = T.components[i, j, K, L]
-        keep = row != 0.0
-        entries += [
-            {"i": i, "j": j, "k": k, "l": l, "v": v}
-            for k, l, v in zip(K[keep].tolist(), L[keep].tolist(), row[keep].tolist())
-        ]
-    return {"n": T.n, "entries": entries}
+    heads = _heads(T.n)
+    v = T.components.reshape(-1)[_flat(heads, range(4), T.n)]
+    keep = v != 0.0
+    cols = [x[keep].tolist() for x in (*heads, v)]
+    del heads, v, keep
+    return {"n": T.n, "entries": [{"i": i, "j": j, "k": k, "l": l, "v": x}
+                                  for i, j, k, l, x in zip(*cols)]}
 
 
 #: The entry fields as columns: key, the exact types accepted, array dtype.
@@ -560,10 +540,9 @@ def _fill(R: np.ndarray, entries: list) -> None:
     del p, q
     heads = np.unique(key, return_index=True)[1]
     del key
-    flat = R.reshape(-1)
-    for slots, s in reversed(_ORBIT):
-        flat[_flat(idx, slots, n)[heads]] = s * v[heads]
+    _scatter(R, idx, v, heads)
     del heads
+    flat = R.reshape(-1)
 
     # Each entry's eight signed writes must agree with what its class head
     # wrote; a head with i == j or k == l meets its own first write there.

@@ -344,7 +344,7 @@ def fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float) 
     probe from its frame coordinates over :func:`loop_basis_s2`, assembles
     through the public API, eigensolves one matrix, and contracts with
     ``np.einsum``.  Returns plain floats: per check the worst margin over
-    the probes and the tolerance at that probe.
+    the probes, and its lhs, rhs and tolerance at that probe.
     """
     trial_seed = fuzz_trial_seed(seed, idx)
     terms = 1 + idx % 3
@@ -396,14 +396,15 @@ def fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float) 
         "bochner_lower_bound": (
             q_idx + ric_term, g(2.0 * (n + 1.0) / (n + 2.0), float(n)) * nsq, tol_e),
     }
-    margins, tols = {}, {}
+    margins, tols, lhss, rhss = {}, {}, {}, {}
     for name, (lhs, rhs, eff) in checks.items():
         margin = lhs - rhs
         if np.ndim(margin):
             worst = margin.argmin()
-            margin, eff = margin[worst], eff[worst]
+            margin, eff, lhs, rhs = margin[worst], eff[worst], lhs[worst], rhs[worst]
         margins[name] = float(margin)
         tols[name] = float(eff)
+        lhss[name], rhss[name] = float(lhs), float(rhs)
     return {
         "idx": idx,
         "n": n,
@@ -413,6 +414,8 @@ def fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float) 
         "scale": scale,
         "tols": tols,
         "margins": margins,
+        "lhs": lhss,
+        "rhs": rhss,
         "quad_rel": float(np.max(np.abs(q_idx - q_mat) / denom)),
         "eig_rel": float(np.max(np.abs(q_idx - q_eig) / denom)),
     }

@@ -1,5 +1,6 @@
 """Command-line tests, run through subprocess or in-process through ``main``."""
 
+import functools
 import json
 import math
 import os
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import curvop.models
 import curvop.verify
-from curvop import SchemaError, model_from_json
+from curvop import SchemaError, fuzz_campaign, model_from_json
 from curvop.cli import main
 from curvop.base import _json_text, _physical_memory, _require_memory, _tensor_bytes
 
@@ -283,6 +285,22 @@ def test_zero_tensor_report_has_no_negative_zero(capsys, tmp_path, fmt):
     assert not re.findall(r"(?<![\w.])-0(\.0*)?(?![\w.])", out)
 
 
+def test_each_e_free_violator_file_replays_its_margin_through_bounds(capsys, tmp_path):
+    """A persisted violator is the trial's tensor, so bounds --input gives its margin to the bit."""
+    fuzz_campaign(3, 33, ns=(3, 4), e_per_tensor=3, tol=0.0, regression_dir=tmp_path)
+    replayed = 0
+    for path in sorted(tmp_path.glob("violator_*.json")):
+        meta = json.loads(path.read_text())["meta"]
+        if meta["check"] in ("quadform_lower_bound", "bochner_lower_bound"):
+            continue
+        code, out, _ = run_main(capsys, "bounds", "--input", str(path), "--tol", "0",
+                                "--format", "json", "--no-timestamp")
+        margins = {c["name"]: c["margin"] for c in json.loads(out)["checks"]}
+        assert code == 1 and margins[meta["check"]] == meta["margin"], (path.name, meta)
+        replayed += 1
+    assert replayed >= 20
+
+
 def _unable_to_allocate(*args, **kwargs):
     """Raise what numpy raises for an array larger than memory, allocating nothing."""
     raise MemoryError(
@@ -291,15 +309,25 @@ def _unable_to_allocate(*args, **kwargs):
     )
 
 
-@pytest.mark.parametrize("target, args", [
-    ("curvop.models.constant_curvature",
+def _fail_model_build(monkeypatch):
+    """Make the registry's constant-curvature builder, the one ModelSpec.build calls, fail."""
+    build, *rest = curvop.models._REGISTRY["constant_curvature"]
+    fail = functools.wraps(build)(_unable_to_allocate)  # keeps the parameter schema
+    monkeypatch.setitem(curvop.models._REGISTRY, "constant_curvature", (fail, *rest))
+
+
+@pytest.mark.parametrize("patch, args", [
+    (_fail_model_build,
      ("spectrum", "--model", '{"model": "constant_curvature", "n": 1000, "kappa": 1.0}')),
-    ("curvop.verify._tensor_draws", ("fuzz", "--n", "1000", "--trials", "1")),
+    (lambda mp: mp.setattr("curvop.verify._tensor_draws", _unable_to_allocate),
+     ("fuzz", "--n", "1000", "--trials", "1")),
 ], ids=["spectrum", "fuzz"])
-def test_input_too_large_to_allocate_exits_two(capsys, monkeypatch, target, args):
-    # The size guard lets these through, so numpy's own refusal is what is reported.
+def test_input_too_large_to_allocate_exits_two(capsys, monkeypatch, patch, args):
+    # The size guard lets these through, so numpy's own refusal is what is
+    # reported; the patched call raises it, and no array is allocated.
     monkeypatch.setattr("curvop.base._physical_memory", lambda: 1 << 62)
-    monkeypatch.setattr(target, _unable_to_allocate)
+    patch(monkeypatch)
+    monkeypatch.setattr("numpy.zeros", pytest.fail)
     code, out, err = run_main(capsys, *args)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -31,8 +31,6 @@ from curvop import (
 from curvop.core import (
     _SLAB_BYTES,
     SymmetryReport,
-    _kn,
-    _kn_square,
     _random_stack,
     _require_valid_stack,
     _symmetry_residuals,
@@ -40,6 +38,7 @@ from curvop.core import (
 from curvop.operators import first_kind_matrix, spectrum
 
 from oracles import (
+    _loop_orbit,
     dense_symmetry_residuals,
     loop_kulkarni_nomizu,
     loop_tensor_from_json,
@@ -377,26 +376,60 @@ def test_a_stack_of_mixed_term_counts_is_bitwise_each_tensor_drawn_alone():
         assert R[b].tobytes() == random_curvature(seed, 4, terms).components.tobytes()
 
 
+#: Each pin is the fingerprint of the draw as the two dense KN kernels made
+#: it, reloaded through its entry list: the heads are those kernels' bits.
 @pytest.mark.parametrize("seed, n, terms, fingerprint", [
-    (1, 4, 5, "d34a55693ba53203"),
-    (2, 6, 7, "8b0c4255cf5bfc3d"),
-    (3, 3, 4, "3be4f702d291d3c6"),
+    (1, 4, 5, "fff3baa656d38e52"),
+    (2, 6, 7, "7b6c17bc0d907fe0"),
+    (3, 3, 4, "90168880b442bb81"),
 ])
 def test_random_curvature_keeps_its_bits_beyond_three_terms(seed, n, terms, fingerprint):
     assert random_curvature(seed, n, terms).fingerprint == fingerprint
 
 
 _KN_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e100, 1e100))
+_KN_PAIRS = st.integers(2, 5).flatmap(
+    lambda n: arrays(np.float64, (2, n, n), elements=_KN_ENTRIES)
+)
+
+
+def _heads(n):
+    return [(i, j, k, l) for i in range(n) for j in range(i + 1, n)
+            for k in range(n) for l in range(k + 1, n) if (i, j) <= (k, l)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5).flatmap(
-    lambda n: arrays(np.float64, st.tuples(st.integers(0, 3), st.just(n), st.just(n)),
-                     elements=_KN_ENTRIES)
-))
-def test_kn_square_is_bitwise_the_general_product(h):
-    """((a + a) - c) - c from two products is _kn(h, h) to the bit, zero signs included."""
-    assert _kn_square(h).tobytes() == _kn(h, h).tobytes()
+@given(_KN_PAIRS)
+def test_kulkarni_nomizu_is_the_loop_oracle_at_every_head(hk):
+    """Each head is the loop product to the bit, zero signs included (after
+    canonicalization), and every other component is exactly +-its head or 0."""
+    h, k = hk
+    R = kulkarni_nomizu(h, k).components
+    want = loop_kulkarni_nomizu(h, k) + 0.0
+    n, written = h.shape[0], np.zeros(R.shape, dtype=bool)
+    for head in _heads(n):
+        assert R[head].tobytes() == want[head].tobytes(), head
+        for *member, v in _loop_orbit(*head, R[head]):
+            assert R[tuple(member)] == v
+            written[tuple(member)] = True
+    assert not R[~written].any()
+
+
+def _round_trip_is_bitwise(T):
+    back = tensor_from_json(tensor_to_json(T))
+    assert back.components.tobytes() == T.components.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 5))
+def test_random_curvature_round_trips_bitwise(seed, n, terms):
+    _round_trip_is_bitwise(random_curvature(seed, n, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_KN_PAIRS)
+def test_kulkarni_nomizu_round_trips_bitwise(hk):
+    _round_trip_is_bitwise(kulkarni_nomizu(*hk))
 
 
 def test_kn_square_of_psd_matrix_gives_psd_first_kind():
@@ -452,20 +485,16 @@ def test_tensor_json_roundtrip_bitwise_for_exact_tensors():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_tensor_json_roundtrip_canonicalizes(n):
-    # Random tensors carry ~1e-16 asymmetry noise; the entry list keeps one
-    # representative per orbit, so reloading gives the canonicalized tensor:
-    # representatives bitwise equal, partners within roundoff, and a second
-    # round trip is a fixed point.
+    # A random tensor is written out from its orbit heads, so the entry list
+    # keeps every bit: reloading gives the tensor back, each representative
+    # is stored as listed, and a second round trip writes the same document.
     T = random_curvature(seed=n, n=n, terms=2)
     doc = tensor_to_json(T)
     assert doc["n"] == n
     back = tensor_from_json(doc)
-    scale = max(1.0, T.norm_inf())
-    assert np.max(np.abs(back.components - T.components)) <= 1e-14 * scale
+    assert back.components.tobytes() == T.components.tobytes()
     for e in doc["entries"]:
         assert back.components[e["i"], e["j"], e["k"], e["l"]] == e["v"]
-    again = tensor_from_json(tensor_to_json(back))
-    np.testing.assert_array_equal(again.components, back.components)
     assert tensor_to_json(back) == doc
 
 

@@ -677,10 +677,7 @@ def test_persist_violator_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["meta"]["check"] == "demo"
     back = tensor_from_json({"n": doc["n"], "entries": doc["entries"]})
-    scale = max(1.0, T.norm_inf())
-    np.testing.assert_allclose(
-        back.components, T.components, rtol=0, atol=1e-14 * scale
-    )
+    assert back.components.tobytes() == T.components.tobytes()
 
 
 def test_persist_violator_writes_the_indented_json_bytes(tmp_path):
