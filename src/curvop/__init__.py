@@ -28,6 +28,8 @@ _EXPORTS = {
         "SchemaError",
         "AdmissibilityError",
         "TOL_INEQ",
+        "lambda2_dim",
+        "s2_traceless_dim",
         "ThresholdProfile",
         "threshold_profile",
     ),
@@ -49,8 +51,6 @@ _EXPORTS = {
     "operators": (
         "LAMBDA2",
         "S2_TRACELESS",
-        "lambda2_dim",
-        "s2_traceless_dim",
         "OperatorMatrix",
         "first_kind_matrix",
         "second_kind_matrix",

@@ -128,7 +128,8 @@ def _require_memory(what: str, nbytes: int) -> None:
     """
     limit = _physical_memory()
     if limit is not None and nbytes > limit:
-        raise ValueError(f"{what} is too large to run: it needs about {nbytes / 2**30:.3g} GiB, "
+        gib = nbytes / 2**30 if nbytes < 2**1024 else math.inf  # a double holds no more
+        raise ValueError(f"{what} is too large to run: it needs about {gib:.3g} GiB, "
                          f"more than the {limit / 2**30:.3g} GiB of physical memory")
 
 
@@ -179,10 +180,28 @@ def _require_bounds_dimension(n: int) -> None:
 #: tensors are drawn, validated, assembled and eigensolved together.
 _BLOCK_TRIALS = 32
 
+#: A probe slice of a block holds at most this many bytes of probe matrices,
+#: trials * P * n^2 * 8, and under half as much of frame coordinates, though
+#: always one trial.  With the kernel pass's temporaries, a slice's peak is at
+#: most 2.4 times its probes' e * (n^2 + N) * 8 bytes a trial (measured with
+#: tracemalloc at n = 3 to 24: 2.36 at n = 3, about 1.7 from n = 5 on), and the
+#: campaign's size guard counts 2.5 times.
+_BLOCK_PROBE_BYTES = 1 << 19
+
 #: What a campaign holds per block until it reports: the block and its task
 #: (about 185 bytes) and its results (about 17 KB, measured with tracemalloc
 #: on full blocks at n = 3), rounded up.
 _BLOCK_HELD_BYTES = 20_000
+
+
+def _probe_slices(n: int, count: int, e_per_tensor: int) -> list[slice]:
+    """The runs of consecutive trials of a block of ``count`` whose probes go through together.
+
+    A slice holds at most ``_BLOCK_PROBE_BYTES`` of probe matrices, though
+    always one trial.
+    """
+    size = max(1, _BLOCK_PROBE_BYTES // (e_per_tensor * n * n * 8))
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def _fuzz_arguments(seed, trials_per_n, ns, e_per_tensor, tol, jobs) -> tuple:
@@ -190,8 +209,8 @@ def _fuzz_arguments(seed, trials_per_n, ns, e_per_tensor, tol, jobs) -> tuple:
 
     Raises :class:`ValueError` unless seed >= 0, trials_per_n >= 1, ``ns``
     holds one or more n >= 3, e_per_tensor >= 1, tol >= 0 and jobs >= 1,
-    or when the block list, the results and one block's stack of the
-    largest n would not fit in physical memory.
+    or when the block list, the results, and one block's stack and one
+    probe slice of the largest n would not fit in physical memory.
     """
     seed = _integer("seed", seed, 0)
     trials_per_n = _integer("trials_per_n", trials_per_n, 1)
@@ -202,10 +221,12 @@ def _fuzz_arguments(seed, trials_per_n, ns, e_per_tensor, tol, jobs) -> tuple:
     tol = _tol(tol)
     jobs = _integer("jobs", jobs, 1)
     blocks_per_n = -(-trials_per_n // _BLOCK_TRIALS)
+    n, block = max(ns), min(trials_per_n, _BLOCK_TRIALS)
+    probes = _probe_slices(n, block, e_per_tensor)[0].stop * e_per_tensor
     _require_memory(
         f"a campaign of {trials_per_n} trials for each n in {list(ns)}",
-        len(ns) * blocks_per_n * _BLOCK_HELD_BYTES
-        + min(trials_per_n, _BLOCK_TRIALS) * _tensor_bytes(max(ns)),
+        len(ns) * blocks_per_n * _BLOCK_HELD_BYTES + block * _tensor_bytes(n)
+        + 20 * probes * (n * n + s2_traceless_dim(n)),  # 2.5 times 8 bytes a value
     )
     return seed, trials_per_n, ns, e_per_tensor, tol, jobs
 

@@ -82,7 +82,7 @@ def _load_tensor(args, rule=None):
     else:
         obj = _parse_json(args.model, where="--model")
     spec = model_from_json(obj) if "model" in obj else None
-    n = spec.check() if spec else _tensor_header(obj)[0]
+    n = spec.n if spec else _tensor_header(obj)[0]
     if rule:
         rule(n)
     from .core import tensor_from_json

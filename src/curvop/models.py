@@ -161,11 +161,12 @@ def _schema(kind: str) -> dict:
 
 
 class ModelSpec(_Record):
-    """A named model family plus concrete parameter values.
+    """A named model family plus concrete parameter values, judged whole when made.
 
     ``params`` holds plain Python numbers keyed by the family's schema:
     an int or a float as the builder's annotation names, judged by the
-    package's one rule for numbers.  The ranges are the builder's.
+    package's one rule for numbers.  Then come the size guard (ValueError)
+    and the builder's ranges (SchemaError), so any ModelSpec can be built.
     """
 
     kind: str
@@ -192,30 +193,23 @@ class ModelSpec(_Record):
                 f"model {self.kind!r} got unknown parameters {sorted(extra)}"
             )
         object.__setattr__(self, "params", clean)
+        _require_fits(self.kind, self.n)
+        try:
+            _REGISTRY[self.kind][3](**clean)
+        except ValueError as bad:
+            raise SchemaError(f"model {self.kind!r}: {bad}") from bad
+
+    @property
+    def n(self) -> int:
+        """The model's dimension."""
+        return _REGISTRY[self.kind][2](**self.params)
 
     @property
     def doc(self) -> str:
         return (_REGISTRY[self.kind][0].__doc__ or "").partition("\n")[0]  # None under -OO
 
-    def check(self) -> int:
-        """The model's dimension n, after every refusal :meth:`build` makes before it allocates.
-
-        First :class:`ValueError` when the tensor and its two operator
-        matrices would not fit in physical memory, then the builder's range
-        checks as :class:`SchemaError`.  Needs no numpy.
-        """
-        _, _, dimension, judge = _REGISTRY[self.kind]
-        n = dimension(**self.params)
-        _require_fits(self.kind, n)
-        try:
-            judge(**self.params)
-        except ValueError as bad:
-            raise SchemaError(f"model {self.kind!r}: {bad}") from bad
-        return n
-
     def build(self) -> CurvatureTensor:
-        """Construct the curvature tensor, after the refusals of :meth:`check`."""
-        self.check()
+        """Construct the curvature tensor."""
         return _REGISTRY[self.kind][0](**self.params)
 
     def to_json(self) -> dict:

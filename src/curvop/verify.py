@@ -57,9 +57,11 @@ from .base import (
     ThresholdProfile,
     _fuzz_arguments,
     _json_text,
+    _probe_slices,
     _Record,
     _require_bounds_dimension,
     _tol,
+    s2_traceless_dim,
     threshold_profile,
 )
 from .core import (
@@ -82,7 +84,6 @@ from .operators import (
     _spectra,
     coordinates,
     reconstruct,
-    s2_traceless_dim,
     second_kind_matrix,
 )
 from .weighted import BOUNDARY_TOL, WeightClass, KVerdict, _greedy_min, k_verdict
@@ -445,13 +446,6 @@ class FuzzSummary(_Record, eq=False):
         return not self.violations
 
 
-#: A probe slice of a block holds at most this many bytes of probe matrices,
-#: trials * P * n^2 * 8, and under half as much of frame coordinates, though
-#: always one trial.  A kernel pass's temporaries come to at most about three
-#: times this, so it bounds the memory a campaign adds to the process.
-_BLOCK_PROBE_BYTES = 1 << 19
-
-
 def _blocks(ns, trials_per_n: int) -> list[tuple[int, int, int]]:
     """(n, first trial index, trial count) of each block, in trial order.
 
@@ -465,16 +459,6 @@ def _blocks(ns, trials_per_n: int) -> list[tuple[int, int, int]]:
             blocks.append((n, start + offset, min(_BLOCK_TRIALS, trials_per_n - offset)))
         start += trials_per_n
     return blocks
-
-
-def _probe_slices(n: int, count: int, e_per_tensor: int) -> list[slice]:
-    """The runs of consecutive trials of a block of ``count`` whose probes go through together.
-
-    A slice holds at most ``_BLOCK_PROBE_BYTES`` of probe matrices, though
-    always one trial.
-    """
-    size = max(1, _BLOCK_PROBE_BYTES // (e_per_tensor * n * n * 8))
-    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def _trial_seed(seed: int, idx: int) -> int:

@@ -18,7 +18,8 @@ import curvop.models
 import curvop.verify
 from curvop import SchemaError, fuzz_campaign, model_from_json
 from curvop.cli import main
-from curvop.base import _json_text, _physical_memory, _require_memory, _tensor_bytes
+from curvop.base import (_fuzz_arguments, _json_text, _physical_memory, _require_memory,
+                         _tensor_bytes)
 
 SPHERE = '{"model": "constant_curvature", "n": 4, "kappa": 1.0}'
 PRODUCT = '{"model": "product_spheres", "p": 2, "q": 3, "r1": 1.0, "r2": 1.0}'
@@ -365,6 +366,20 @@ def test_size_guard_refuses_only_an_estimate_beyond_physical_memory(monkeypatch)
     _require_memory("this", 10**30)
 
 
+def test_fuzz_size_guard_counts_one_probe_slice(capsys, monkeypatch):
+    """One trial of 10^6 probes at n = 8 holds 488 MiB of probe matrices, 267 MiB of coordinates."""
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 64 << 20)
+    monkeypatch.setattr("numpy.empty", _unable_to_allocate)
+    with pytest.raises(ValueError, match=r"^a campaign of 1 trials for each n in \[8\] is too"):
+        fuzz_campaign(0, 1, (8,), 10**6)
+    code, out, err = run_main(capsys, "fuzz", "--n", "8", "--trials", "1",
+                              "--e-per-tensor", str(10**6))
+    assert (code, out) == (2, "") and "too large to run" in err
+    # The benchmark's campaign and the acceptance campaign, both of 200 probes, pass.
+    for trials in (25, 1000):
+        _fuzz_arguments(2024, trials, range(3, 9), 200, 1e-9, 1)
+
+
 def test_missing_source_is_a_usage_error():
     proc = run_cli("spectrum")
     assert proc.returncode == 2
@@ -519,6 +534,7 @@ REFUSAL_FILES = {
     "flat4.json": '{"n": 4, "entries": []}',
     "flat2.json": '{"n": 2, "entries": []}',
     "huge.json": '{"n": 100000, "entries": []}',
+    "text.json": '"text"',
 }
 
 _TOO_LARGE = ("is too large to run: it needs about {} GiB, "
@@ -539,6 +555,11 @@ REFUSALS = {
         ("spectrum", "--input", "{dir}/missing.json"),
         "cannot read {dir}/missing.json: [Errno 2] No such file or directory: "
         "'{dir}/missing.json'"),
+    "non-object --model": (
+        ("spectrum", "--model", "[1, 2]"), "--model: expected a JSON object, got list"),
+    "non-object --input": (
+        ("spectrum", "--input", "{dir}/text.json"),
+        "{dir}/text.json: expected a JSON object, got str"),
     "unknown model": (
         ("spectrum", "--model", '{"model": "nope"}'),
         "unknown model 'nope'; available: ['constant_curvature', 'fubini_study', "
@@ -586,6 +607,9 @@ REFUSALS = {
     "oversized campaign": (
         ("fuzz", "--n", "3", "--trials", str(10**12)),
         "a campaign of 1000000000000 trials for each n in [3] " + _TOO_LARGE.format("5.82e+05")),
+    "campaign beyond the double range": (
+        ("fuzz", "--n", str(10**100), "--trials", "1"),
+        f"a campaign of 1 trials for each n in [{10**100}] " + _TOO_LARGE.format("inf")),
 }
 
 
@@ -626,6 +650,7 @@ def test_a_refusal_from_the_arguments_comes_before_a_fault_in_the_entries(capsys
 IMPORT_CASES = [
     ("import curvop.cli", ("concurrent", "multiprocessing", "csv")),
     ("import curvop", ("numpy", *CURVOP_MODULES)),
+    ("import curvop\ncurvop.s2_traceless_dim(5)\ncurvop.lambda2_dim(5)", ("numpy",)),
     (_main_in(["threshold", "--n", "5", "--format", "json"]), ("numpy", "dataclasses")),
     (_main_in(["models", "--format", "text"]), ("numpy", "dataclasses")),
     (_main_in(["--help"]), ("numpy", "dataclasses")),
@@ -637,6 +662,9 @@ IMPORT_CASES = [
     ("from curvop import constant_curvature\ntry:\n    constant_curvature(10**5, 1.0)\n"
      "except ValueError:\n    pass", ("numpy",)),
     *((_main_in(argv), ("numpy", "dataclasses")) for argv, _ in REFUSALS.values()),
+    ("import curvop.base\ncurvop.base._physical_memory = lambda: 64 << 20\n"
+     + _main_in(["fuzz", "--n", "8", "--trials", "1", "--e-per-tensor", str(10**6)]),
+     ("numpy", "dataclasses")),
 ]
 
 
@@ -645,9 +673,10 @@ def test_cli_import_skips_the_process_pool(tmp_path):
 
     The pool's modules load only when ``fuzz --jobs`` > 1 runs one;
     ``import curvop`` loads no submodule; ``threshold``, ``models``,
-    ``--help``, ``--version``, a model builder refused for its size and
-    every refusal in ``REFUSALS`` never load numpy; ``spectrum`` and
-    ``check`` never load ``verify``; and no command loads ``dataclasses``.
+    ``--help``, ``--version``, a model builder refused for its size,
+    every refusal in ``REFUSALS`` and a campaign refused for its probes
+    never load numpy; ``spectrum`` and ``check`` never load ``verify``;
+    and no command loads ``dataclasses``.
     """
     _write_refusal_files(tmp_path)
     for source, banned in IMPORT_CASES:

@@ -18,6 +18,7 @@ from curvop import (
     tensor_from_json,
     validate_symmetries,
 )
+from curvop.base import _BLOCK_PROBE_BYTES, _probe_slices
 from curvop.core import TAU_TRACE, _fingerprint, _require_valid_stack
 from curvop.operators import (
     _second_kind_entries,
@@ -27,11 +28,9 @@ from curvop.operators import (
     second_kind_matrix,
 )
 from curvop.verify import (
-    _BLOCK_PROBE_BYTES,
     _blocks,
     _fuzz_block,
     _probe_draws,
-    _probe_slices,
     _tensor_draws,
     _trial_seed,
 )

@@ -273,17 +273,14 @@ def test_model_spec_build_wraps_domain_errors():
         ModelSpec("fubini_study", {"m": 0}).build()
 
 
-def test_model_spec_check_is_the_builds_refusals_in_its_order(monkeypatch):
-    assert ModelSpec("fubini_study", {"m": 3}).check() == 6
+def test_model_spec_makes_the_builds_refusals_at_construction_in_its_order(monkeypatch):
+    assert ModelSpec("fubini_study", {"m": 3}).n == 6
     monkeypatch.setattr("curvop.base._physical_memory", lambda: 20 << 20)
-    spec = ModelSpec("product_spheres", {"p": 100, "q": 1, "r1": 1.0, "r2": 1.0})
-    for step in (spec.check, spec.build):  # the size guard before the range checks
-        with pytest.raises(ValueError, match="^model .product_spheres. of dimension n = 101 is"):
-            step()
-    spec = ModelSpec("product_spheres", {"p": 2, "q": 1, "r1": 1.0, "r2": 1.0})
-    for step in (spec.check, spec.build):
-        with pytest.raises(SchemaError, match="^model .product_spheres.: q must be an integer"):
-            step()
+    # The size guard before the range checks, both before any ModelSpec exists.
+    with pytest.raises(ValueError, match="^model .product_spheres. of dimension n = 101 is"):
+        ModelSpec("product_spheres", {"p": 100, "q": 1, "r1": 1.0, "r2": 1.0})
+    with pytest.raises(SchemaError, match="^model .product_spheres.: q must be an integer"):
+        ModelSpec("product_spheres", {"p": 2, "q": 1, "r1": 1.0, "r2": 1.0})
 
 
 def test_model_json_round_trip():

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -668,6 +669,17 @@ def test_fuzz_jobs_clamped_to_cpus_and_blocks(monkeypatch):
     s = fuzz_campaign(seed=4, trials_per_n=3, ns=(3,), e_per_tensor=2, jobs=2)
     assert workers == []
     assert s.to_json() == fuzz_campaign(seed=4, trials_per_n=3, ns=(3,), e_per_tensor=2).to_json()
+
+
+def test_violators_go_to_the_argument_else_the_environment_variable(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(curvop.verify.REGRESSION_DIR_ENV, "from_env")
+    s = fuzz_campaign(1, 1, (3,), 1, tol=0)
+    assert s.violations
+    assert {Path(v.path).parent for v in s.violations} == {Path("from_env")}
+    s = fuzz_campaign(1, 1, (3,), 1, tol=0, regression_dir="from_arg")
+    assert {Path(v.path).parent for v in s.violations} == {Path("from_arg")}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["from_arg", "from_env"]
 
 
 def test_persist_violator_round_trip(tmp_path):
