@@ -180,11 +180,11 @@ def _require_bounds_dimension(n: int) -> None:
 #: tensors are drawn, validated, assembled and eigensolved together.
 _BLOCK_TRIALS = 32
 
-#: A probe slice of a block holds at most this many bytes of probe matrices,
+#: A probe slice of a block holds at most this many bytes of probe rows,
 #: trials * P * n^2 * 8, and under half as much of frame coordinates, though
 #: always one trial.  With the kernel pass's temporaries, a slice's peak is at
 #: most 2.4 times its probes' e * (n^2 + N) * 8 bytes a trial (measured with
-#: tracemalloc at n = 3 to 24: 2.36 at n = 3, about 1.7 from n = 5 on), and the
+#: tracemalloc at n = 3 to 24: 2.36 at n = 3, 1.6 to 1.7 from n = 5 on), and the
 #: campaign's size guard counts 2.5 times.
 _BLOCK_PROBE_BYTES = 1 << 19
 
@@ -197,11 +197,26 @@ _BLOCK_HELD_BYTES = 20_000
 def _probe_slices(n: int, count: int, e_per_tensor: int) -> list[slice]:
     """The runs of consecutive trials of a block of ``count`` whose probes go through together.
 
-    A slice holds at most ``_BLOCK_PROBE_BYTES`` of probe matrices, though
+    A slice holds at most ``_BLOCK_PROBE_BYTES`` of probe rows, though
     always one trial.
     """
     size = max(1, _BLOCK_PROBE_BYTES // (e_per_tensor * n * n * 8))
     return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def _block_bytes(n: int, count: int, e_per_tensor: int) -> int:
+    """What the campaign's size guard counts for a fuzz block of ``count`` trials at n.
+
+    The tensor stage counts twice ``_tensor_bytes(n)`` a trial, since the
+    kernel also holds a reordered copy of each tensor of its slice: with
+    one probe per trial, tracemalloc puts a block at 1.70 to 1.77 times
+    at n = 20 and 24.  Then the frame's rows, 8 N n^2 bytes, and one probe
+    slice at 2.5 times 8 bytes a value.  Measured from n = 3 to 24, every
+    block that peaks above 4 MiB peaks below this count.
+    """
+    N = s2_traceless_dim(n)
+    probes = _probe_slices(n, count, e_per_tensor)[0].stop * e_per_tensor
+    return 2 * count * _tensor_bytes(n) + 8 * N * n * n + 20 * probes * (n * n + N)
 
 
 def _fuzz_arguments(seed, trials_per_n, ns, e_per_tensor, tol, jobs) -> tuple:
@@ -221,12 +236,10 @@ def _fuzz_arguments(seed, trials_per_n, ns, e_per_tensor, tol, jobs) -> tuple:
     tol = _tol(tol)
     jobs = _integer("jobs", jobs, 1)
     blocks_per_n = -(-trials_per_n // _BLOCK_TRIALS)
-    n, block = max(ns), min(trials_per_n, _BLOCK_TRIALS)
-    probes = _probe_slices(n, block, e_per_tensor)[0].stop * e_per_tensor
     _require_memory(
         f"a campaign of {trials_per_n} trials for each n in {list(ns)}",
-        len(ns) * blocks_per_n * _BLOCK_HELD_BYTES + block * _tensor_bytes(n)
-        + 20 * probes * (n * n + s2_traceless_dim(n)),  # 2.5 times 8 bytes a value
+        len(ns) * blocks_per_n * _BLOCK_HELD_BYTES
+        + _block_bytes(max(ns), min(trials_per_n, _BLOCK_TRIALS), e_per_tensor),
     )
     return seed, trials_per_n, ns, e_per_tensor, tol, jobs
 

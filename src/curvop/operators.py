@@ -266,22 +266,38 @@ def coordinates(E) -> np.ndarray:
     return np.concatenate([off, diag], axis=-1)
 
 
+@lru_cache(maxsize=None)
+def _basis(n: int) -> np.ndarray:
+    """The trace-free frame at n as rows (N, n^2), read-only: row a is B_a flattened.
+
+    Off-diagonal row a holds 1/sqrt(2) at (I[a], J[a]) and (J[a], I[a]);
+    Helmert row m holds H[m] on the diagonal.
+    """
+    f = _frame(n)
+    p = f.I.size
+    B = np.zeros((p + f.w.size, n, n))
+    B[np.arange(p), f.I, f.J] = B[np.arange(p), f.J, f.I] = 1.0 / np.sqrt(2.0)
+    d = np.arange(n)
+    B[p:, d, d] = f.H
+    B = B.reshape(-1, n * n)
+    B.setflags(write=False)
+    return B
+
+
 def reconstruct(coeffs, n: int) -> np.ndarray:
     """Trace-free symmetric matrix with the given frame coordinates.
 
     ``coeffs`` has shape (..., (n-1)(n+2)/2); the result has shape
-    (..., n, n).  Inverse of :func:`coordinates`.
+    (..., n, n).  Inverse of :func:`coordinates`.  It is one product
+    ``coeffs @ B`` with the frame's rows B (N, n^2), built once per n:
+    each off-diagonal entry is one coordinate times 1/sqrt(2), so the
+    result is exactly symmetric.
     """
     v = np.asarray(coeffs, dtype=float)
     dim = s2_traceless_dim(n)
     if n < 2 or v.ndim < 1 or v.shape[-1] != dim:
         raise ValueError(f"expected {dim} coefficients at n={n}, got shape {v.shape}")
-    f = _frame(n)
-    E = np.zeros(v.shape[:-1] + (n, n))
-    E[..., f.I, f.J] = E[..., f.J, f.I] = v[..., : f.I.size] / np.sqrt(2.0)
-    d = np.arange(n)
-    E[..., d, d] = v[..., f.I.size:] @ f.H
-    return E
+    return (v @ _basis(n)).reshape(v.shape[:-1] + (n, n))
 
 
 def operator_to_json(M: OperatorMatrix) -> dict:

@@ -210,36 +210,46 @@ def _weight_classes(n: int) -> tuple[WeightClass, ...]:
     )
 
 
-def _kernel(prep: _Prep, rows: slice, C: np.ndarray, Eb: np.ndarray, tol_base: float):
+def _probe_terms(e: np.ndarray, ric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(|E|^2, sum Ric[i,j] E[i,t] E[j,t])`` of flat probes e (b, P, n^2), ric (b, n, n).
+
+    The Ricci term is one product per tensor, the rows of all its probes
+    (P n, n) times Ric, contracted with e: sum E[t,i] Ric[i,j] E[t,j],
+    which is the term since E is symmetric.
+    """
+    ric_e = (e.reshape(len(e), -1, ric.shape[-1]) @ ric).reshape(e.shape)
+    return np.einsum("...i,...i->...", e, e), np.einsum("...i,...i->...", ric_e, e)
+
+
+def _kernel(prep: _Prep, rows: slice, C: np.ndarray, e: np.ndarray, tol_base: float):
     """The five checks on the tensors ``rows`` of ``prep``, each at its worst probe.
 
-    ``Eb`` (b, P, n, n) holds P trace-free probes for each of the b tensors
-    in ``rows``, ``C`` (b, P, N) their frame coordinates.  Every array is
-    cut to ``rows`` before use, so each per-tensor product has the shape,
-    and so the bits, it has in a stack of one.
+    ``e`` (b, P, n^2) holds P trace-free probes for each of the b tensors
+    in ``rows``, each matrix flattened to a row, ``C`` (b, P, N) their
+    frame coordinates.  Every array is cut to ``rows`` before use, so
+    each per-tensor product has the shape, and so the bits, it has in a
+    stack of one.
 
     Returns ``(checks, quad_rel, eig_rel)``.  ``checks`` has shape
     (3, 5, b): lhs, rhs and tol, one row per check in CHECK_NAMES order.
     The E-free checks come straight from the per-tensor arrays of
     ``prep``; an E-dependent check is taken at its worst probe, the first
-    argmin of lhs - rhs.  The quadratic form is computed three ways: by
-    index contraction from Eb, and through the matrix and through the
-    eigen decomposition from C.  ``quad_rel`` and ``eig_rel``, of shape
-    (b,), are the worst relative disagreements over all probes of the
-    last two with the first.
+    argmin of lhs - rhs.  |E|^2 and the Ricci term are read from the
+    rows (see :func:`_probe_terms`).  The quadratic form is computed
+    three ways: by index contraction from e, and through the matrix and
+    through the eigen decomposition from C.  ``quad_rel`` and
+    ``eig_rel``, of shape (b,), are the worst relative disagreements over
+    all probes of the last two with the first.
     """
     n, g = prep.n, prep.g[:, rows]
     R, ric, matrix, eigvecs, lam, s, ric_min, scale = (x[rows] for x in (
         prep.R, prep.ric, prep.matrix, prep.eigvecs, prep.lam, prep.s, prep.ric_min, prep.scale))
 
     # The index contraction sum R[k,i,j,l] E[k,l] E[i,j] as e^T S e, with
-    # e = E flattened and S[(k,l),(i,j)] = R[k,i,j,l].
-    e = Eb.reshape(*Eb.shape[:2], n * n)
+    # S[(k,l),(i,j)] = R[k,i,j,l].
     S = np.transpose(R, (0, 1, 4, 2, 3)).reshape(-1, n * n, n * n)
     q_idx = np.einsum("...i,...i->...", e @ S, e)
-    nsq = np.sum(Eb * Eb, axis=(-2, -1))
-    # sum Ric[i,j] E[i,t] E[j,t]
-    ric_term = np.einsum("...ij,...ij->...", ric[:, None] @ Eb, Eb)
+    nsq, ric_term = _probe_terms(e, ric)
     q_mat = np.einsum("...i,...i->...", C @ matrix, C)
     W = C @ eigvecs
     W *= W
@@ -270,9 +280,10 @@ def _checks(prep: _Prep, E, tol, seed) -> tuple[InequalityReport, ...]:
             E = prep.traceless_ricci
         if isinstance(E, Sym2Tensor):
             E = E.components
-        Eb = TracelessSym2(prep.n, E).components[None, None]
+        E = TracelessSym2(prep.n, E).components
         tol_base = _tol(TOL_INEQ if tol is None else tol)
-        checks, quad_rel, eig_rel = _kernel(prep, slice(None), coordinates(Eb), Eb, tol_base)
+        checks, quad_rel, eig_rel = _kernel(
+            prep, slice(None), coordinates(E)[None, None], E.reshape(1, 1, -1), tol_base)
         reports = [
             _report(name, prep.n, lhs, rhs, eff, prep.T.fingerprint, seed)
             for name, (lhs, rhs, eff) in zip(CHECK_NAMES, checks[:, :, 0].T)
@@ -487,20 +498,21 @@ def _tensor_draws(seed: int, n: int, start: int, count: int):
 
 
 def _probe_draws(rngs, n: int, e_per_tensor: int):
-    """``(C, Eb)``: the unit trace-free probes of the given trials, in frame coordinates and as matrices.
+    """``(C, e)``: the unit trace-free probes of the given trials, in frame coordinates and as flat rows.
 
     Each trial's generator, just past the trial's tensor, draws its probes'
     frame coordinates as one standard normal block (e_per_tensor, N), N =
     (n-1)(n+2)/2, and each row is scaled to unit norm.  The frame is
     orthonormal, so this is the uniform law on the unit sphere of the
     trace-free symmetric matrices.  C has shape (trials, e_per_tensor, N)
-    and Eb = ``reconstruct(C, n)`` shape (trials, e_per_tensor, n, n).
+    and e shape (trials, e_per_tensor, n^2): each probe's matrix
+    ``reconstruct(C, n)``, flattened.
     """
     C = np.empty((len(rngs), e_per_tensor, s2_traceless_dim(n)))
     for b, rng in enumerate(rngs):
         rng.standard_normal(out=C[b])
     C /= np.sqrt(np.einsum("...i,...i->...", C, C))[..., None]
-    return C, reconstruct(C, n)
+    return C, reconstruct(C, n).reshape(C.shape[:2] + (n * n,))
 
 
 def _fuzz_block(args) -> dict:
@@ -510,7 +522,7 @@ def _fuzz_block(args) -> dict:
     :func:`_blocks`.  The block's tensors are drawn and their stack is
     prepared once: validated, assembled and eigensolved.  Then, one slice
     of :func:`_probe_slices` at a time, the slice's probes are drawn, in
-    frame coordinates and as matrices, and one kernel pass runs all five
+    frame coordinates and as flat rows, and one kernel pass runs all five
     checks on them, so only one slice's probes are held at once.
 
     Returns per-trial arrays: for each check the margin lhs - rhs and the
@@ -523,9 +535,9 @@ def _fuzz_block(args) -> dict:
     checks = np.empty((3, len(CHECK_NAMES), count))
     quad_rel, eig_rel = np.empty((2, count))
     for rows in _probe_slices(n, count, e_per_tensor):
-        C, Eb = _probe_draws(rngs[rows], n, e_per_tensor)
-        checks[:, :, rows], quad_rel[rows], eig_rel[rows] = _kernel(prep, rows, C, Eb, tol_base)
-        del C, Eb  # so that the next slice's probes are drawn without this slice's
+        C, e = _probe_draws(rngs[rows], n, e_per_tensor)
+        checks[:, :, rows], quad_rel[rows], eig_rel[rows] = _kernel(prep, rows, C, e, tol_base)
+        del C, e  # so that the next slice's probes are drawn without this slice's
     lhs, rhs, tols = checks
     margins = lhs - rhs
 
@@ -592,7 +604,7 @@ def fuzz_campaign(
     trials of each n run in blocks of at most 32: a block's stack of
     tensors is prepared once (validated, assembled and eigensolved), and
     then one kernel pass runs all five checks per slice of at most
-    512 KiB of probe matrices (always at least one trial).  ``jobs`` > 1
+    512 KiB of probe rows (always at least one trial).  ``jobs`` > 1
     hands whole blocks to worker processes.  Neither blocks nor slices
     depend on ``jobs``, so the report is identical for jobs=1 and
     jobs>1.  Violators (margin below -tol * scale) are persisted to
@@ -601,7 +613,8 @@ def fuzz_campaign(
     :class:`ValueError` unless seed >= 0, trials_per_n >= 1, ``ns``
     holds one or more n >= 3, e_per_tensor >= 1, tol >= 0 and jobs >= 1,
     and before any block is listed when the block list, the results and
-    one block's stack would not fit in physical memory; ``jobs`` is capped
+    one block of the largest n (its tensor stage, the frame's rows and one
+    probe slice) would not fit in physical memory; ``jobs`` is capped
     at the CPU count and the number of blocks.  A violator's file carries
     the violation's fields, bar its path, and the campaign seed as ``meta``.
     """

@@ -269,6 +269,17 @@ def loop_quad_form(R, E):
     return total
 
 
+def loop_ricci_term(ric, E):
+    """sum Ric[i,j] E[i,t] E[j,t], the Bochner check's Ricci term, by explicit loops."""
+    n = ric.shape[0]
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            for t in range(n):
+                total += ric[i, j] * E[i, t] * E[j, t]
+    return total
+
+
 def lp_weight_min(lam, omega, total):
     """Minimum of lam . w over {0 <= w <= omega, sum w = total} via linprog."""
     lam = np.asarray(lam, dtype=float)
@@ -360,20 +371,15 @@ def fuzz_trial(idx: int, n: int, seed: int, e_per_tensor: int, tol_base: float) 
     # The trial's one generator draws the tensor's terms * n^2 normals, then
     # each probe's coordinates in the orthonormal trace-free frame, scaled
     # to unit norm.  The probe is sum_a C[:, a] B_a over the frame B of
-    # loop_basis_s2: an off-diagonal element sets one pair, and the diagonal
-    # is the coordinates of the Helmert elements times their diagonals.  The
-    # division by sqrt(2) and the one product keep each probe bitwise the
-    # engine's, so margins compare to rounding in the contractions alone.
+    # loop_basis_s2, as one product with its elements flattened to rows.
+    # Those rows are bitwise the engine's, and so is the product, so each
+    # probe is bitwise the engine's and margins compare to rounding in the
+    # contractions alone.
     rng = np.random.default_rng(trial_seed)
     rng.normal(size=(terms, n, n))
     C = rng.standard_normal((e_per_tensor, s2_traceless_dim(n)))
     C /= np.sqrt(np.einsum("ai,ai->a", C, C))[:, None]
-    p = n * (n - 1) // 2
-    Eb = np.zeros((e_per_tensor, n, n))
-    for a, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
-        Eb[:, i, j] = Eb[:, j, i] = C[:, a] / np.sqrt(2.0)
-    d = np.arange(n)
-    Eb[:, d, d] = C[:, p:] @ np.diagonal(loop_basis_s2(n)[p:], axis1=1, axis2=2)
+    Eb = (C @ loop_basis_s2(n).reshape(len(C[0]), n * n)).reshape(e_per_tensor, n, n)
 
     def g(omega, total):
         return greedy_min(lam, WeightClass(omega, total))

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,8 +19,8 @@ import curvop.models
 import curvop.verify
 from curvop import SchemaError, fuzz_campaign, model_from_json
 from curvop.cli import main
-from curvop.base import (_fuzz_arguments, _json_text, _physical_memory, _require_memory,
-                         _tensor_bytes)
+from curvop.base import (_block_bytes, _fuzz_arguments, _json_text, _physical_memory,
+                         _require_memory, _tensor_bytes)
 
 SPHERE = '{"model": "constant_curvature", "n": 4, "kappa": 1.0}'
 PRODUCT = '{"model": "product_spheres", "p": 2, "q": 3, "r1": 1.0, "r2": 1.0}'
@@ -378,6 +379,27 @@ def test_fuzz_size_guard_counts_one_probe_slice(capsys, monkeypatch):
     # The benchmark's campaign and the acceptance campaign, both of 200 probes, pass.
     for trials in (25, 1000):
         _fuzz_arguments(2024, trials, range(3, 9), 200, 1e-9, 1)
+
+
+def test_fuzz_size_guard_counts_the_tensor_stage_at_its_measured_peak(capsys, monkeypatch):
+    """32 trials at n = 24 count 122 MiB at one _tensor_bytes a trial, but a block
+    peaks at about 206 MiB (tracemalloc: 51.6 MiB for 8 trials of one probe)."""
+    # Measured on a smaller block: the one-times count falls short, the guard's does not.
+    tracemalloc.start()
+    try:
+        curvop.verify._fuzz_block((5, (12, 0, 8), 1, 1e-9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * _tensor_bytes(12) + 20 * 8 * (12 * 12 + 77) < peak < _block_bytes(12, 8, 1)
+    # 160 MiB: the one-times count (122 MiB) would start the block; the guard refuses it.
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 160 << 20)
+    monkeypatch.setattr("numpy.empty", _unable_to_allocate)
+    assert 20_000 + 32 * _tensor_bytes(24) + 20 * 32 * (24 * 24 + 299) < 160 << 20
+    with pytest.raises(ValueError, match=r"^a campaign of 32 trials for each n in \[24\] is too"):
+        fuzz_campaign(0, 32, (24,), 1)
+    code, out, err = run_main(capsys, "fuzz", "--n", "24", "--trials", "32", "--e-per-tensor", "1")
+    assert (code, out) == (2, "") and "too large to run" in err
 
 
 def test_missing_source_is_a_usage_error():

@@ -15,6 +15,7 @@ from curvop import (
     all_checks,
     fuzz_campaign,
     random_curvature,
+    ricci,
     tensor_from_json,
     validate_symmetries,
 )
@@ -24,6 +25,7 @@ from curvop.operators import (
     _second_kind_entries,
     _spectra,
     coordinates,
+    reconstruct,
     s2_traceless_dim,
     second_kind_matrix,
 )
@@ -31,6 +33,7 @@ from curvop.verify import (
     _blocks,
     _fuzz_block,
     _probe_draws,
+    _probe_terms,
     _tensor_draws,
     _trial_seed,
 )
@@ -39,8 +42,10 @@ from oracles import (
     fuzz_trial_seed,
     fuzz_trials,
     loop_kulkarni_nomizu,
+    loop_ricci_term,
     loop_tensor_from_json,
     loop_tensor_to_json,
+    random_traceless,
 )
 
 NS = (3, 4, 5, 6, 7, 8)
@@ -100,12 +105,15 @@ def test_block_tensors_are_bitwise_the_trials_drawn_alone(n, start, count):
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_probes_continue_each_trials_one_stream_past_its_tensor(n):
     """A trial's probe coordinates are its generator's next P * (n-1)(n+2)/2
-    normals, each row scaled to unit norm, and the probes are their matrices."""
+    normals, each row scaled to unit norm, and the probes are their matrices,
+    flattened to rows."""
     P, N = 7, s2_traceless_dim(n)
     trial_seeds, terms, rngs, _ = _tensor_draws(23, n, 3, 3)
     assert terms == [1, 2, 3]
-    C, Eb = _probe_draws(rngs, n, P)
-    assert C.shape == (3, P, N) and Eb.shape == (3, P, n, n)
+    C, e = _probe_draws(rngs, n, P)
+    assert C.shape == (3, P, N) and e.shape == (3, P, n * n)
+    Eb = e.reshape(3, P, n, n)
+    assert Eb.tobytes() == reconstruct(C, n).tobytes()
     for coords, probes, trial_seed, m in zip(C, Eb, trial_seeds, terms):
         rng = np.random.default_rng(trial_seed)
         rng.standard_normal(m * n * n)  # the tensor's normals
@@ -118,6 +126,30 @@ def test_probes_continue_each_trials_one_stream_past_its_tensor(n):
         assert np.all(np.abs(np.trace(probes, axis1=1, axis2=2)) <= TAU_TRACE * norms)
         assert np.max(np.abs(norms - 1.0)) <= 1e-15
         assert np.max(np.abs(coordinates(probes) - coords)) <= 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    seed=st.integers(0, 2**32),
+    count=st.integers(1, 3),
+    P=st.integers(1, 4),
+    size=st.floats(1e-3, 1e3),
+)
+def test_probe_norms_and_ricci_terms_are_the_loop_contractions(n, seed, count, P, size):
+    """|E|^2 and sum Ric[i,j] E[i,t] E[j,t] from the flat rows, to 1e-13 of the sums of |terms|."""
+    rng = np.random.default_rng(seed)
+    ric = np.stack([ricci(random_curvature(seed + b, n, 1 + b)).components for b in range(count)])
+    E = size * np.stack([[random_traceless(n, rng).components for _ in range(P)]
+                         for _ in range(count)])
+    nsq, ric_term = _probe_terms(E.reshape(count, P, n * n), ric)
+    assert nsq.shape == ric_term.shape == (count, P)
+    for b in range(count):
+        for p in range(P):
+            squares = sum(x * x for x in E[b, p].ravel().tolist())
+            assert abs(nsq[b, p] - squares) <= 1e-13 * squares
+            bound = 1e-13 * loop_ricci_term(np.abs(ric[b]), np.abs(E[b, p]))
+            assert abs(ric_term[b, p] - loop_ricci_term(ric[b], E[b, p])) <= bound
 
 
 @pytest.mark.parametrize("n", [3, 8, 40])

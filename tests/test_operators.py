@@ -25,7 +25,7 @@ from curvop import (
     second_kind_matrix,
     spectrum,
 )
-from curvop.operators import _symmetric
+from curvop.operators import _basis, _symmetric
 
 from oracles import (
     gram_first_kind,
@@ -52,7 +52,11 @@ def test_dimension_formulas(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_basis_orthonormality(n):
-    """The oracle bases are orthonormal, and the frame is reconstruct(e_a) of them."""
+    """The oracle bases are orthonormal, and the frame is reconstruct(e_a) of them.
+
+    reconstruct is one product with the frame's rows, cached read-only, so
+    reconstruct(e_a) is bitwise row a, and the rows are bitwise the oracle's.
+    """
     for B in (loop_basis_lambda2(n), loop_basis_s2(n), loop_basis_s2(n, traceless=False)):
         gram = np.einsum("aij,bij->ab", B, B)
         assert np.max(np.abs(gram - np.eye(len(B)))) <= 1e-12
@@ -60,8 +64,10 @@ def test_basis_orthonormality(n):
     frame = reconstruct(np.eye(N), n)
     assert frame.shape == (N, n, n)
     gram = np.einsum("aij,bij->ab", frame, frame)
-    assert np.max(np.abs(gram - np.eye(N))) <= 1e-14
-    np.testing.assert_allclose(frame, loop_basis_s2(n), rtol=0, atol=1e-15)
+    assert np.max(np.abs(gram - np.eye(N))) <= 1e-15
+    rows = _basis(n)
+    assert rows is _basis(n) and not rows.flags.writeable
+    assert frame.tobytes() == rows.tobytes() == loop_basis_s2(n).tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
