@@ -180,12 +180,12 @@ def _require_bounds_dimension(n: int) -> None:
 #: tensors are drawn, validated, assembled and eigensolved together.
 _BLOCK_TRIALS = 32
 
-#: A probe slice of a block holds at most this many bytes of probe rows,
-#: trials * P * n^2 * 8, and under half as much of frame coordinates, though
-#: always one trial.  With the kernel pass's temporaries, a slice's peak is at
-#: most 2.4 times its probes' e * (n^2 + N) * 8 bytes a trial (measured with
-#: tracemalloc at n = 3 to 24: 2.36 at n = 3, 1.6 to 1.7 from n = 5 on), and the
-#: campaign's size guard counts 2.5 times.
+#: A probe slice of a block holds at most this many bytes a trial of probe
+#: rows, P * n^2 * 8, or of the kernel's reordered copy of its tensor, n^4 * 8,
+#: whichever is more, though always one trial.  With the kernel pass's
+#: temporaries, a slice's peak is at most 2.4 times its probes' e * (n^2 + N) * 8
+#: bytes a trial (measured with tracemalloc at n = 3 to 24: 2.36 at n = 3, 1.6
+#: to 1.7 from n = 5 on), and the campaign's size guard counts 2.5 times.
 _BLOCK_PROBE_BYTES = 1 << 19
 
 #: What a campaign holds per block until it reports: the block and its task
@@ -197,10 +197,11 @@ _BLOCK_HELD_BYTES = 20_000
 def _probe_slices(n: int, count: int, e_per_tensor: int) -> list[slice]:
     """The runs of consecutive trials of a block of ``count`` whose probes go through together.
 
-    A slice holds at most ``_BLOCK_PROBE_BYTES`` of probe rows, though
-    always one trial.
+    A slice holds at most ``_BLOCK_PROBE_BYTES``, counting for each trial
+    its probe rows or the kernel's reordered copy of its tensor, whichever
+    is larger, though always one trial.
     """
-    size = max(1, _BLOCK_PROBE_BYTES // (e_per_tensor * n * n * 8))
+    size = max(1, _BLOCK_PROBE_BYTES // (max(e_per_tensor * n * n, n**4) * 8))
     return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
@@ -209,10 +210,11 @@ def _block_bytes(n: int, count: int, e_per_tensor: int) -> int:
 
     The tensor stage counts twice ``_tensor_bytes(n)`` a trial, since the
     kernel also holds a reordered copy of each tensor of its slice: with
-    one probe per trial, tracemalloc puts a block at 1.70 to 1.77 times
-    at n = 20 and 24.  Then the frame's rows, 8 N n^2 bytes, and one probe
-    slice at 2.5 times 8 bytes a value.  Measured from n = 3 to 24, every
-    block that peaks above 4 MiB peaks below this count.
+    one probe per trial, tracemalloc puts a block of 8 trials at 1.71
+    times at n = 12, and at 1.16 to 1.19 times at n = 16 and 24, where a
+    slice holds one trial.  Then the frame's rows, 8 N n^2 bytes, and one
+    probe slice at 2.5 times 8 bytes a value.  Measured from n = 3 to 24,
+    every block that peaks above 4 MiB peaks below this count.
     """
     N = s2_traceless_dim(n)
     probes = _probe_slices(n, count, e_per_tensor)[0].stop * e_per_tensor
@@ -348,7 +350,10 @@ def _json_text(obj) -> str:
     separator is already the indented line break of its depth; its text
     is used as it is when it holds no string and no nested container (no
     ``"``, no ``{``, no ``[`` after the first character), and otherwise
-    the list is written item by item.  Every other scalar and key is one
+    the list is written item by item.  A 2-D float64 array with at least
+    one entry, such as ``operator_to_json``'s entries, is written as its
+    ``tolist()`` would be, through its distinct values (see
+    :func:`_write_matrix`).  Every other scalar and key is one
     ``json.dumps``.
     """
     out: list[str] = []
@@ -375,7 +380,10 @@ def _write_json(put, obj, pad: str) -> None:
         put(pad + "}")
     elif isinstance(obj, (list, tuple)) and obj:
         if not isinstance(obj[0], (list, tuple, dict, str)):
-            text = _flat_encoder(inner)(obj)
+            try:
+                text = _flat_encoder(inner)(obj)
+            except TypeError:  # an item json cannot write, such as an array
+                text = "[["  # read as nested: the list is written item by item below
             if '"' not in text and "{" not in text and text.find("[", 1) < 0:
                 put("[" + inner)
                 put(text[1:-1])
@@ -387,8 +395,30 @@ def _write_json(put, obj, pad: str) -> None:
             _write_json(put, item, inner)
             sep = "," + inner
         put(pad + "]")
+    elif getattr(obj, "ndim", 0) == 2 and obj.dtype == "float64" and obj.size:
+        _write_matrix(put, obj, pad)
     else:
         put(json.dumps(obj))
+
+
+def _write_matrix(put, obj, pad: str) -> None:
+    """Pass the text of a 2-D float64 array to ``put``: its ``tolist()`` at ``pad``.
+
+    Each distinct bit pattern (so -0.0 apart from 0.0) is written once, by
+    one call of json's C encoder on the distinct values, and each row is
+    joined from that table.  An operator matrix is exactly symmetric, so
+    at most N(N+1)/2 of its N^2 entries differ, and a model's far fewer.
+    """
+    import numpy as np  # an array was passed in, so numpy is loaded already
+
+    bits, inverse = np.unique(obj.view(np.int64), return_inverse=True)
+    table = np.array(json.dumps(bits.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+    # numpy 1.x returns the inverse flat, numpy 2.4 in the array's shape.
+    cells = table[inverse.reshape(obj.shape)].tolist()
+    inner, row = pad + "  ", pad + "    "
+    put("[" + inner + "[" + row)
+    put((inner + "]," + inner + "[" + row).join(("," + row).join(r) for r in cells))
+    put(inner + "]" + pad + "]")
 
 
 class ThresholdProfile(_Record):

@@ -144,6 +144,8 @@ def _text(payload: dict, pad: str = "") -> str:
     """The payload as ``key: value`` lines nested by indentation, losslessly."""
     lines = []
     for key, value in payload.items():
+        if hasattr(value, "tolist"):  # an operator matrix's array, shown as its rows
+            value = value.tolist()
         items = value if isinstance(value, list) else []
         if isinstance(value, dict):
             body = [_text(value, pad + "  ")]

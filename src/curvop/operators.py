@@ -301,9 +301,14 @@ def reconstruct(coeffs, n: int) -> np.ndarray:
 
 
 def operator_to_json(M: OperatorMatrix) -> dict:
-    """Dense JSON export of an operator matrix for external cross-checks."""
+    """Dense JSON export of an operator matrix for external cross-checks.
+
+    ``entries`` is the matrix's read-only (dim, dim) array, which the
+    package's JSON writer writes as the nested lists of its ``tolist()``;
+    a caller who wants plain lists calls ``.tolist()``.
+    """
     return {
         "domain": M.domain,
         "dim": M.dim,
-        "entries": M.entries.tolist(),
+        "entries": M.entries,
     }

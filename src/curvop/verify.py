@@ -604,7 +604,8 @@ def fuzz_campaign(
     trials of each n run in blocks of at most 32: a block's stack of
     tensors is prepared once (validated, assembled and eigensolved), and
     then one kernel pass runs all five checks per slice of at most
-    512 KiB of probe rows (always at least one trial).  ``jobs`` > 1
+    512 KiB of probe rows, or of reordered tensors where those are larger
+    (always at least one trial).  ``jobs`` > 1
     hands whole blocks to worker processes.  Neither blocks nor slices
     depend on ``jobs``, so the report is identical for jobs=1 and
     jobs>1.  Violators (margin below -tol * scale) are persisted to

@@ -17,8 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import curvop.models
 import curvop.verify
-from curvop import SchemaError, fuzz_campaign, model_from_json
-from curvop.cli import main
+from curvop import (SchemaError, fuzz_campaign, model_from_json, random_curvature,
+                    tensor_to_json)
+from curvop.cli import _envelope, build_parser, main
 from curvop.base import (_block_bytes, _fuzz_arguments, _json_text, _physical_memory,
                          _require_memory, _tensor_bytes)
 
@@ -402,6 +403,33 @@ def test_fuzz_size_guard_counts_the_tensor_stage_at_its_measured_peak(capsys, mo
     assert (code, out) == (2, "") and "too large to run" in err
 
 
+def test_model_size_guard_counts_the_builders_peak(capsys, monkeypatch):
+    """CP^16 and the 32-dimensional space form peak at 16.1 and 16.0 MiB as they are
+    built and validated (tracemalloc), beyond the 12.0 MiB of _tensor_bytes(32)."""
+    # Measured on smaller models: the old count falls short, the guard's does not.
+    for build, args in ((curvop.models.fubini_study, (12,)),
+                        (curvop.models.constant_curvature, (24, 1.0))):
+        build(*args)
+        tracemalloc.start()
+        try:
+            build(*args).require_valid()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _tensor_bytes(24) < peak < _tensor_bytes(24) + 8 * 24**4, build
+    # 14 MiB: the old count (12.0 MiB) would build CP^16; the guard (20.0 MiB) refuses it.
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 14 << 20)
+    monkeypatch.setattr("numpy.zeros", _unable_to_allocate)
+    monkeypatch.setattr("numpy.einsum", _unable_to_allocate)
+    assert _tensor_bytes(32) < 14 << 20 < _tensor_bytes(32) + 8 * 32**4
+    with pytest.raises(ValueError, match="^model 'constant_curvature' of dimension n = 32 is too"):
+        curvop.models.constant_curvature(32, 1.0)
+    code, out, err = run_main(capsys, "spectrum", "--model", '{"model": "fubini_study", "m": 16}')
+    assert (code, out) == (2, "")
+    assert err == ("error: model 'fubini_study' of dimension n = 32 is too large to run: it "
+                   "needs about 0.0195 GiB, more than the 0.0137 GiB of physical memory\n")
+
+
 def test_missing_source_is_a_usage_error():
     proc = run_cli("spectrum")
     assert proc.returncode == 2
@@ -602,7 +630,7 @@ REFUSALS = {
     "oversized model": (
         ("check", "--model", '{"model": "constant_curvature", "n": 100000, "kappa": 1.0}',
          "--k", "0"),
-        "model 'constant_curvature' of dimension n = 100000 " + _TOO_LARGE.format("1.12e+12")),
+        "model 'constant_curvature' of dimension n = 100000 " + _TOO_LARGE.format("1.86e+12")),
     "oversized tensor": (
         ("bounds", "--input", "{dir}/huge.json"),
         "a tensor of dimension n = 100000 " + _TOO_LARGE.format("1.12e+12")),
@@ -787,6 +815,11 @@ def test_text_matches_golden_bytes(capsys, name):
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
+def test_every_golden_file_is_pinned_in_all_three_formats():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
+        f"{name}.{ext}" for name in GOLDEN_CALLS for ext in ("csv", "json", "txt"))
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_CALLS))
 def test_machine_formats_match_golden_bytes(capsys, name, fmt):
@@ -844,6 +877,53 @@ JSON_VALUES = st.recursive(
           "f": [[6.5, math.inf], (None, {"k": [7, 8]})]})
 def test_json_text_is_the_indented_json_dump(value):
     assert _json_text(value) == json.dumps(value, indent=2)
+
+
+#: Entries of the drawn matrices: values json writes in its own ways, and any double.
+_ENTRIES = st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5]) \
+    | st.floats()
+
+
+@st.composite
+def _matrices(draw):
+    """A 2-D float64 array, 1 x 1, 1 x k, k x 1 or k x k, whose entries repeat; or its transpose."""
+    k = draw(st.integers(1, 6))
+    rows, cols = draw(st.sampled_from([(1, 1), (1, k), (k, 1), (k, k)]))
+    pool = draw(st.lists(_ENTRIES, min_size=1, max_size=5))
+    entries = draw(st.lists(st.sampled_from(pool), min_size=rows * cols, max_size=rows * cols))
+    matrix = np.array(entries, dtype=np.float64).reshape(rows, cols)
+    return matrix.T if draw(st.booleans()) else matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    _matrices() | _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+))
+@example(np.array([[-0.0, 0.0], [0.0, math.nan]]))
+@example({"a": [np.array([[math.inf, -math.inf, 1e16]]).T, 1.5, {"b": np.ones((1, 1))}]})
+@example([2.5, np.array([[5e-324, 1e-5], [1e-5, 5e-324]])])
+def test_json_text_writes_a_float_matrix_as_its_tolist(value):
+    """A 2-D float64 array anywhere in a payload is written as its nested lists."""
+    assert _json_text(value) == json.dumps(value, indent=2, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("source", ["cp16", "random"])
+def test_spectrum_matrices_json_is_the_indented_dump_of_its_lists(capsys, tmp_path, source):
+    """CP^16 holds 5 and 49 distinct entries; a random tensor's second kind, ~N(N+1)/2."""
+    if source == "cp16":
+        argv = ["--model", '{"model": "fubini_study", "m": 16}']
+    else:
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(tensor_to_json(random_curvature(5, 12))))
+        argv = ["--input", str(path)]
+    args = build_parser().parse_args(["spectrum", *argv, "--matrices", "--no-timestamp"])
+    doc = _envelope("spectrum", args, args.func(args)[1])
+    code, out, _ = run_main(capsys, "spectrum", *argv, "--matrices", "--format", "json",
+                            "--no-timestamp")
+    assert code == 0
+    assert out == json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n"
 
 
 TEXT_CALLS = [

@@ -216,6 +216,7 @@ def test_blocks_match_the_per_trial_oracle(seed, trials_per_n, e_per_tensor):
 @pytest.mark.parametrize("n, count, e_per_tensor, sizes", [
     (8, 12, 200, [5, 5, 2]),
     (8, 3, 1100, [1, 1, 1]),  # 1100 probes at n = 8 exceed 512 KiB
+    (16, 3, 1, [1, 1, 1]),  # so does the reordered tensor at n = 16
 ])
 def test_probe_slices_leave_each_trial_bitwise_its_block_of_one(n, count, e_per_tensor, sizes):
     """Slices split the block's probes; no margin, tol, scale or dual-path error moves a bit."""
@@ -250,6 +251,31 @@ def test_a_block_holds_one_probe_slice_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak < bound, (n, peak)
+
+
+def test_a_probe_slice_counts_the_kernels_reordered_copy_of_each_tensor():
+    """A slice is sized by max(P n^2, n^4) * 8 bytes a trial, its probe rows or its S.
+
+    The slices of the benchmark's shape (25 trials of 200 probes, n = 3 to
+    16) are those of the probe rows alone.  With one probe a trial, eight
+    trials at n = 16 made one slice whose S took 4 MiB; now each trial is
+    its own slice, and the block peaks at about 7.1 MiB, not 10.3 MiB.
+    """
+    for n in range(3, 17):
+        size = _BLOCK_PROBE_BYTES // (200 * n * n * 8) or 1
+        assert [s.stop - s.start for s in _probe_slices(n, 25, 200)] == \
+            [min(size, 25 - lo) for lo in range(0, 25, size)], n
+    assert _probe_slices(24, 8, 1) == [slice(b, b + 1) for b in range(8)]
+    assert _probe_slices(12, 8, 1) == [slice(0, 3), slice(3, 6), slice(6, 8)]
+    args = (5, (16, 0, 8), 1, 1e-9)
+    _fuzz_block(args)
+    tracemalloc.start()
+    try:
+        _fuzz_block(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 2**20
 
 
 def test_report_is_identical_for_one_and_two_jobs_across_a_mid_n_block(tmp_path):

@@ -1,5 +1,6 @@
 """Operator assembly, the fixed frame, spectra, quadratic forms."""
 
+import json
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from curvop import (
     second_kind_matrix,
     spectrum,
 )
+from curvop.base import _json_text
 from curvop.operators import _basis, _symmetric
 
 from oracles import (
@@ -411,8 +413,14 @@ def test_trace_identities():
 
 
 def test_operator_to_json():
+    """``entries`` is the matrix's own read-only array; the JSON writer writes its tolist()."""
     T = constant_curvature(3, 2.0)
-    doc = operator_to_json(second_kind_matrix(T))
+    M = second_kind_matrix(T)
+    doc = operator_to_json(M)
     assert doc["domain"] == "s02"
     assert doc["dim"] == 5
-    np.testing.assert_allclose(np.array(doc["entries"]), 2.0 * np.eye(5), atol=1e-12)
+    assert doc["entries"] is M.entries and not doc["entries"].flags.writeable
+    assert doc["entries"].shape == (5, 5) and doc["entries"].dtype == np.float64
+    np.testing.assert_allclose(doc["entries"], 2.0 * np.eye(5), atol=1e-12)
+    plain = dict(doc, entries=doc["entries"].tolist())
+    assert _json_text(doc) == json.dumps(plain, indent=2)
