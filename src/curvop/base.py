@@ -114,9 +114,18 @@ def s2_traceless_dim(n: int) -> int:
 
 
 def _tensor_bytes(n: int) -> int:
-    """Bytes of an n-dimensional tensor and its two operator matrices: 8 (n^4 + N1^2 + N2^2)."""
+    """Bytes a command holds for an n-dimensional tensor: 8 (2 n^4 + N1^2 + 2 N2^2).
+
+    The one count of a tensor at n, term by term: the tensor, n^4 values;
+    one more n^4 array, which the loader, a builder or the validation holds
+    beside it, or the kernel's reordered copy S; the first-kind matrix,
+    N1^2; and the second-kind matrix and its eigenvectors, 2 N2^2.  Loading,
+    drawing, ``check``, ``bounds``, and ``spectrum --matrices`` on a model
+    peak at 0.73 to 0.98 times this count from n = 20 to 40 (tracemalloc,
+    the input document aside).
+    """
     n = max(n, 0)
-    return 8 * (n**4 + lambda2_dim(n) ** 2 + s2_traceless_dim(n) ** 2)
+    return 8 * (2 * n**4 + lambda2_dim(n) ** 2 + 2 * s2_traceless_dim(n) ** 2)
 
 
 def _require_memory(what: str, nbytes: int) -> None:
@@ -133,13 +142,18 @@ def _require_memory(what: str, nbytes: int) -> None:
                          f"more than the {limit / 2**30:.3g} GiB of physical memory")
 
 
+def _require_tensor(what: str, n: int, extra: int = 0) -> None:
+    """The size guard of ``what`` at dimension n: ``_tensor_bytes(n)`` plus ``extra`` bytes."""
+    _require_memory(f"{what} of dimension n = {n}", _tensor_bytes(n) + extra)
+
+
 def _tensor_header(obj) -> tuple[int, list]:
     """``(n, entries)`` of a tensor document, judged before anything is allocated.
 
     Raises :class:`SchemaError` unless ``obj`` is a dict with an "n" that
     is an integer >= 2 and an "entries" list, and :class:`ValueError`
-    when the tensor and its two operator matrices would not fit in
-    physical memory.  The entries themselves are judged as they are loaded.
+    when what a command holds for the tensor (:func:`_tensor_bytes`) would
+    not fit in physical memory.  The entries are judged as they are loaded.
     """
     if not isinstance(obj, dict):
         raise SchemaError("tensor document must be a JSON object")
@@ -154,7 +168,7 @@ def _tensor_header(obj) -> tuple[int, list]:
         raise SchemaError(str(bad)) from None
     if not isinstance(entries, list):
         raise SchemaError('"entries" must be a list')
-    _require_memory(f"a tensor of dimension n = {n}", _tensor_bytes(n))
+    _require_tensor("a tensor", n)
     return n, entries
 
 
@@ -208,17 +222,13 @@ def _probe_slices(n: int, count: int, e_per_tensor: int) -> list[slice]:
 def _block_bytes(n: int, count: int, e_per_tensor: int) -> int:
     """What the campaign's size guard counts for a fuzz block of ``count`` trials at n.
 
-    The tensor stage counts twice ``_tensor_bytes(n)`` a trial, since the
-    kernel also holds a reordered copy of each tensor of its slice: with
-    one probe per trial, tracemalloc puts a block of 8 trials at 1.71
-    times at n = 12, and at 1.16 to 1.19 times at n = 16 and 24, where a
-    slice holds one trial.  Then the frame's rows, 8 N n^2 bytes, and one
-    probe slice at 2.5 times 8 bytes a value.  Measured from n = 3 to 24,
+    ``_tensor_bytes(n)`` a trial, the frame's rows, 8 N n^2 bytes, and one
+    probe slice at 2.5 times 8 bytes a value.  Measured from n = 3 to 28,
     every block that peaks above 4 MiB peaks below this count.
     """
     N = s2_traceless_dim(n)
     probes = _probe_slices(n, count, e_per_tensor)[0].stop * e_per_tensor
-    return 2 * count * _tensor_bytes(n) + 8 * N * n * n + 20 * probes * (n * n + N)
+    return count * _tensor_bytes(n) + 8 * N * n * n + 20 * probes * (n * n + N)
 
 
 def _fuzz_arguments(seed, trials_per_n, ns, e_per_tensor, tol, jobs) -> tuple:

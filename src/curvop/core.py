@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .base import (CurvopError, InvalidTensorError, SchemaError, TraceError, _integer, _Record,
-                   _require_memory, _tensor_bytes, _tensor_header)
+                   _require_tensor, _tensor_header)
 
 __all__ = list(_EXPORTS["core"])
 
@@ -422,14 +422,13 @@ def random_curvature(seed: int, n: int, terms: int = 3) -> CurvatureTensor:
     exactly what :func:`tensor_to_json` stores, and it is bitwise
     reproducible for a fixed seed.
     Raises :class:`ValueError` unless seed >= 0, n >= 2 and terms >= 1,
-    and before anything is drawn when the tensor, its two operator matrices
-    and the draws (``terms`` n x n matrices, held in four buffers while
-    they are mirrored) would not fit in physical memory.
+    and before anything is drawn when what a command holds for the tensor
+    (``base._require_tensor``) and the draws (``terms`` n x n matrices, held
+    in four buffers while they are mirrored) would not fit in physical memory.
     """
     seed, n = _integer("seed", seed, 0), _integer("dimension n", n, 2)
     terms = _integer("terms", terms, 1)
-    _require_memory(f"a random tensor of dimension n = {n}",
-                    _tensor_bytes(n) + 4 * 8 * terms * n * n)
+    _require_tensor("a random tensor", n, 4 * 8 * terms * n * n)
     return CurvatureTensor(n, _random_stack([np.random.default_rng(seed)], n, [terms])[0],
                            _owned=True)
 
@@ -575,8 +574,8 @@ def tensor_from_json(obj: dict) -> CurvatureTensor:
     numbers, or entries whose symmetry orbits assign conflicting values
     (disagreement beyond 1e-12 * |v|).  The first offending entry is the
     one reported, after any fault of the header (``base._tensor_header``).
-    Raises :class:`ValueError` when the tensor and its two operator
-    matrices would not fit in physical memory.
+    Raises :class:`ValueError` when what a command holds for the tensor
+    (``base._require_tensor``) would not fit in physical memory.
     """
     n, entries = _tensor_header(obj)
     # Allocated first: a size too large to allocate fails here, before the

@@ -29,21 +29,9 @@ from __future__ import annotations
 import math
 
 from . import _EXPORTS
-from .base import SchemaError, _integer, _real, _Record, _require_memory, _tensor_bytes
+from .base import SchemaError, _integer, _real, _Record, _require_tensor
 
 __all__ = list(_EXPORTS["models"])
-
-
-def _require_fits(kind: str, n: int) -> None:
-    """The size guard of model ``kind`` at dimension n, run before anything is allocated.
-
-    It counts the tensor and its two operator matrices, ``_tensor_bytes(n)``,
-    and one more n^4 array: ``fubini_study``'s sum holds two einsum terms at
-    once, ``constant_curvature`` scales a copy, and validation holds one
-    beside the tensor (tracemalloc at n = 32: 16.1 and 16.0 MiB, where
-    ``_tensor_bytes`` is 12.0 MiB).
-    """
-    _require_memory(f"model {kind!r} of dimension n = {n}", _tensor_bytes(n) + 8 * max(n, 0) ** 4)
 
 
 def _constant_curvature_args(n, kappa) -> tuple[int, float]:
@@ -55,12 +43,11 @@ def constant_curvature(n: int, kappa: float) -> CurvatureTensor:
     """Round space form of sectional curvature kappa in dimension n.
 
     R[i,j,i,j] = kappa for i != j; n >= 2 and kappa is finite.  Raises
-    :class:`ValueError` for other arguments, or when the tensor, its two
-    operator matrices and one more n^4 array would not fit in physical
-    memory.
+    :class:`ValueError` for other arguments, or when what a command holds
+    for the tensor (``base._require_tensor``) would not fit in physical memory.
     """
     n, kappa = _constant_curvature_args(n, kappa)
-    _require_fits("constant_curvature", n)
+    _require_tensor("model 'constant_curvature'", n)
     import numpy as np
 
     from .core import kulkarni_nomizu
@@ -90,13 +77,12 @@ def product_spheres(p: int, q: int, r1: float, r2: float) -> CurvatureTensor:
     component with indices from both factors vanishes.  Ricci is
     diagonal with entries (p-1)/r1^2 (p times) and (q-1)/r2^2 (q times).
     p, q >= 2, and r1, r2 > 0 with 1/r^2 a positive finite double;
-    raises :class:`ValueError` otherwise, or when the tensor, its two
-    operator matrices and one more n^4 array would not fit in physical
-    memory.
+    raises :class:`ValueError` otherwise, or when what a command holds for
+    the tensor (``base._require_tensor``) would not fit in physical memory.
     """
     p, q, kappa1, kappa2 = _product_spheres_args(p, q, r1, r2)
     n = p + q
-    _require_fits("product_spheres", n)
+    _require_tensor("model 'product_spheres'", n)
     import numpy as np
 
     from .core import CurvatureTensor
@@ -123,12 +109,12 @@ def fubini_study(m: int) -> CurvatureTensor:
 
     Einstein with Ric = (2m + 2) g; for m = 1 (the least m) this is the
     round 2-sphere of curvature 4.  Raises :class:`ValueError` for other
-    m, or when the tensor, its two operator matrices and one more n^4
-    array would not fit in physical memory.
+    m, or when what a command holds for the tensor (``base._require_tensor``)
+    would not fit in physical memory.
     """
     m = _fubini_study_args(m)
     n = 2 * m
-    _require_fits("fubini_study", n)
+    _require_tensor("model 'fubini_study'", n)
     import numpy as np
 
     from .core import CurvatureTensor
@@ -174,8 +160,9 @@ class ModelSpec(_Record):
 
     ``params`` holds plain Python numbers keyed by the family's schema:
     an int or a float as the builder's annotation names, judged by the
-    package's one rule for numbers.  Then come the size guard (ValueError)
-    and the builder's ranges (SchemaError), so any ModelSpec can be built.
+    package's one rule for numbers.  Then come the size guard of a tensor
+    at the model's n (ValueError) and the builder's ranges (SchemaError),
+    so any ModelSpec can be built.
     """
 
     kind: str
@@ -202,7 +189,7 @@ class ModelSpec(_Record):
                 f"model {self.kind!r} got unknown parameters {sorted(extra)}"
             )
         object.__setattr__(self, "params", clean)
-        _require_fits(self.kind, self.n)
+        _require_tensor(f"model {self.kind!r}", self.n)
         try:
             _REGISTRY[self.kind][3](**clean)
         except ValueError as bad:

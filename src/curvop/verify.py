@@ -614,8 +614,8 @@ def fuzz_campaign(
     :class:`ValueError` unless seed >= 0, trials_per_n >= 1, ``ns``
     holds one or more n >= 3, e_per_tensor >= 1, tol >= 0 and jobs >= 1,
     and before any block is listed when the block list, the results and
-    one block of the largest n (its tensor stage, the frame's rows and one
-    probe slice) would not fit in physical memory; ``jobs`` is capped
+    one block of the largest n (what each tensor holds, the frame's rows
+    and one probe slice) would not fit in physical memory; ``jobs`` is capped
     at the CPU count and the number of blocks.  A violator's file carries
     the violation's fields, bar its path, and the campaign seed as ``meta``.
     """

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import curvop.models
 import curvop.verify
 from curvop import (SchemaError, fuzz_campaign, model_from_json, random_curvature,
-                    tensor_to_json)
+                    tensor_from_json, tensor_to_json)
 from curvop.cli import _envelope, build_parser, main
 from curvop.base import (_block_bytes, _fuzz_arguments, _json_text, _physical_memory,
                          _require_memory, _tensor_bytes)
@@ -357,7 +357,7 @@ def test_input_beyond_physical_memory_exits_two_before_allocating(capsys, monkey
 
 
 def test_size_guard_refuses_only_an_estimate_beyond_physical_memory(monkeypatch):
-    assert _tensor_bytes(3) == 8 * (3**4 + 3**2 + 5**2)
+    assert _tensor_bytes(3) == 8 * (2 * 3**4 + 3**2 + 2 * 5**2) == 1768
     assert _tensor_bytes(-10**9) == _tensor_bytes(0)  # a negative n is refused by its builder
     assert _physical_memory() is None or _physical_memory() > 0
     monkeypatch.setattr("curvop.base._physical_memory", lambda: 1000)
@@ -382,21 +382,28 @@ def test_fuzz_size_guard_counts_one_probe_slice(capsys, monkeypatch):
         _fuzz_arguments(2024, trials, range(3, 9), 200, 1e-9, 1)
 
 
-def test_fuzz_size_guard_counts_the_tensor_stage_at_its_measured_peak(capsys, monkeypatch):
-    """32 trials at n = 24 count 122 MiB at one _tensor_bytes a trial, but a block
-    peaks at about 206 MiB (tracemalloc: 51.6 MiB for 8 trials of one probe)."""
-    # Measured on a smaller block: the one-times count falls short, the guard's does not.
+def _traced_peak(run) -> int:
+    """The peak traced memory of a second ``run()``: the first makes the lazy imports
+    and the caches that a process makes once, such as the frame's rows of an n."""
+    run()
     tracemalloc.start()
     try:
-        curvop.verify._fuzz_block((5, (12, 0, 8), 1, 1e-9))
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 8 * _tensor_bytes(12) + 20 * 8 * (12 * 12 + 77) < peak < _block_bytes(12, 8, 1)
-    # 160 MiB: the one-times count (122 MiB) would start the block; the guard refuses it.
+
+
+def test_fuzz_size_guard_counts_the_tensor_stage_at_its_measured_peak(capsys, monkeypatch):
+    """32 trials at n = 24 count 122 MiB at 8 (n^4 + N1^2 + N2^2) bytes a trial, the
+    tensor and its two matrices, but a block peaks at about 140 MiB (tracemalloc)."""
+    # Measured on a smaller block: that count falls short, the guard's does not.
+    peak = _traced_peak(lambda: curvop.verify._fuzz_block((5, (12, 0, 8), 1, 1e-9)))
+    assert 8 * 8 * (12**4 + 66**2 + 77**2) + 20 * 8 * (12 * 12 + 77) < peak < _block_bytes(12, 8, 1)
+    # 160 MiB: that count (122 MiB) would start the block; the guard refuses it.
     monkeypatch.setattr("curvop.base._physical_memory", lambda: 160 << 20)
     monkeypatch.setattr("numpy.empty", _unable_to_allocate)
-    assert 20_000 + 32 * _tensor_bytes(24) + 20 * 32 * (24 * 24 + 299) < 160 << 20
+    assert 20_000 + 32 * 8 * (24**4 + 276**2 + 299**2) + 20 * 32 * (24 * 24 + 299) < 160 << 20
     with pytest.raises(ValueError, match=r"^a campaign of 32 trials for each n in \[24\] is too"):
         fuzz_campaign(0, 32, (24,), 1)
     code, out, err = run_main(capsys, "fuzz", "--n", "24", "--trials", "32", "--e-per-tensor", "1")
@@ -405,29 +412,77 @@ def test_fuzz_size_guard_counts_the_tensor_stage_at_its_measured_peak(capsys, mo
 
 def test_model_size_guard_counts_the_builders_peak(capsys, monkeypatch):
     """CP^16 and the 32-dimensional space form peak at 16.1 and 16.0 MiB as they are
-    built and validated (tracemalloc), beyond the 12.0 MiB of _tensor_bytes(32)."""
-    # Measured on smaller models: the old count falls short, the guard's does not.
+    built and validated (tracemalloc), beyond the 12.0 MiB of the tensor and its two
+    matrices, 8 (n^4 + N1^2 + N2^2) bytes."""
+    # Measured on smaller models: that count falls short; the bounds --model rows of
+    # test_each_path_peaks_below_what_its_size_guard_counts check that the guard's does not.
     for build, args in ((curvop.models.fubini_study, (12,)),
                         (curvop.models.constant_curvature, (24, 1.0))):
-        build(*args)
-        tracemalloc.start()
-        try:
-            build(*args).require_valid()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert _tensor_bytes(24) < peak < _tensor_bytes(24) + 8 * 24**4, build
-    # 14 MiB: the old count (12.0 MiB) would build CP^16; the guard (20.0 MiB) refuses it.
+        peak = _traced_peak(lambda: build(*args).require_valid())
+        assert 8 * (24**4 + 276**2 + 299**2) < peak, build
+    # 14 MiB: that count (12.0 MiB) would build CP^16; the guard (22.1 MiB) refuses it.
     monkeypatch.setattr("curvop.base._physical_memory", lambda: 14 << 20)
     monkeypatch.setattr("numpy.zeros", _unable_to_allocate)
     monkeypatch.setattr("numpy.einsum", _unable_to_allocate)
-    assert _tensor_bytes(32) < 14 << 20 < _tensor_bytes(32) + 8 * 32**4
+    assert 8 * (32**4 + 496**2 + 527**2) < 14 << 20 < _tensor_bytes(32)
     with pytest.raises(ValueError, match="^model 'constant_curvature' of dimension n = 32 is too"):
         curvop.models.constant_curvature(32, 1.0)
     code, out, err = run_main(capsys, "spectrum", "--model", '{"model": "fubini_study", "m": 16}')
     assert (code, out) == (2, "")
     assert err == ("error: model 'fubini_study' of dimension n = 32 is too large to run: it "
-                   "needs about 0.0195 GiB, more than the 0.0137 GiB of physical memory\n")
+                   "needs about 0.0216 GiB, more than the 0.0137 GiB of physical memory\n")
+
+
+def _report(*argv) -> str:
+    """A command's JSON report, computed and rendered in process as ``main`` does."""
+    args = build_parser().parse_args([*argv, "--format", "json", "--no-timestamp"])
+    return _json_text(_envelope(args.command, args, args.func(args)[1]))
+
+
+#: What a command holds for a tensor at n, each path given the model document
+#: of CP^(n/2), that of S^n, and a file whose parse is the document of a drawn tensor.
+_TENSOR_PATHS = {
+    "bounds --model CP": lambda cp, sphere, doc, path: _report("bounds", "--model", cp),
+    "bounds --model S": lambda cp, sphere, doc, path: _report("bounds", "--model", sphere),
+    "bounds --input": lambda cp, sphere, doc, path: _report("bounds", "--input", path),
+    "tensor_from_json": lambda cp, sphere, doc, path: tensor_from_json(doc).require_valid(),
+    "random_curvature": lambda cp, sphere, doc, path: random_curvature(7, doc["n"]).require_valid(),
+    "spectrum --matrices CP": lambda cp, sphere, doc, path: _report("spectrum", "--model", cp,
+                                                                    "--matrices"),
+    "check --model CP": lambda cp, sphere, doc, path: _report("check", "--model", cp, "--k", "2"),
+}
+
+
+@pytest.mark.parametrize("what, n", [(what, n) for what in _TENSOR_PATHS for n in (24, 32)]
+                         + [("_fuzz_block", n) for n in (3, 8, 24)])
+def test_each_path_peaks_below_what_its_size_guard_counts(monkeypatch, tmp_path, what, n):
+    """Loading, drawing, building and each command on a tensor at n peak below
+    ``_tensor_bytes(n)``, and a fuzz block of 32 trials of 200 probes below
+    ``_block_bytes``: tracemalloc, with the input document made beforehand."""
+    if what == "_fuzz_block":
+        peak = _traced_peak(lambda: curvop.verify._fuzz_block((5, (n, 0, 32), 200, 1e-9)))
+        assert peak < _block_bytes(n, 32, 200)
+        return
+    cp = json.dumps({"model": "fubini_study", "m": n // 2})
+    sphere = json.dumps({"model": "constant_curvature", "n": n, "kappa": 1.0})
+    doc = tensor_to_json(random_curvature(7, n))
+    if what == "bounds --input":  # parsed before the size guard runs, so its parse is not traced
+        monkeypatch.setattr("curvop.cli._parse_json", lambda text, where: doc)
+        (tmp_path / "tensor.json").write_text("{}")
+    peak = _traced_peak(lambda: _TENSOR_PATHS[what](cp, sphere, doc, str(tmp_path / "tensor.json")))
+    assert peak < _tensor_bytes(n)
+
+
+def test_input_between_the_old_and_the_new_count_exits_two(capsys, monkeypatch, tmp_path):
+    """21 MiB holds the 12.0 MiB of a 32-dimensional tensor and its two matrices, not
+    the 22.1 MiB that bounds holds for it."""
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 21 << 20)
+    monkeypatch.setattr("numpy.zeros", _unable_to_allocate)
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text('{"n": 32, "entries": []}')
+    assert run_main(capsys, "bounds", "--input", str(tensor)) == (
+        2, "", "error: a tensor of dimension n = 32 is too large to run: it needs about "
+               "0.0216 GiB, more than the 0.0205 GiB of physical memory\n")
 
 
 def test_missing_source_is_a_usage_error():
@@ -630,10 +685,10 @@ REFUSALS = {
     "oversized model": (
         ("check", "--model", '{"model": "constant_curvature", "n": 100000, "kappa": 1.0}',
          "--k", "0"),
-        "model 'constant_curvature' of dimension n = 100000 " + _TOO_LARGE.format("1.86e+12")),
+        "model 'constant_curvature' of dimension n = 100000 " + _TOO_LARGE.format("2.05e+12")),
     "oversized tensor": (
         ("bounds", "--input", "{dir}/huge.json"),
-        "a tensor of dimension n = 100000 " + _TOO_LARGE.format("1.12e+12")),
+        "a tensor of dimension n = 100000 " + _TOO_LARGE.format("2.05e+12")),
     "k above N for --model": (
         ("check", "--model", SPHERE, "--k", "99"), "k must lie in [1, 9], got 99.0"),
     "k below 1 for --input": (
