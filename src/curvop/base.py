@@ -2,13 +2,15 @@
 
 Everything here is plain Python, so the commands that need no array
 (``curvop threshold``, ``curvop models``, ``--help``) and the parser that
-every command builds run without loading numpy.  The array modules import
-their errors and their record base from here.  So does every rule that
-judges an input before an array exists: the dimension formulas, the
-tensor document's header, the size guard, k, the tolerance, the bounds'
-n >= 3 and the fuzz campaign's arguments.  The library applies each where
-it is needed, and the CLI applies it first, so a refused input never
-loads numpy.
+every command builds run without loading numpy.  The report writer is
+json's indenting encoder; an operator matrix, which only a report built
+with numpy holds, is written in by ``_write_matrix``.  The array
+modules import their errors and their record base from here.  So does
+every rule that judges an input before an array exists: the dimension
+formulas, the tensor document's header, the size guard, k, the
+tolerance, the bounds' n >= 3 and the fuzz campaign's arguments.  The
+library applies each where it is needed, and the CLI applies it first,
+so a refused input never loads numpy.
 
 The two dimension thresholds of the paper are closed-form:
 
@@ -26,7 +28,6 @@ theorem states.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -351,69 +352,40 @@ class _Record:
 
 
 def _json_text(obj) -> str:
-    """Exactly what ``json.dumps`` writes with an indent of 2, flat lists in C.
+    """Exactly ``json.dumps(obj, indent=2)``, with each 2-D float64 array as its ``tolist()``.
 
-    Any indent sends json to its pure-Python encoder, one call per value.
-    Here only the nesting is Python, written in one pass into one list
-    that is joined once.  A list or tuple whose first item is not a
-    list, tuple, dict or str is one call of json's C encoder, whose item
-    separator is already the indented line break of its depth; its text
-    is used as it is when it holds no string and no nested container (no
-    ``"``, no ``{``, no ``[`` after the first character), and otherwise
-    the list is written item by item.  A 2-D float64 array with at least
-    one entry, such as ``operator_to_json``'s entries, is written as its
-    ``tolist()`` would be, through its distinct values (see
-    :func:`_write_matrix`).  Every other scalar and key is one
-    ``json.dumps``.
+    json's indenting encoder writes the report with a placeholder string
+    for each 2-D float64 array with at least one entry, such as
+    ``operator_to_json``'s entries, and :func:`_write_matrix` writes the
+    array in at the placeholder's indent.  Any other value json cannot
+    write raises json's own TypeError.  Should a string of the report read
+    as the placeholder, the placeholder is lengthened and json writes again.
     """
+    arrays, mark, pieces = [], "", []
+
+    def hold(value):
+        if getattr(value, "ndim", 0) == 2 and value.dtype == "float64" and value.size:
+            arrays.append(value)
+            return mark
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+    while len(pieces) != len(arrays) + 1:  # the first try, or a string read as the mark
+        arrays.clear()
+        mark += "\0"
+        pieces = json.dumps(obj, indent=2, default=hold).split(json.dumps(mark))
     out: list[str] = []
-    _write_json(out.append, obj, "\n")
+    for before, array in zip(pieces, arrays):
+        line = before[before.rfind("\n") + 1:]
+        out.append(before)
+        _write_matrix(out.append, array, "\n" + " " * (len(line) - len(line.lstrip(" "))))
+    out.append(pieces[-1])
     return "".join(out)
 
 
-@functools.cache
-def _flat_encoder(inner: str):
-    """json's C encoder with ``"," + inner`` between list items: a list whose items sit at ``inner``."""
-    return json.JSONEncoder(separators=("," + inner, ": ")).encode
-
-
-def _write_json(put, obj, pad: str) -> None:
-    """Pass the text of ``obj`` to ``put`` in pieces; ``pad`` is the line break and indent of obj."""
-    inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        sep = "{" + inner
-        for key, value in obj.items():
-            # json.dumps({key: 0}) is '{KEY: 0}': KEY as json converts it, str or not.
-            put(sep + json.dumps({key: 0})[1:-2])
-            _write_json(put, value, inner)
-            sep = "," + inner
-        put(pad + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        if not isinstance(obj[0], (list, tuple, dict, str)):
-            try:
-                text = _flat_encoder(inner)(obj)
-            except TypeError:  # an item json cannot write, such as an array
-                text = "[["  # read as nested: the list is written item by item below
-            if '"' not in text and "{" not in text and text.find("[", 1) < 0:
-                put("[" + inner)
-                put(text[1:-1])
-                put(pad + "]")
-                return
-        sep = "[" + inner
-        for item in obj:
-            put(sep)
-            _write_json(put, item, inner)
-            sep = "," + inner
-        put(pad + "]")
-    elif getattr(obj, "ndim", 0) == 2 and obj.dtype == "float64" and obj.size:
-        _write_matrix(put, obj, pad)
-    else:
-        put(json.dumps(obj))
-
-
 def _write_matrix(put, obj, pad: str) -> None:
-    """Pass the text of a 2-D float64 array to ``put``: its ``tolist()`` at ``pad``.
+    """Pass the text of a 2-D float64 array to ``put``: its ``tolist()`` as indented json.
 
+    ``pad`` is the line break and indent of the line the array starts on.
     Each distinct bit pattern (so -0.0 apart from 0.0) is written once, by
     one call of json's C encoder on the distinct values, and each row is
     joined from that table.  An operator matrix is exactly symmetric, so

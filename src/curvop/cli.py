@@ -39,8 +39,8 @@ from pathlib import Path
 
 from . import __version__
 from .base import (TOL_INEQ, CurvopError, _fuzz_arguments, _json_text, _k_count,
-                   _require_bounds_dimension, _tensor_header, _tol, s2_traceless_dim,
-                   threshold_profile)
+                   _require_bounds_dimension, _require_tensor, _tensor_header, _tol,
+                   lambda2_dim, s2_traceless_dim, threshold_profile)
 
 __all__ = ["main", "entrypoint"]
 
@@ -166,7 +166,12 @@ def _text(payload: dict, pad: str = "") -> str:
 
 
 def _cmd_spectrum(args):
-    T = _load_tensor(args)
+    def rule(n):
+        # The report holds and writes both matrices in at most 88 bytes an entry:
+        # 84 to 87 as JSON, about 50 as text (tracemalloc, random tensors, n = 24 to 40).
+        _require_tensor("a tensor", n, extra=88 * (lambda2_dim(n) ** 2 + s2_traceless_dim(n) ** 2))
+
+    T = _load_tensor(args, rule if args.matrices else None)
     from .operators import first_kind_matrix, operator_to_json, second_kind_matrix, spectrum
 
     payload = {"n": T.n, "fingerprint": T.fingerprint}

@@ -303,9 +303,9 @@ def reconstruct(coeffs, n: int) -> np.ndarray:
 def operator_to_json(M: OperatorMatrix) -> dict:
     """Dense JSON export of an operator matrix for external cross-checks.
 
-    ``entries`` is the matrix's read-only (dim, dim) array, which the
-    package's JSON writer writes as the nested lists of its ``tolist()``;
-    a caller who wants plain lists calls ``.tolist()``.
+    ``entries`` is the matrix's read-only (dim, dim) array.  The package's
+    JSON writer puts in the nested lists of its ``tolist()``, each distinct
+    value written once; a caller who wants plain lists calls ``.tolist()``.
     """
     return {
         "domain": M.domain,

@@ -566,11 +566,11 @@ def _fuzz_block(args) -> dict:
 def persist_violator(T: CurvatureTensor, directory, meta: dict | None = None) -> Path:
     """Write a violating tensor (plus metadata) for regression replay.
 
-    The file holds one entry per symmetry orbit.  A drawn tensor's linear
-    symmetries hold exactly, so the file reloads it bitwise and ``curvop
-    bounds --input FILE`` replays the three E-free margins to the bit, as
-    ``random_curvature(trial_seed, n, terms)`` does from the trial that a
-    campaign's ``meta`` names.  ``bounds`` takes
+    The file is ``json.dumps(doc, indent=2)`` of one entry per symmetry
+    orbit.  A drawn tensor's linear symmetries hold exactly, so the file
+    reloads it bitwise and ``curvop bounds --input FILE`` replays the three
+    E-free margins to the bit, as ``random_curvature(trial_seed, n, terms)``
+    does from the trial that a campaign's ``meta`` names.  ``bounds`` takes
     the E checks at the trace-free Ricci tensor, not at the fuzz probe,
     so an E-dependent margin replays only through the trial's stream.
     """

@@ -19,7 +19,7 @@ import curvop.models
 import curvop.verify
 from curvop import (SchemaError, fuzz_campaign, model_from_json, random_curvature,
                     tensor_from_json, tensor_to_json)
-from curvop.cli import _envelope, build_parser, main
+from curvop.cli import _envelope, _text, build_parser, main
 from curvop.base import (_block_bytes, _fuzz_arguments, _json_text, _physical_memory,
                          _require_memory, _tensor_bytes)
 
@@ -433,10 +433,11 @@ def test_model_size_guard_counts_the_builders_peak(capsys, monkeypatch):
                    "needs about 0.0216 GiB, more than the 0.0137 GiB of physical memory\n")
 
 
-def _report(*argv) -> str:
-    """A command's JSON report, computed and rendered in process as ``main`` does."""
-    args = build_parser().parse_args([*argv, "--format", "json", "--no-timestamp"])
-    return _json_text(_envelope(args.command, args, args.func(args)[1]))
+def _report(*argv, fmt="json") -> str:
+    """A command's JSON or text report, computed and rendered in process as ``main`` does."""
+    args = build_parser().parse_args([*argv, "--format", fmt, "--no-timestamp"])
+    payload = args.func(args)[1]
+    return _json_text(_envelope(args.command, args, payload)) if fmt == "json" else _text(payload)
 
 
 #: What a command holds for a tensor at n, each path given the model document
@@ -449,6 +450,10 @@ _TENSOR_PATHS = {
     "random_curvature": lambda cp, sphere, doc, path: random_curvature(7, doc["n"]).require_valid(),
     "spectrum --matrices CP": lambda cp, sphere, doc, path: _report("spectrum", "--model", cp,
                                                                     "--matrices"),
+    "spectrum --matrices --input": lambda cp, sphere, doc, path: _report(
+        "spectrum", "--input", path, "--matrices"),
+    "spectrum --matrices --input, text": lambda cp, sphere, doc, path: _report(
+        "spectrum", "--input", path, "--matrices", fmt="text"),
     "check --model CP": lambda cp, sphere, doc, path: _report("check", "--model", cp, "--k", "2"),
 }
 
@@ -457,8 +462,9 @@ _TENSOR_PATHS = {
                          + [("_fuzz_block", n) for n in (3, 8, 24)])
 def test_each_path_peaks_below_what_its_size_guard_counts(monkeypatch, tmp_path, what, n):
     """Loading, drawing, building and each command on a tensor at n peak below
-    ``_tensor_bytes(n)``, and a fuzz block of 32 trials of 200 probes below
-    ``_block_bytes``: tracemalloc, with the input document made beforehand."""
+    ``_tensor_bytes(n)``, ``spectrum --matrices`` on a drawn tensor below what its
+    size guard counts with the report, and a fuzz block of 32 trials of 200 probes
+    below ``_block_bytes``: tracemalloc, with the input document made beforehand."""
     if what == "_fuzz_block":
         peak = _traced_peak(lambda: curvop.verify._fuzz_block((5, (n, 0, 32), 200, 1e-9)))
         assert peak < _block_bytes(n, 32, 200)
@@ -466,11 +472,16 @@ def test_each_path_peaks_below_what_its_size_guard_counts(monkeypatch, tmp_path,
     cp = json.dumps({"model": "fubini_study", "m": n // 2})
     sphere = json.dumps({"model": "constant_curvature", "n": n, "kappa": 1.0})
     doc = tensor_to_json(random_curvature(7, n))
-    if what == "bounds --input":  # parsed before the size guard runs, so its parse is not traced
+    if "--input" in what:  # parsed before the size guard runs, so its parse is not traced
         monkeypatch.setattr("curvop.cli._parse_json", lambda text, where: doc)
         (tmp_path / "tensor.json").write_text("{}")
+    counts = [_tensor_bytes(n)]
+    if "--matrices --input" in what:  # the largest count of the command's size guards
+        guard = curvop.base._require_memory
+        monkeypatch.setattr("curvop.base._require_memory",
+                            lambda label, nbytes: counts.append(nbytes) or guard(label, nbytes))
     peak = _traced_peak(lambda: _TENSOR_PATHS[what](cp, sphere, doc, str(tmp_path / "tensor.json")))
-    assert peak < _tensor_bytes(n)
+    assert peak < max(counts)
 
 
 def test_input_between_the_old_and_the_new_count_exits_two(capsys, monkeypatch, tmp_path):
@@ -483,6 +494,22 @@ def test_input_between_the_old_and_the_new_count_exits_two(capsys, monkeypatch, 
     assert run_main(capsys, "bounds", "--input", str(tensor)) == (
         2, "", "error: a tensor of dimension n = 32 is too large to run: it needs about "
                "0.0216 GiB, more than the 0.0205 GiB of physical memory\n")
+
+
+def test_matrices_between_the_tensor_and_the_report_count_exit_two(capsys, monkeypatch, tmp_path):
+    """40 MiB holds the 22.1 MiB of a 32-dimensional tensor, not the 44 MiB more, 88 bytes
+    an entry, of its report with both matrices."""
+    monkeypatch.setattr("curvop.base._physical_memory", lambda: 40 << 20)
+    assert _tensor_bytes(32) < 40 << 20 < _tensor_bytes(32) + 88 * (496**2 + 527**2)
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text('{"n": 32, "entries": []}')
+    with monkeypatch.context() as m:
+        m.setattr("numpy.zeros", _unable_to_allocate)
+        assert run_main(capsys, "spectrum", "--input", str(tensor), "--matrices") == (
+            2, "", "error: a tensor of dimension n = 32 is too large to run: it needs about "
+                   "0.0645 GiB, more than the 0.0391 GiB of physical memory\n")
+    code, out, err = run_main(capsys, "spectrum", "--input", str(tensor))
+    assert (code, err) == (0, "") and out.startswith("n: 32\n")
 
 
 def test_missing_source_is_a_usage_error():
@@ -770,6 +797,10 @@ IMPORT_CASES = [
     ("import curvop.base\ncurvop.base._physical_memory = lambda: 64 << 20\n"
      + _main_in(["fuzz", "--n", "8", "--trials", "1", "--e-per-tensor", str(10**6)]),
      ("numpy", "dataclasses")),
+    ("import curvop.base\ncurvop.base._physical_memory = lambda: 40 << 20\n"
+     + _main_in(["spectrum", "--model", '{"model": "constant_curvature", "n": 32, "kappa": 1.0}',
+                 "--matrices"]),
+     ("numpy", "dataclasses")),
 ]
 
 
@@ -779,8 +810,8 @@ def test_cli_import_skips_the_process_pool(tmp_path):
     The pool's modules load only when ``fuzz --jobs`` > 1 runs one;
     ``import curvop`` loads no submodule; ``threshold``, ``models``,
     ``--help``, ``--version``, a model builder refused for its size,
-    every refusal in ``REFUSALS`` and a campaign refused for its probes
-    never load numpy; ``spectrum`` and ``check`` never load ``verify``;
+    every refusal in ``REFUSALS``, a campaign refused for its probes and
+    ``spectrum --matrices`` refused for its report never load numpy; ``spectrum`` and ``check`` never load ``verify``;
     and no command loads ``dataclasses``.
     """
     _write_refusal_files(tmp_path)
@@ -908,7 +939,7 @@ JSON_VALUES = st.recursive(
         st.lists(_NUMBERS, max_size=6).map(tuple),
         st.lists(_NUMBERS | st.booleans() | st.none(), max_size=6),
         st.lists(_NUMBERS | st.floats().map(np.float64), max_size=6),
-        # A scalar first, then anything: the flat encoding is tried and refused.
+        # A scalar first, then anything: scalars and containers in one list.
         st.tuples(_NUMBERS | st.booleans() | st.none(), st.lists(inner, min_size=1, max_size=3))
         .map(lambda head_tail: [head_tail[0], *head_tail[1]]),
     ),
@@ -927,7 +958,7 @@ JSON_VALUES = st.recursive(
 @example((None, {"k": 1}))
 @example([True, []])
 @example([2**70, {}])
-# Flat number lists at three depths, each beside a list the flat encoding refuses.
+# Number lists at three depths, each beside a list that mixes scalars and containers.
 @example({"a": [1, 2.5], "b": {"c": (-0.0, math.nan), "d": [[3, 4], [0.5, [1]], (5, "e")]},
           "f": [[6.5, math.inf], (None, {"k": [7, 8]})]})
 def test_json_text_is_the_indented_json_dump(value):
@@ -959,9 +990,26 @@ def _matrices(draw):
 @example(np.array([[-0.0, 0.0], [0.0, math.nan]]))
 @example({"a": [np.array([[math.inf, -math.inf, 1e16]]).T, 1.5, {"b": np.ones((1, 1))}]})
 @example([2.5, np.array([[5e-324, 1e-5], [1e-5, 5e-324]])])
+# Strings that read as the matrix's placeholder, "\x00", or as the lengthened one,
+# beside a matrix: at the top level, inside a list, and as a dict key.
+@example(["\x00", np.ones((1, 1)), "\x00\x00"])
+@example({"a": [np.ones((2, 1)), ["\x00", "\x00\x00", '"\x00']]})
+@example({"\x00": np.ones((1, 2)), "\x00\x00": [np.ones((1, 1))]})
 def test_json_text_writes_a_float_matrix_as_its_tolist(value):
     """A 2-D float64 array anywhere in a payload is written as its nested lists."""
     assert _json_text(value) == json.dumps(value, indent=2, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("array", [np.zeros((0, 2)), np.ones((2, 2), dtype=np.int64), np.ones(3)],
+                         ids=["empty", "int", "1-D"])
+def test_json_text_refuses_any_other_array_as_json_does(array):
+    for value in (array, {"a": [1.5, array]}):
+        with pytest.raises(TypeError) as dumped:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as written:
+            _json_text(value)
+        assert str(written.value) == str(dumped.value)
+        assert str(written.value) == "Object of type ndarray is not JSON serializable"
 
 
 @pytest.mark.parametrize("source", ["cp16", "random"])
